@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/consistency"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/rangequery"
 	"repro/internal/recovery"
 	"repro/internal/strategy"
+	"repro/internal/vector"
 
 	"repro/internal/bits"
 )
@@ -51,6 +51,12 @@ func reducedAdult(tuples int) *dataset.Table {
 		}
 	}
 	return &dataset.Table{Schema: s, Rows: rows}
+}
+
+// runDense releases a dense contingency vector serially through the
+// engine's one entry, RunVector.
+func runDense(w *marginal.Workload, x []float64, cfg engine.Config) (*engine.Release, error) {
+	return engine.New(engine.Options{Workers: 1}).RunVector(context.Background(), w, vector.FromDense(x), cfg)
 }
 
 func vectorOf(b *testing.B, t *dataset.Table) []float64 {
@@ -108,7 +114,7 @@ func BenchmarkFig5NLTCSQ2A(b *testing.B)    { accuracyBench(b, "nltcs", nltcs(),
 
 // --- Figure 6: end-to-end running time per strategy over NLTCS ---
 
-func timeBench(b *testing.B, s strategy.Strategy, budgeting core.Budgeting, workload string) {
+func timeBench(b *testing.B, s strategy.Strategy, budgeting engine.Budgeting, workload string) {
 	b.Helper()
 	tab := nltcs()
 	x := vectorOf(b, tab)
@@ -116,9 +122,9 @@ func timeBench(b *testing.B, s strategy.Strategy, budgeting core.Budgeting, work
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(w, x, core.Config{
+		if _, err := runDense(w, x, engine.Config{
 			Strategy: s, Budgeting: budgeting,
-			Consistency: core.WeightedL2Consistency,
+			Consistency: engine.WeightedL2Consistency,
 			Privacy:     pureParams(1), Seed: int64(i),
 		}); err != nil {
 			b.Fatal(err)
@@ -127,24 +133,24 @@ func timeBench(b *testing.B, s strategy.Strategy, budgeting core.Budgeting, work
 }
 
 func BenchmarkFig6TimeNLTCSQ1Identity(b *testing.B) {
-	timeBench(b, strategy.Identity{}, core.UniformBudget, "Q1")
+	timeBench(b, strategy.Identity{}, engine.UniformBudget, "Q1")
 }
 func BenchmarkFig6TimeNLTCSQ1Workload(b *testing.B) {
-	timeBench(b, strategy.Workload{}, core.OptimalBudget, "Q1")
+	timeBench(b, strategy.Workload{}, engine.OptimalBudget, "Q1")
 }
 func BenchmarkFig6TimeNLTCSQ1Fourier(b *testing.B) {
-	timeBench(b, strategy.Fourier{}, core.OptimalBudget, "Q1")
+	timeBench(b, strategy.Fourier{}, engine.OptimalBudget, "Q1")
 }
 func BenchmarkFig6TimeNLTCSQ1Cluster(b *testing.B) {
-	timeBench(b, strategy.Cluster{}, core.OptimalBudget, "Q1")
+	timeBench(b, strategy.Cluster{}, engine.OptimalBudget, "Q1")
 }
 func BenchmarkFig6TimeNLTCSQ2Fourier(b *testing.B) {
-	timeBench(b, strategy.Fourier{}, core.OptimalBudget, "Q2")
+	timeBench(b, strategy.Fourier{}, engine.OptimalBudget, "Q2")
 }
 func BenchmarkFig6TimeNLTCSQ2Cluster(b *testing.B) {
 	// The expensive clustering search of [6]: expect two to four orders of
 	// magnitude above the Fourier run — the Figure 6 gap.
-	timeBench(b, strategy.Cluster{}, core.OptimalBudget, "Q2")
+	timeBench(b, strategy.Cluster{}, engine.OptimalBudget, "Q2")
 }
 
 // --- Table 1: error bounds vs measured noise ---
@@ -252,8 +258,8 @@ func BenchmarkAblationConsistency(b *testing.B) {
 		b.Fatal(err)
 	}
 	w := experiments.SchemaWorkloads(tab.Schema).ByName["Q1*"]
-	rel, err := core.Run(w, x, core.Config{
-		Strategy: strategy.Workload{}, Budgeting: core.OptimalBudget,
+	rel, err := runDense(w, x, engine.Config{
+		Strategy: strategy.Workload{}, Budgeting: engine.OptimalBudget,
 		Privacy: pureParams(0.5), Seed: 1,
 	})
 	if err != nil {
@@ -326,7 +332,7 @@ func BenchmarkAblationRangeStrategies(b *testing.B) {
 		for _, budgets := range []string{"uniform", "optimal"} {
 			b.Run(m.String()+"-"+budgets, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := rangequery.Run(w, x, m, budgets, p, int64(i)); err != nil {
+					if _, err := rangequery.Run(context.Background(), w, x, m, budgets, p, int64(i), 1); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -353,14 +359,14 @@ func engineReleaseBench(b *testing.B, workers int) {
 	w := marginal.SchemaKWay(tab.Schema, 2)
 	eng := engine.New(engine.Options{Workers: workers})
 	cfg := engine.Config{
-		Strategy: strategy.Identity{}, Budgeting: core.UniformBudget,
-		Consistency: core.NoConsistency, Privacy: pureParams(1),
+		Strategy: strategy.Identity{}, Budgeting: engine.UniformBudget,
+		Consistency: engine.NoConsistency, Privacy: pureParams(1),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
-		if _, err := eng.Run(w, x, cfg); err != nil {
+		if _, err := eng.RunVector(context.Background(), w, vector.FromDense(x), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -380,13 +386,13 @@ func planCacheBench(b *testing.B, warm bool) {
 	x := vectorOf(b, tab)
 	w := marginal.SchemaKWay(tab.Schema, 2)
 	cfg := engine.Config{
-		Strategy: strategy.Cluster{}, Budgeting: core.OptimalBudget,
-		Consistency: core.WeightedL2Consistency, Privacy: pureParams(1),
+		Strategy: strategy.Cluster{}, Budgeting: engine.OptimalBudget,
+		Consistency: engine.WeightedL2Consistency, Privacy: pureParams(1),
 	}
 	var eng *engine.Engine
 	if warm {
 		eng = engine.New(engine.Options{Workers: 1, Cache: engine.NewPlanCache(0)})
-		if _, err := eng.Run(w, x, cfg); err != nil {
+		if _, err := eng.RunVector(context.Background(), w, vector.FromDense(x), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -397,7 +403,7 @@ func planCacheBench(b *testing.B, warm bool) {
 			eng = engine.New(engine.Options{Workers: 1, Cache: engine.NewPlanCache(0)})
 		}
 		cfg.Seed = int64(i)
-		if _, err := eng.Run(w, x, cfg); err != nil {
+		if _, err := eng.RunVector(context.Background(), w, vector.FromDense(x), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

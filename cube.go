@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/datacube"
 	"repro/internal/synth"
+	"repro/internal/vector"
 )
 
 // CubeRelease is a private datacube: noisy, mutually consistent cuboids
@@ -19,40 +20,27 @@ type CubeLattice = datacube.Lattice
 // consistent: rolling a child cuboid up always reproduces its released
 // ancestor exactly, so the cube behaves like a real OLAP cube downstream.
 func ReleaseCube(t *Table, maxOrder int, o Options) (*CubeRelease, error) {
-	return ReleaseCubeContext(context.Background(), t, maxOrder, o)
-}
-
-// ReleaseCubeContext is ReleaseCube under a context: cancellation aborts
-// the release engine mid-run (see Releaser.Release for the service-oriented
-// marginal API; cube releases share its engine and plan cache plumbing).
-func ReleaseCubeContext(ctx context.Context, t *Table, maxOrder int, o Options) (*CubeRelease, error) {
 	if err := validatePrivacy(o.Epsilon, o.Delta); err != nil {
 		return nil, err
 	}
-	return datacube.ReleaseContext(ctx, t, maxOrder, o.cubeOptions())
-}
-
-// ReleaseCubeVectorContext is ReleaseCubeContext for callers who already
-// hold the aggregated contingency vector — the upload-once path used by the
-// dataset store, where the relation was vectorised at ingestion and every
-// cube release skips straight to the mechanism. Bit-identical to the table
-// path over the same data and seed.
-func ReleaseCubeVectorContext(ctx context.Context, schema *Schema, counts []float64, maxOrder int, o Options) (*CubeRelease, error) {
-	if err := validatePrivacy(o.Epsilon, o.Delta); err != nil {
+	x, err := t.Vector()
+	if err != nil {
 		return nil, err
 	}
-	return datacube.ReleaseVectorContext(ctx, schema, counts, maxOrder, o.cubeOptions())
+	return ReleaseCubeBlockedContext(context.Background(), t.Schema, vector.FromDense(x), maxOrder, o)
 }
 
-// ReleaseCubeBlockedContext is ReleaseCubeVectorContext for a sharded
-// contingency vector (a dataset-store aggregate): the cube runs without the
-// vector ever being gathered into one dense slice, bit-identical to the
-// dense path over the same cells.
+// ReleaseCubeBlockedContext is ReleaseCube for callers who already hold the
+// aggregated contingency vector — the upload-once path of the dataset
+// store, whose sharded aggregate feeds the mechanism without ever being
+// gathered into one dense slice — under a context whose cancellation aborts
+// the release engine mid-run. Bit-identical to ReleaseCube over the same
+// cells and seed.
 func ReleaseCubeBlockedContext(ctx context.Context, schema *Schema, counts *BlockedVector, maxOrder int, o Options) (*CubeRelease, error) {
 	if err := validatePrivacy(o.Epsilon, o.Delta); err != nil {
 		return nil, err
 	}
-	return datacube.ReleaseBlockedContext(ctx, schema, counts, maxOrder, o.cubeOptions())
+	return datacube.Release(ctx, schema, counts, maxOrder, o.cubeOptions())
 }
 
 // cubeOptions maps the flat Options onto the datacube layer's options.

@@ -37,9 +37,14 @@
 // disconnect, a deadline) aborts the engine mid-stage instead of burning
 // CPU on an answer nobody will read.
 //
-// The historical one-shot entry points (Release, ReleaseVector,
-// ReleaseCube, SyntheticData) remain as thin wrappers over a throwaway
-// Releaser.
+// Each layer has one release entry. A Releaser answers tables
+// (Releaser.Release), sharded contingency vectors (Releaser.ReleaseBlocked,
+// with NewBlockedVector for a dense slice) and ingested datasets
+// (Releaser.ReleaseDataset); the one-shot Release and ReleaseCube run a
+// table through a throwaway Releaser or the datacube layer, and
+// ReleaseCubeBlockedContext is the cube's vector-and-context form. Below
+// the package every marginal path ends in the staged engine's single entry,
+// engine.(*Engine).RunVector, over a blocked vector.
 //
 // # Budget accounting
 //
@@ -69,7 +74,7 @@
 // cap still bounds the whole deployment. The HTTP layer keys this by API
 // key (see below).
 //
-// The semantics of "spend": every admitted Release/ReleaseVector call
+// The semantics of "spend": every admitted Releaser release call
 // charges exactly its ReleaseSpec (ε, δ), atomically, before the mechanism
 // runs — concurrent releases can never jointly pass the cap, and a refused
 // release (ErrBudgetExhausted) spends nothing and never touches the data.
@@ -158,7 +163,10 @@
 // mutation — replace, append, delete — invalidates that dataset's
 // entries through a store change hook, with the version in the key as a
 // second line of defence. /v1/metrics reports hits, misses and resident
-// entries; Config.ResultCacheSize sizes the LRU (negative disables).
+// entries; Config.ResultCacheSize sizes the LRU (negative disables). The
+// cache owns single-flight too (rescache.Cache.Do): every release-shaped
+// endpoint runs one serving flow whose one caching call coalesces a cold
+// herd of identical requests into one execution and one ledger charge.
 //
 // Under the cache, the engine's inner loops are audited to near-zero
 // allocation: the WHT butterfly kernel is cache-blocked and radix-4
@@ -245,7 +253,8 @@
 // The internal packages follow the paper's structure: internal/strategy
 // (Step 1), internal/budget (Step 2, Section 3.1), internal/recovery and
 // internal/consistency (Step 3, Sections 3.2–3.3 and 4.3), internal/engine
-// (the staged mechanism) with internal/core as its stable facade and
+// (the staged mechanism, entered only through RunVector) with internal/core
+// holding the data-independent Preview forecast and the Table-1 bounds,
 // internal/vector as the sharded-vector substrate, internal/accountant
 // (the ledger under BudgetLedger), internal/server (the HTTP layer), and
 // internal/linalg, internal/lp, internal/transform, internal/noise,

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -49,7 +50,7 @@ func main() {
 			if m == rangequery.Flat && budgets == "optimal" {
 				continue // single group: optimal = uniform
 			}
-			rel, err := rangequery.Run(w, hist, m, budgets, p, 11)
+			rel, err := rangequery.Run(context.Background(), w, hist, m, budgets, p, 11, 1)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -1,92 +1,16 @@
-// Package core is the compatibility facade over the staged release engine
-// (internal/engine), preserving the original single-call API that ties the
-// three steps of the paper's framework (Figure 3) together:
-//
-//  1. a Strategy provides the grouped strategy matrix S (Step 1),
-//  2. budgeting computes uniform or optimal non-uniform per-group noise
-//     budgets (Step 2, Section 3.1),
-//  3. the strategy's recovery turns noisy answers into marginal tables, and
-//     an optional consistency pass (Step 3 / Section 4.3) projects them onto
-//     the closest mutually consistent set.
-//
-// Run executes the pipeline serially with no plan cache; RunWith exposes the
-// engine options (bounded worker pool, plan caching) without changing a bit
-// of the output — see internal/engine for the determinism contract. The
-// mechanism types (Config, Release, the budgeting and consistency enums) are
-// aliases of the engine's, so the two packages are interchangeable for
-// callers.
+// Package core holds the data-independent side of the paper's mechanism:
+// the Preview forecast of a configuration's error profile (Steps 1–2 plus
+// the Step-3 variance accounting, without drawing noise or reading data),
+// the Table-1 asymptotic error bounds, and the two per-marginal helpers
+// they share with release code. Releases themselves run through the one
+// engine entry, engine.(*Engine).RunVector.
 package core
 
 import (
-	"context"
 	"math"
 
-	"repro/internal/engine"
 	"repro/internal/marginal"
-	"repro/internal/vector"
 )
-
-// Budgeting selects the Step-2 allocation rule.
-type Budgeting = engine.Budgeting
-
-const (
-	// UniformBudget reproduces prior work: every strategy group receives
-	// the same per-row budget.
-	UniformBudget = engine.UniformBudget
-	// OptimalBudget is the paper's contribution: the closed-form non-uniform
-	// allocation of Corollary 3.3 (the "+" variants F+, Q+, C+).
-	OptimalBudget = engine.OptimalBudget
-)
-
-// Consistency selects the post-processing of Sections 3.3/4.3.
-type Consistency = engine.Consistency
-
-const (
-	// NoConsistency returns the raw recovered answers.
-	NoConsistency = engine.NoConsistency
-	// L2Consistency projects onto consistent marginals in least squares.
-	L2Consistency = engine.L2Consistency
-	// WeightedL2Consistency weights each marginal by its inverse noise
-	// variance — the GLS fusion, optimal among linear consistent estimators.
-	WeightedL2Consistency = engine.WeightedL2Consistency
-	// L1Consistency minimises the L1 distance via the Section-4.3 LP.
-	L1Consistency = engine.L1Consistency
-	// LInfConsistency minimises the L∞ distance via the Section-4.3 LP.
-	LInfConsistency = engine.LInfConsistency
-)
-
-// Config assembles one mechanism run.
-type Config = engine.Config
-
-// Release is the output of one mechanism run.
-type Release = engine.Release
-
-// Run executes the mechanism on contingency vector x for the workload,
-// serially and without plan caching — the historical entry point, now a
-// wrapper over the staged engine.
-func Run(w *marginal.Workload, x []float64, cfg Config) (*Release, error) {
-	return RunWith(w, x, cfg, engine.Options{Workers: 1})
-}
-
-// RunWith is Run with explicit engine options (worker-pool size, plan
-// cache). The release is bit-identical to Run for every option combination.
-func RunWith(w *marginal.Workload, x []float64, cfg Config, opts engine.Options) (*Release, error) {
-	return engine.New(opts).Run(w, x, cfg)
-}
-
-// RunWithContext is RunWith under a context: cancellation aborts the
-// pipeline between stages and inside the measurement/recovery worker pools
-// (see engine.RunContext).
-func RunWithContext(ctx context.Context, w *marginal.Workload, x []float64, cfg Config, opts engine.Options) (*Release, error) {
-	return engine.New(opts).RunContext(ctx, w, x, cfg)
-}
-
-// RunVectorContext is RunWithContext for callers holding a sharded
-// contingency vector (see engine.RunVector): the dataset store's aggregate
-// reaches the pipeline without ever being gathered into one dense slice.
-func RunVectorContext(ctx context.Context, w *marginal.Workload, x *vector.Blocked, cfg Config, opts engine.Options) (*Release, error) {
-	return engine.New(opts).RunVector(ctx, w, x, cfg)
-}
 
 // PerMarginal splits the concatenated answers into per-marginal tables.
 func PerMarginal(w *marginal.Workload, answers []float64) [][]float64 {

@@ -1,19 +1,28 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bits"
 	"repro/internal/consistency"
+	"repro/internal/engine"
 	"repro/internal/marginal"
 	"repro/internal/noise"
 	"repro/internal/strategy"
+	"repro/internal/vector"
 )
 
 func pureParams(eps float64) noise.Params {
 	return noise.Params{Type: noise.PureDP, Epsilon: eps, Neighbor: noise.AddRemove}
+}
+
+// run releases a dense contingency vector serially through the engine's
+// one entry, RunVector.
+func run(w *marginal.Workload, x []float64, cfg engine.Config) (*engine.Release, error) {
+	return engine.New(engine.Options{Workers: 1}).RunVector(context.Background(), w, vector.FromDense(x), cfg)
 }
 
 func testX(rng *rand.Rand, d int) []float64 {
@@ -36,8 +45,8 @@ func TestRunAllStrategiesProduceAnswers(t *testing.T) {
 	x := testX(rng, d)
 	w := marginal.AllKWay(d, 2)
 	for _, s := range allStrategies() {
-		for _, b := range []Budgeting{UniformBudget, OptimalBudget} {
-			rel, err := Run(w, x, Config{
+		for _, b := range []engine.Budgeting{engine.UniformBudget, engine.OptimalBudget} {
+			rel, err := run(w, x, engine.Config{
 				Strategy: s, Budgeting: b, Privacy: pureParams(1), Seed: 7,
 			})
 			if err != nil {
@@ -58,12 +67,12 @@ func TestRunDeterministicBySeed(t *testing.T) {
 	d := 5
 	x := testX(rng, d)
 	w := marginal.AllKWay(d, 1)
-	cfg := Config{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: pureParams(0.5), Seed: 11}
-	a, err := Run(w, x, cfg)
+	cfg := engine.Config{Strategy: strategy.Fourier{}, Budgeting: engine.OptimalBudget, Privacy: pureParams(0.5), Seed: 11}
+	a, err := run(w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(w, x, cfg)
+	b, err := run(w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +82,7 @@ func TestRunDeterministicBySeed(t *testing.T) {
 		}
 	}
 	cfg.Seed = 12
-	c, err := Run(w, x, cfg)
+	c, err := run(w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +107,11 @@ func TestOptimalBudgetNeverWorseAnalytically(t *testing.T) {
 		marginal.MustWorkload(d, []bits.Mask{0b000001, 0b001111, 0b110011}),
 	} {
 		for _, s := range allStrategies() {
-			uni, err := Run(w, x, Config{Strategy: s, Budgeting: UniformBudget, Privacy: pureParams(1), Seed: 1})
+			uni, err := run(w, x, engine.Config{Strategy: s, Budgeting: engine.UniformBudget, Privacy: pureParams(1), Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := Run(w, x, Config{Strategy: s, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 1})
+			opt, err := run(w, x, engine.Config{Strategy: s, Budgeting: engine.OptimalBudget, Privacy: pureParams(1), Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +132,7 @@ func TestRunIsUnbiasedEmpirically(t *testing.T) {
 		const trials = 3000
 		sums := make([]float64, len(truth))
 		for tr := 0; tr < trials; tr++ {
-			rel, err := Run(w, x, Config{Strategy: s, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: int64(tr)})
+			rel, err := run(w, x, engine.Config{Strategy: s, Budgeting: engine.OptimalBudget, Privacy: pureParams(1), Seed: int64(tr)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,9 +155,9 @@ func TestConsistencyModesProduceConsistentOutput(t *testing.T) {
 	d := 4
 	x := testX(rng, d)
 	w := marginal.MustWorkload(d, []bits.Mask{0b0011, 0b0110, 0b1100})
-	for _, mode := range []Consistency{L2Consistency, WeightedL2Consistency, L1Consistency, LInfConsistency} {
-		rel, err := Run(w, x, Config{
-			Strategy: strategy.Workload{}, Budgeting: OptimalBudget,
+	for _, mode := range []engine.Consistency{engine.L2Consistency, engine.WeightedL2Consistency, engine.L1Consistency, engine.LInfConsistency} {
+		rel, err := run(w, x, engine.Config{
+			Strategy: strategy.Workload{}, Budgeting: engine.OptimalBudget,
 			Consistency: mode, Privacy: pureParams(0.5), Seed: 9,
 		})
 		if err != nil {
@@ -168,7 +177,7 @@ func TestIdentityOutputAlreadyConsistent(t *testing.T) {
 	d := 5
 	x := testX(rng, d)
 	w := marginal.AllKWay(d, 2)
-	rel, err := Run(w, x, Config{Strategy: strategy.Identity{}, Budgeting: UniformBudget, Privacy: pureParams(1), Seed: 3})
+	rel, err := run(w, x, engine.Config{Strategy: strategy.Identity{}, Budgeting: engine.UniformBudget, Privacy: pureParams(1), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +191,13 @@ func TestPrivacyAccountingGuards(t *testing.T) {
 	d := 4
 	x := testX(rng, d)
 	w := marginal.AllKWay(d, 1)
-	if _, err := Run(w, x, Config{Strategy: strategy.Workload{}, Privacy: noise.Params{Epsilon: 0}}); err == nil {
+	if _, err := run(w, x, engine.Config{Strategy: strategy.Workload{}, Privacy: noise.Params{Epsilon: 0}}); err == nil {
 		t.Error("epsilon 0 accepted")
 	}
-	if _, err := Run(w, x, Config{Privacy: pureParams(1)}); err == nil {
+	if _, err := run(w, x, engine.Config{Privacy: pureParams(1)}); err == nil {
 		t.Error("nil strategy accepted")
 	}
-	if _, err := Run(w, x[:3], Config{Strategy: strategy.Workload{}, Privacy: pureParams(1)}); err == nil {
+	if _, err := run(w, x[:3], engine.Config{Strategy: strategy.Workload{}, Privacy: pureParams(1)}); err == nil {
 		t.Error("short data vector accepted")
 	}
 }
@@ -200,7 +209,7 @@ func TestGaussianMechanismRuns(t *testing.T) {
 	w := marginal.AllKWay(d, 1)
 	p := noise.Params{Type: noise.ApproxDP, Epsilon: 1, Delta: 1e-5, Neighbor: noise.AddRemove}
 	for _, s := range allStrategies() {
-		rel, err := Run(w, x, Config{Strategy: s, Budgeting: OptimalBudget, Privacy: p, Seed: 2})
+		rel, err := run(w, x, engine.Config{Strategy: s, Budgeting: engine.OptimalBudget, Privacy: p, Seed: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -220,7 +229,7 @@ func TestErrorDecreasesWithEpsilon(t *testing.T) {
 		total := 0.0
 		const trials = 30
 		for tr := 0; tr < trials; tr++ {
-			rel, err := Run(w, x, Config{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: pureParams(eps), Seed: int64(tr)})
+			rel, err := run(w, x, engine.Config{Strategy: strategy.Fourier{}, Budgeting: engine.OptimalBudget, Privacy: pureParams(eps), Seed: int64(tr)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -295,11 +304,11 @@ func TestClusterBeatsWorkloadOnOverlappingQ1(t *testing.T) {
 	d := 6
 	x := testX(rng, d)
 	w := marginal.AllKWay(d, 1)
-	q, err := Run(w, x, Config{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 4})
+	q, err := run(w, x, engine.Config{Strategy: strategy.Workload{}, Budgeting: engine.OptimalBudget, Privacy: pureParams(1), Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Run(w, x, Config{Strategy: strategy.Cluster{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 4})
+	c, err := run(w, x, engine.Config{Strategy: strategy.Cluster{}, Budgeting: engine.OptimalBudget, Privacy: pureParams(1), Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +325,7 @@ func BenchmarkRunFourierOptimalD10Q2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(w, x, Config{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: int64(i)}); err != nil {
+		if _, err := run(w, x, engine.Config{Strategy: strategy.Fourier{}, Budgeting: engine.OptimalBudget, Privacy: pureParams(1), Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -328,11 +337,11 @@ func TestQueryWeightsFlowThroughRun(t *testing.T) {
 	x := testX(rng, d)
 	w := marginal.MustWorkload(d, []bits.Mask{0b000011, 0b111100})
 	a := []float64{100, 0.01}
-	plain, err := Run(w, x, Config{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 1})
+	plain, err := run(w, x, engine.Config{Strategy: strategy.Workload{}, Budgeting: engine.OptimalBudget, Privacy: pureParams(1), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := Run(w, x, Config{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 1, QueryWeights: a})
+	weighted, err := run(w, x, engine.Config{Strategy: strategy.Workload{}, Budgeting: engine.OptimalBudget, Privacy: pureParams(1), Seed: 1, QueryWeights: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +354,11 @@ func TestQueryWeightsFlowThroughRun(t *testing.T) {
 			weighted.CellVariances[1], plain.CellVariances[1])
 	}
 	// Bad weights rejected.
-	if _, err := Run(w, x, Config{Strategy: strategy.Workload{}, Privacy: pureParams(1), QueryWeights: []float64{1}}); err == nil {
+	if _, err := run(w, x, engine.Config{Strategy: strategy.Workload{}, Privacy: pureParams(1), QueryWeights: []float64{1}}); err == nil {
 		t.Fatal("short query weights accepted")
 	}
 	// Strategies without WeightedPlanner are rejected cleanly.
-	if _, err := Run(w, x, Config{Strategy: strategy.HierarchyMarginal{}, Privacy: pureParams(1), QueryWeights: []float64{1, 1}}); err == nil {
+	if _, err := run(w, x, engine.Config{Strategy: strategy.HierarchyMarginal{}, Privacy: pureParams(1), QueryWeights: []float64{1, 1}}); err == nil {
 		t.Fatal("unweightable strategy accepted query weights")
 	}
 }
@@ -360,13 +369,13 @@ func TestPreviewMatchesRunAccounting(t *testing.T) {
 	x := testX(rng, d)
 	w := marginal.AllKWay(d, 2)
 	for _, s := range allStrategies() {
-		for _, b := range []Budgeting{UniformBudget, OptimalBudget} {
-			cfg := Config{Strategy: s, Budgeting: b, Privacy: pureParams(0.7), Seed: 5}
+		for _, b := range []engine.Budgeting{engine.UniformBudget, engine.OptimalBudget} {
+			cfg := engine.Config{Strategy: s, Budgeting: b, Privacy: pureParams(0.7), Seed: 5}
 			fc, err := Preview(w, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", s.Name(), err)
 			}
-			rel, err := Run(w, x, cfg)
+			rel, err := run(w, x, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -392,7 +401,7 @@ func TestPreviewMatchesRunAccounting(t *testing.T) {
 func TestPreviewNeedsNoData(t *testing.T) {
 	// Preview must work for domains far too large to materialise data for.
 	w := marginal.AllKWay(20, 1) // N = 2^20; identity plan has 2^20 rows
-	fc, err := Preview(w, Config{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: pureParams(1)})
+	fc, err := Preview(w, engine.Config{Strategy: strategy.Fourier{}, Budgeting: engine.OptimalBudget, Privacy: pureParams(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,9 +412,9 @@ func TestPreviewNeedsNoData(t *testing.T) {
 
 func TestCompareStrategies(t *testing.T) {
 	w := marginal.AllKWay(5, 1)
-	fcs, err := CompareStrategies(w, []Config{
-		{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1)},
-		{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: pureParams(1)},
+	fcs, err := CompareStrategies(w, []engine.Config{
+		{Strategy: strategy.Workload{}, Budgeting: engine.OptimalBudget, Privacy: pureParams(1)},
+		{Strategy: strategy.Fourier{}, Budgeting: engine.OptimalBudget, Privacy: pureParams(1)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +422,7 @@ func TestCompareStrategies(t *testing.T) {
 	if len(fcs) != 2 || fcs[0].StrategyName == fcs[1].StrategyName {
 		t.Fatalf("comparison broken: %+v", fcs)
 	}
-	if _, err := CompareStrategies(w, []Config{{Privacy: pureParams(1)}}); err == nil {
+	if _, err := CompareStrategies(w, []engine.Config{{Privacy: pureParams(1)}}); err == nil {
 		t.Fatal("nil strategy accepted")
 	}
 }

@@ -29,7 +29,7 @@ type Forecast struct {
 
 // Preview computes the forecast for a configuration. It runs Steps 1–2 and
 // the variance accounting of Step 3 but never draws noise or reads data.
-func Preview(w *marginal.Workload, cfg Config) (*Forecast, error) {
+func Preview(w *marginal.Workload, cfg engine.Config) (*Forecast, error) {
 	if cfg.Strategy == nil {
 		return nil, fmt.Errorf("core: no strategy configured")
 	}
@@ -53,7 +53,7 @@ func Preview(w *marginal.Workload, cfg Config) (*Forecast, error) {
 		return nil, err
 	}
 	var alloc *budget.SpecAllocation
-	if cfg.Budgeting == OptimalBudget {
+	if cfg.Budgeting == engine.OptimalBudget {
 		alloc, err = budget.OptimalSpecs(plan.Specs, cfg.Privacy)
 	} else {
 		alloc, err = budget.UniformSpecs(plan.Specs, cfg.Privacy)
@@ -84,7 +84,7 @@ func Preview(w *marginal.Workload, cfg Config) (*Forecast, error) {
 
 // CompareStrategies previews several configurations side by side, sorted as
 // given; a convenience for CLI/report code.
-func CompareStrategies(w *marginal.Workload, cfgs []Config) ([]*Forecast, error) {
+func CompareStrategies(w *marginal.Workload, cfgs []engine.Config) ([]*Forecast, error) {
 	out := make([]*Forecast, len(cfgs))
 	for i, cfg := range cfgs {
 		f, err := Preview(w, cfg)

@@ -179,38 +179,12 @@ type Released struct {
 	TotalVariance float64
 }
 
-// Release privately materialises every cuboid of order ≤ maxOrder.
-func Release(t *dataset.Table, maxOrder int, o Options) (*Released, error) {
-	return ReleaseContext(context.Background(), t, maxOrder, o)
-}
-
-// ReleaseContext is Release under a context: cancellation aborts the
-// staged engine mid-run.
-func ReleaseContext(ctx context.Context, t *dataset.Table, maxOrder int, o Options) (*Released, error) {
-	x, err := t.Vector()
-	if err != nil {
-		return nil, err
-	}
-	return ReleaseVectorContext(ctx, t.Schema, x, maxOrder, o)
-}
-
-// ReleaseVectorContext is ReleaseContext for callers who already hold the
-// aggregated contingency vector — the dataset store's upload-once path,
-// which skips re-vectorising the relation on every cube request. The
-// release is bit-identical to the rows path over the same data: the vector
-// is exactly what Table.Vector would have produced.
-func ReleaseVectorContext(ctx context.Context, s *dataset.Schema, x []float64, maxOrder int, o Options) (*Released, error) {
-	if len(x) != s.DomainSize() {
-		return nil, fmt.Errorf("datacube: vector has %d entries, domain needs %d", len(x), s.DomainSize())
-	}
-	return ReleaseBlockedContext(ctx, s, vector.FromDense(x), maxOrder, o)
-}
-
-// ReleaseBlockedContext is ReleaseVectorContext for a sharded contingency
-// vector (the dataset store's aggregate): the cube release runs without
-// ever gathering the vector into one dense slice, bit-identical to the
-// dense path over the same cells.
-func ReleaseBlockedContext(ctx context.Context, s *dataset.Schema, x *vector.Blocked, maxOrder int, o Options) (*Released, error) {
+// Release privately materialises every cuboid of order ≤ maxOrder from the
+// relation's contingency vector x. x is sharded (a dataset-store
+// aggregate) or a zero-copy vector.FromDense view of a dense slice; the
+// release is bit-identical over the same cells whatever the blocking, and
+// cancellation of ctx aborts the staged engine mid-run.
+func Release(ctx context.Context, s *dataset.Schema, x *vector.Blocked, maxOrder int, o Options) (*Released, error) {
 	l, err := NewLattice(s, maxOrder)
 	if err != nil {
 		return nil, err
@@ -227,21 +201,22 @@ func ReleaseBlockedContext(ctx context.Context, s *dataset.Schema, x *vector.Blo
 	if o.Delta > 0 {
 		p.Type, p.Delta = noise.ApproxDP, o.Delta
 	}
-	budgeting := core.OptimalBudget
+	budgeting := engine.OptimalBudget
 	if o.UniformBudget {
-		budgeting = core.UniformBudget
+		budgeting = engine.UniformBudget
 	}
 	strat := o.Strategy
 	if strat == nil {
 		strat = strategy.Fourier{}
 	}
-	rel, err := core.RunVectorContext(ctx, w, x, core.Config{
+	eng := engine.New(engine.Options{Workers: o.Workers, Shards: o.Shards, Cache: o.Cache})
+	rel, err := eng.RunVector(ctx, w, x, engine.Config{
 		Strategy:    strat,
 		Budgeting:   budgeting,
-		Consistency: core.WeightedL2Consistency,
+		Consistency: engine.WeightedL2Consistency,
 		Privacy:     p,
 		Seed:        o.Seed,
-	}, engine.Options{Workers: o.Workers, Shards: o.Shards, Cache: o.Cache})
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,24 @@
 package datacube
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/strategy"
+	"repro/internal/vector"
 )
+
+// releaseTable vectorises a table and releases its cube through Release.
+func releaseTable(t *dataset.Table, maxOrder int, o Options) (*Released, error) {
+	x, err := t.Vector()
+	if err != nil {
+		return nil, err
+	}
+	return Release(context.Background(), t.Schema, vector.FromDense(x), maxOrder, o)
+}
 
 func testTable() *dataset.Table {
 	s := dataset.MustSchema([]dataset.Attribute{
@@ -73,7 +84,7 @@ func TestLatticeNavigation(t *testing.T) {
 
 func TestReleaseConsistentCube(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 1, Seed: 3})
+	rel, err := releaseTable(tab, 2, Options{Epsilon: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +99,7 @@ func TestReleaseConsistentCube(t *testing.T) {
 
 func TestReleaseWorkloadStrategyAlsoConsistent(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 1, Seed: 4, Strategy: strategy.Workload{}})
+	rel, err := releaseTable(tab, 2, Options{Epsilon: 1, Seed: 4, Strategy: strategy.Workload{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +110,7 @@ func TestReleaseWorkloadStrategyAlsoConsistent(t *testing.T) {
 
 func TestCuboidAccess(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 5, Seed: 5})
+	rel, err := releaseTable(tab, 2, Options{Epsilon: 5, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +134,7 @@ func TestCuboidAccess(t *testing.T) {
 
 func TestRollUpMatchesReleasedParent(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 1, Seed: 6})
+	rel, err := releaseTable(tab, 2, Options{Epsilon: 1, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +158,7 @@ func TestRollUpMatchesReleasedParent(t *testing.T) {
 
 func TestSlice(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 10, Seed: 7})
+	rel, err := releaseTable(tab, 2, Options{Epsilon: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +187,7 @@ func TestSliceComplementarity(t *testing.T) {
 	// Slices over all values of the fixed attribute must sum to the parent
 	// roll-up (mass preservation within the cuboid).
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 1, Seed: 8})
+	rel, err := releaseTable(tab, 2, Options{Epsilon: 1, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +214,7 @@ func TestSliceComplementarity(t *testing.T) {
 
 func TestDice(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 1, Options{Epsilon: 10, Seed: 9})
+	rel, err := releaseTable(tab, 1, Options{Epsilon: 10, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +238,11 @@ func TestDice(t *testing.T) {
 
 func TestUniformVsOptimalCube(t *testing.T) {
 	tab := testTable()
-	uni, err := Release(tab, 2, Options{Epsilon: 1, Seed: 10, UniformBudget: true})
+	uni, err := releaseTable(tab, 2, Options{Epsilon: 1, Seed: 10, UniformBudget: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Release(tab, 2, Options{Epsilon: 1, Seed: 10})
+	opt, err := releaseTable(tab, 2, Options{Epsilon: 1, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +253,7 @@ func TestUniformVsOptimalCube(t *testing.T) {
 
 func TestApproxDPCube(t *testing.T) {
 	tab := testTable()
-	if _, err := Release(tab, 1, Options{Epsilon: 1, Delta: 1e-6, Seed: 11}); err != nil {
+	if _, err := releaseTable(tab, 1, Options{Epsilon: 1, Delta: 1e-6, Seed: 11}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -251,7 +262,7 @@ func BenchmarkCubeReleaseOrder2(b *testing.B) {
 	tab := testTable()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Release(tab, 2, Options{Epsilon: 1, Seed: int64(i)}); err != nil {
+		if _, err := releaseTable(tab, 2, Options{Epsilon: 1, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,7 +275,7 @@ func BenchmarkCubeReleaseOrder2(b *testing.B) {
 // read ≈100 per remaining b value.
 func TestSliceOnAttributeZero(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 10, Seed: 12})
+	rel, err := releaseTable(tab, 2, Options{Epsilon: 10, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +305,7 @@ func TestSliceOnAttributeZero(t *testing.T) {
 // a silent 0 — asserted against the apex cuboid lookup and plausibility.
 func TestTotalReadsApexDirectly(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 1, Options{Epsilon: 2, Seed: 13})
+	rel, err := releaseTable(tab, 1, Options{Epsilon: 2, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,13 +325,13 @@ func TestTotalReadsApexDirectly(t *testing.T) {
 // worker counts and unaffected by a plan cache.
 func TestCubeParallelDeterminism(t *testing.T) {
 	tab := testTable()
-	ref, err := Release(tab, 2, Options{Epsilon: 1, Seed: 14, Workers: 1})
+	ref, err := releaseTable(tab, 2, Options{Epsilon: 1, Seed: 14, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := engine.NewPlanCache(0)
 	for _, workers := range []int{2, 4} {
-		got, err := Release(tab, 2, Options{Epsilon: 1, Seed: 14, Workers: workers, Cache: cache})
+		got, err := releaseTable(tab, 2, Options{Epsilon: 1, Seed: 14, Workers: workers, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}

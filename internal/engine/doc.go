@@ -15,9 +15,11 @@
 //	           per-marginal transforms, per-coefficient weighted average
 //	           and reconstruction sharded across the same pool.
 //
-// Engine.Run wires the stages together; internal/core re-exports it under
-// the historical Run signature, and Engine.RunVector is the entry for
-// callers holding a sharded contingency vector.
+// Engine.RunVector wires the stages together and is the one release entry
+// of the whole module: every marginal path — repro.Releaser, the datacube
+// layer, the experiments harness — ends in RunVector(ctx, w, x, cfg) over
+// a *vector.Blocked. Callers holding a dense slice pass the zero-copy view
+// vector.FromDense(x); there is no separate dense or context-free form.
 //
 // # The blocked-vector pipeline
 //

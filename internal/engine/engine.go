@@ -262,27 +262,18 @@ func NewWithStages(opts Options, st Stages) *Engine {
 // Options returns the engine's options (workers resolved lazily).
 func (e *Engine) Options() Options { return e.opts }
 
-// Run executes the mechanism on contingency vector x for the workload. The
-// output is a pure function of (w, x, cfg): the worker count and plan cache
-// never change a single bit of the release.
-func (e *Engine) Run(w *marginal.Workload, x []float64, cfg Config) (*Release, error) {
-	return e.RunContext(context.Background(), w, x, cfg)
-}
-
-// RunContext is Run under a context: cancellation aborts the pipeline
-// between stages and inside the measurement and recovery worker pools, so
-// an abandoned request stops consuming CPU mid-run. A cancelled run returns
-// ctx.Err() (possibly wrapped) and no release; cancellation never yields a
-// partial Release.
-func (e *Engine) RunContext(ctx context.Context, w *marginal.Workload, x []float64, cfg Config) (*Release, error) {
-	return e.RunVector(ctx, w, vector.FromDense(x), cfg)
-}
-
-// RunVector is RunContext for callers holding a sharded contingency vector
-// — the dataset store's aggregate feeds the pipeline here without ever
-// being gathered into one dense slice. The release is a pure function of
-// (w, cells of x, cfg): the blocking of x, the worker count, the shard
-// count and the plan cache never change a single bit of the output.
+// RunVector executes the mechanism on contingency vector x for the workload
+// — the engine's one entry point. The dataset store's sharded aggregate
+// feeds the pipeline here without ever being gathered into one dense slice;
+// callers holding a dense slice pass vector.FromDense(x), a zero-copy view.
+// The release is a pure function of (w, cells of x, cfg): the blocking of
+// x, the worker count, the shard count and the plan cache never change a
+// single bit of the output.
+//
+// Cancellation of ctx aborts the pipeline between stages and inside the
+// measurement and recovery worker pools, so an abandoned request stops
+// consuming CPU mid-run. A cancelled run returns ctx.Err() (possibly
+// wrapped) and no release; cancellation never yields a partial Release.
 func (e *Engine) RunVector(ctx context.Context, w *marginal.Workload, x *vector.Blocked, cfg Config) (*Release, error) {
 	start := time.Now()
 	if cfg.Strategy == nil {

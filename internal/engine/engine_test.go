@@ -19,6 +19,12 @@ func pureParams(eps float64) noise.Params {
 	return noise.Params{Type: noise.PureDP, Epsilon: eps, Neighbor: noise.AddRemove}
 }
 
+// run releases a dense contingency vector through the engine's one entry,
+// RunVector, under a Background context.
+func run(e *Engine, w *marginal.Workload, x []float64, cfg Config) (*Release, error) {
+	return e.RunVector(context.Background(), w, vector.FromDense(x), cfg)
+}
+
 func testX(rng *rand.Rand, d int) []float64 {
 	x := make([]float64, 1<<uint(d))
 	for i := range x {
@@ -45,12 +51,12 @@ func TestParallelDeterminism(t *testing.T) {
 				Strategy: s, Budgeting: OptimalBudget, Consistency: cons,
 				Privacy: pureParams(0.8), Seed: 42,
 			}
-			ref, err := New(Options{Workers: workerCounts[0]}).Run(w, x, cfg)
+			ref, err := run(New(Options{Workers: workerCounts[0]}), w, x, cfg)
 			if err != nil {
 				t.Fatalf("%s/%v workers=1: %v", s.Name(), cons, err)
 			}
 			for _, wk := range workerCounts[1:] {
-				got, err := New(Options{Workers: wk}).Run(w, x, cfg)
+				got, err := run(New(Options{Workers: wk}), w, x, cfg)
 				if err != nil {
 					t.Fatalf("%s/%v workers=%d: %v", s.Name(), cons, wk, err)
 				}
@@ -80,12 +86,12 @@ func TestSubstreamSeedSeparation(t *testing.T) {
 	cfg := Config{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(0.5)}
 	eng := New(Options{Workers: 4})
 	cfg.Seed = 7
-	a, err := eng.Run(w, x, cfg)
+	a, err := run(eng, w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 8
-	b, err := eng.Run(w, x, cfg)
+	b, err := run(eng, w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +116,12 @@ func TestPlanCacheHitsAndIdenticalOutput(t *testing.T) {
 		Strategy: strategy.Cluster{}, Budgeting: OptimalBudget,
 		Consistency: WeightedL2Consistency, Privacy: pureParams(1), Seed: 5,
 	}
-	want, err := plain.Run(w, x, cfg)
+	want, err := run(plain, w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 3; trial++ {
-		got, err := cached.Run(w, x, cfg)
+		got, err := run(cached, w, x, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,14 +138,14 @@ func TestPlanCacheHitsAndIdenticalOutput(t *testing.T) {
 	// Plans are privacy-independent, so a different ε reuses the plan — the
 	// sweep-amortisation property (one cluster search for a whole ε grid).
 	cfg.Privacy = pureParams(0.5)
-	if _, err := cached.Run(w, x, cfg); err != nil {
+	if _, err := run(cached, w, x, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Misses != 1 || st.Hits != 3 {
 		t.Fatalf("changed privacy must still hit the cached plan: %+v", st)
 	}
 	// A different workload is a different key.
-	if _, err := cached.Run(marginal.AllKWay(d, 1), x, cfg); err != nil {
+	if _, err := run(cached, marginal.AllKWay(d, 1), x, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Misses != 2 {
@@ -158,12 +164,12 @@ func TestPlanCacheKeysDistinguishConfiguredStrategies(t *testing.T) {
 	eng := New(Options{Workers: 1, Cache: cache})
 	cfg := Config{Budgeting: UniformBudget, Privacy: pureParams(1), Seed: 1}
 	cfg.Strategy = strategy.Cluster{}
-	full, err := eng.Run(w, x, cfg)
+	full, err := run(eng, w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Strategy = strategy.Cluster{MaxMerges: 1}
-	capped, err := eng.Run(w, x, cfg)
+	capped, err := run(eng, w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +190,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	eng := New(Options{Workers: 1, Cache: cache})
 	for _, k := range []int{1, 2, 3} {
 		cfg := Config{Strategy: strategy.Workload{}, Privacy: pureParams(1), Seed: 1}
-		if _, err := eng.Run(marginal.AllKWay(d, k), x, cfg); err != nil {
+		if _, err := run(eng, marginal.AllKWay(d, k), x, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +231,7 @@ func TestStagesIndividuallyConstructible(t *testing.T) {
 		Measure: zeroMeasurer{},
 	})
 	cfg := Config{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 3}
-	rel, err := eng.Run(w, x, cfg)
+	rel, err := run(eng, w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +258,7 @@ func TestDefaultStagesMatchMonolith(t *testing.T) {
 	p := pureParams(0.7)
 	cfg := Config{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: p, Seed: 11}
 
-	rel, err := New(Options{Workers: 1}).Run(w, x, cfg)
+	rel, err := run(New(Options{Workers: 1}), w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,13 +373,13 @@ func TestEngineValidation(t *testing.T) {
 	x := testX(rng, d)
 	w := marginal.AllKWay(d, 1)
 	eng := New(Options{})
-	if _, err := eng.Run(w, x, Config{Privacy: pureParams(1)}); err == nil {
+	if _, err := run(eng, w, x, Config{Privacy: pureParams(1)}); err == nil {
 		t.Error("nil strategy accepted")
 	}
-	if _, err := eng.Run(w, x, Config{Strategy: strategy.Workload{}, Privacy: noise.Params{}}); err == nil {
+	if _, err := run(eng, w, x, Config{Strategy: strategy.Workload{}, Privacy: noise.Params{}}); err == nil {
 		t.Error("zero epsilon accepted")
 	}
-	if _, err := eng.Run(w, x[:3], Config{Strategy: strategy.Workload{}, Privacy: pureParams(1)}); err == nil {
+	if _, err := run(eng, w, x[:3], Config{Strategy: strategy.Workload{}, Privacy: pureParams(1)}); err == nil {
 		t.Error("short data vector accepted")
 	}
 }
@@ -391,7 +397,7 @@ func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		rel, err := New(Options{Workers: workers}).RunContext(ctx, w, x, cfg)
+		rel, err := New(Options{Workers: workers}).RunVector(ctx, w, vector.FromDense(x), cfg)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
 		}
@@ -400,18 +406,20 @@ func TestRunContextCancellation(t *testing.T) {
 		}
 	}
 
-	// An uncancelled context is bit-identical to Run.
-	a, err := New(Options{Workers: 3}).RunContext(context.Background(), w, x, cfg)
+	// A live cancellable context is bit-identical to a Background run.
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	a, err := New(Options{Workers: 3}).RunVector(live, w, vector.FromDense(x), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Options{Workers: 3}).Run(w, x, cfg)
+	b, err := run(New(Options{Workers: 3}), w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Answers {
 		if math.Float64bits(a.Answers[i]) != math.Float64bits(b.Answers[i]) {
-			t.Fatalf("RunContext differs from Run at cell %d", i)
+			t.Fatalf("live-context run differs from Background run at cell %d", i)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func TestShardedBitIdentity(t *testing.T) {
 				Strategy: s, Budgeting: OptimalBudget, Consistency: cons,
 				Privacy: pureParams(0.9), Seed: 77,
 			}
-			ref, err := New(Options{Workers: 1, Shards: 1}).Run(w, x, cfg)
+			ref, err := run(New(Options{Workers: 1, Shards: 1}), w, x, cfg)
 			if err != nil {
 				t.Fatalf("%s/%v monolithic: %v", s.Name(), cons, err)
 			}

@@ -26,13 +26,14 @@ import (
 	"repro/internal/noise"
 	"repro/internal/recovery"
 	"repro/internal/strategy"
+	"repro/internal/vector"
 )
 
 // Method is one labelled mechanism configuration (strategy + budgeting).
 type Method struct {
 	Label     string
 	Strategy  strategy.Strategy
-	Budgeting core.Budgeting
+	Budgeting engine.Budgeting
 }
 
 // Methods returns the seven mechanisms of Figures 4 and 5. The clustering
@@ -40,16 +41,16 @@ type Method struct {
 // above the rest (Figure 6), which some sweeps want to skip.
 func Methods(includeCluster bool) []Method {
 	ms := []Method{
-		{Label: "I", Strategy: strategy.Identity{}, Budgeting: core.UniformBudget},
-		{Label: "Q", Strategy: strategy.Workload{}, Budgeting: core.UniformBudget},
-		{Label: "Q+", Strategy: strategy.Workload{}, Budgeting: core.OptimalBudget},
-		{Label: "F", Strategy: strategy.Fourier{}, Budgeting: core.UniformBudget},
-		{Label: "F+", Strategy: strategy.Fourier{}, Budgeting: core.OptimalBudget},
+		{Label: "I", Strategy: strategy.Identity{}, Budgeting: engine.UniformBudget},
+		{Label: "Q", Strategy: strategy.Workload{}, Budgeting: engine.UniformBudget},
+		{Label: "Q+", Strategy: strategy.Workload{}, Budgeting: engine.OptimalBudget},
+		{Label: "F", Strategy: strategy.Fourier{}, Budgeting: engine.UniformBudget},
+		{Label: "F+", Strategy: strategy.Fourier{}, Budgeting: engine.OptimalBudget},
 	}
 	if includeCluster {
 		ms = append(ms,
-			Method{Label: "C", Strategy: strategy.Cluster{}, Budgeting: core.UniformBudget},
-			Method{Label: "C+", Strategy: strategy.Cluster{}, Budgeting: core.OptimalBudget},
+			Method{Label: "C", Strategy: strategy.Cluster{}, Budgeting: engine.UniformBudget},
+			Method{Label: "C+", Strategy: strategy.Cluster{}, Budgeting: engine.OptimalBudget},
 		)
 	}
 	return ms
@@ -148,10 +149,10 @@ func AccuracySweepParams(ctx context.Context, datasetName, workloadName string, 
 				p.Epsilon = eps
 				total := 0.0
 				for tr := 0; tr < trials; tr++ {
-					rel, err := eng.RunContext(ctx, w, x, core.Config{
+					rel, err := eng.RunVector(ctx, w, vector.FromDense(x), engine.Config{
 						Strategy:    m.Strategy,
 						Budgeting:   m.Budgeting,
-						Consistency: core.WeightedL2Consistency,
+						Consistency: engine.WeightedL2Consistency,
 						Privacy:     p,
 						Seed:        seed + int64(tr)*7919,
 					})
@@ -211,13 +212,13 @@ func TimingSweep(ctx context.Context, datasetName string, ws *WorkloadSet, x []f
 		w := ws.ByName[name]
 		for _, m := range methods {
 			start := time.Now()
-			_, err := core.RunWithContext(ctx, w, x, core.Config{
+			_, err := engine.New(engine.Options{Workers: 1}).RunVector(ctx, w, vector.FromDense(x), engine.Config{
 				Strategy:    m.Strategy,
 				Budgeting:   m.Budgeting,
-				Consistency: core.WeightedL2Consistency,
+				Consistency: engine.WeightedL2Consistency,
 				Privacy:     noise.Params{Type: noise.PureDP, Epsilon: 1, Neighbor: noise.AddRemove},
 				Seed:        seed,
-			}, engine.Options{Workers: 1})
+			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: timing %s/%s: %w", m.Label, name, err)
 			}
@@ -280,12 +281,12 @@ func Table1Rows(ctx context.Context, ds, ks []int, p noise.Params, trials int, s
 				FourierNonUniform: core.BoundFourierNonUniform(d, k, p),
 				Lower:             core.BoundLower(d, k, p),
 			}
-			measure := func(s strategy.Strategy, b core.Budgeting) (float64, error) {
+			measure := func(s strategy.Strategy, b engine.Budgeting) (float64, error) {
 				truth := w.EvalSinglePass(x)
 				offsets := w.Offsets()
 				total := 0.0
 				for tr := 0; tr < trials; tr++ {
-					rel, err := eng.RunContext(ctx, w, x, core.Config{
+					rel, err := eng.RunVector(ctx, w, vector.FromDense(x), engine.Config{
 						Strategy: s, Budgeting: b, Privacy: p,
 						Seed: seed + int64(tr)*104729,
 					})
@@ -308,16 +309,16 @@ func Table1Rows(ctx context.Context, ds, ks []int, p noise.Params, trials int, s
 				}
 				return total / float64(trials), nil
 			}
-			if row.MeasuredBase, err = measure(strategy.Identity{}, core.UniformBudget); err != nil {
+			if row.MeasuredBase, err = measure(strategy.Identity{}, engine.UniformBudget); err != nil {
 				return nil, err
 			}
-			if row.MeasuredMarginals, err = measure(strategy.Workload{}, core.UniformBudget); err != nil {
+			if row.MeasuredMarginals, err = measure(strategy.Workload{}, engine.UniformBudget); err != nil {
 				return nil, err
 			}
-			if row.MeasuredFourierUniform, err = measure(strategy.Fourier{}, core.UniformBudget); err != nil {
+			if row.MeasuredFourierUniform, err = measure(strategy.Fourier{}, engine.UniformBudget); err != nil {
 				return nil, err
 			}
-			if row.MeasuredFourierNonUniform, err = measure(strategy.Fourier{}, core.OptimalBudget); err != nil {
+			if row.MeasuredFourierNonUniform, err = measure(strategy.Fourier{}, engine.OptimalBudget); err != nil {
 				return nil, err
 			}
 			rows = append(rows, row)

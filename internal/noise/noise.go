@@ -87,16 +87,12 @@ func (s *splitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 func (s *splitMix64) Seed(seed int64) { s.state = substreamState(seed, 0) }
 
-// Intn returns a uniform draw in [0,n). It panics if n <= 0. This is the
-// sanctioned integer draw for plan-time randomness (sketch hashes, shuffles):
-// pipeline packages must not reach for math/rand directly (the seedflow
-// invariant), and a Source seeded by NewSource reproduces the stream of
-// rand.New(rand.NewSource(seed)) bit-for-bit, so migrating a direct
-// math/rand call here never changes released values.
-func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
-
 // Shuffle pseudo-randomizes the order of n elements through swap, consuming
-// the Source's stream exactly as rand.Shuffle would.
+// the Source's stream exactly as rand.Shuffle would. It is the sanctioned
+// plan-time shuffle: pipeline packages must not reach for math/rand directly
+// (the seedflow invariant), and a Source seeded by NewSource reproduces the
+// stream of rand.New(rand.NewSource(seed)) bit-for-bit, so migrating a
+// direct math/rand call here never changes released values.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
 // Uniform returns a uniform draw in (0,1), never exactly 0.

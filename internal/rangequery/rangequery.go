@@ -102,21 +102,12 @@ func (m Method) String() string {
 }
 
 // Run answers the workload over data x (len ≥ Workload.Size) with the
-// chosen strategy and budgeting, serially.
-func Run(w *Workload, x []float64, m Method, budgeting string, p noise.Params, seed int64) (*Release, error) {
-	return RunParallel(w, x, m, budgeting, p, seed, 1)
-}
-
-// RunParallel is Run with a bounded worker pool for the noisy measurement.
+// chosen strategy and budgeting, measuring over a bounded pool of workers.
 // Noise is drawn from per-group seed substreams (the engine's determinism
 // contract), so the release is bit-identical at every worker count.
-func RunParallel(w *Workload, x []float64, m Method, budgeting string, p noise.Params, seed int64, workers int) (*Release, error) {
-	return RunContext(context.Background(), w, x, m, budgeting, p, seed, workers)
-}
-
-// RunContext is RunParallel under a context: cancellation aborts the noisy
-// measurement mid-flight (see engine.PerturbContext) and returns ctx.Err().
-func RunContext(ctx context.Context, w *Workload, x []float64, m Method, budgeting string, p noise.Params, seed int64, workers int) (*Release, error) {
+// Cancellation of ctx aborts the noisy measurement mid-flight (see
+// engine.PerturbContext) and returns ctx.Err().
+func Run(ctx context.Context, w *Workload, x []float64, m Method, budgeting string, p noise.Params, seed int64, workers int) (*Release, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package rangequery
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,7 +64,7 @@ func TestMethodsUnbiasedAndVarianceMatches(t *testing.T) {
 		var rel *Release
 		for tr := 0; tr < trials; tr++ {
 			var err error
-			rel, err = Run(w, x, m, "optimal", pureParams(1), int64(tr))
+			rel, err = Run(context.Background(), w, x, m, "optimal", pureParams(1), int64(tr), 1)
 			if err != nil {
 				t.Fatalf("%v: %v", m, err)
 			}
@@ -94,11 +95,11 @@ func TestOptimalBeatsUniformForHierarchy(t *testing.T) {
 	x := testData(rng, n)
 	w := AllRanges(n)
 	for _, m := range []Method{Hierarchy, Wavelet} {
-		uni, err := Run(w, x, m, "uniform", pureParams(1), 1)
+		uni, err := Run(context.Background(), w, x, m, "uniform", pureParams(1), 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := Run(w, x, m, "optimal", pureParams(1), 1)
+		opt, err := Run(context.Background(), w, x, m, "optimal", pureParams(1), 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,11 +128,11 @@ func TestHierarchyBeatsFlatOnLongRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := Run(w, x, Flat, "optimal", pureParams(1), 4)
+	flat, err := Run(context.Background(), w, x, Flat, "optimal", pureParams(1), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := Run(w, x, Hierarchy, "optimal", pureParams(1), 4)
+	hier, err := Run(context.Background(), w, x, Hierarchy, "optimal", pureParams(1), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestWaveletExactWithoutNoise(t *testing.T) {
 	x := testData(rng, n)
 	w := AllRanges(n)
 	truth := w.Eval(x)
-	rel, err := Run(w, x, Wavelet, "optimal", pureParams(1e9), 6)
+	rel, err := Run(context.Background(), w, x, Wavelet, "optimal", pureParams(1e9), 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestHierarchyExactWithoutNoise(t *testing.T) {
 	x := testData(rng, n)
 	w := AllRanges(n)
 	truth := w.Eval(x)
-	rel, err := Run(w, x, Hierarchy, "uniform", pureParams(1e9), 7)
+	rel, err := Run(context.Background(), w, x, Hierarchy, "uniform", pureParams(1e9), 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +179,13 @@ func TestHierarchyExactWithoutNoise(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	w := AllRanges(8)
-	if _, err := Run(w, make([]float64, 4), Hierarchy, "optimal", pureParams(1), 0); err == nil {
+	if _, err := Run(context.Background(), w, make([]float64, 4), Hierarchy, "optimal", pureParams(1), 0, 1); err == nil {
 		t.Error("short data accepted")
 	}
-	if _, err := Run(w, make([]float64, 8), Hierarchy, "optimal", noise.Params{}, 0); err == nil {
+	if _, err := Run(context.Background(), w, make([]float64, 8), Hierarchy, "optimal", noise.Params{}, 0, 1); err == nil {
 		t.Error("invalid privacy accepted")
 	}
-	if _, err := Run(w, make([]float64, 8), Method(99), "optimal", pureParams(1), 0); err == nil {
+	if _, err := Run(context.Background(), w, make([]float64, 8), Method(99), "optimal", pureParams(1), 0, 1); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -197,7 +198,7 @@ func BenchmarkHierarchyAllRanges256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(w, x, Hierarchy, "optimal", pureParams(1), int64(i)); err != nil {
+		if _, err := Run(context.Background(), w, x, Hierarchy, "optimal", pureParams(1), int64(i), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,7 +218,7 @@ func TestSparseWorkloadSkipsUnusedLevels(t *testing.T) {
 	truth := w.Eval(x)
 	for _, m := range []Method{Hierarchy, Wavelet} {
 		for _, budgets := range []string{"uniform", "optimal"} {
-			rel, err := Run(w, x, m, budgets, pureParams(1e9), 1)
+			rel, err := Run(context.Background(), w, x, m, budgets, pureParams(1e9), 1, 1)
 			if err != nil {
 				t.Fatalf("%v/%s: %v", m, budgets, err)
 			}
@@ -230,7 +231,7 @@ func TestSparseWorkloadSkipsUnusedLevels(t *testing.T) {
 	}
 	// Root-only release under the hierarchy: all budget on one node, so the
 	// variance at huge ε is tiny, and with ε=1 equals 2 (a single Laplace).
-	rel, err := Run(w, x, Hierarchy, "optimal", pureParams(1), 2)
+	rel, err := Run(context.Background(), w, x, Hierarchy, "optimal", pureParams(1), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestEmptyRangesOnly(t *testing.T) {
 	}
 	x := make([]float64, 8)
 	for _, m := range []Method{Hierarchy, Wavelet} {
-		rel, err := Run(w, x, m, "optimal", pureParams(1), 3)
+		rel, err := Run(context.Background(), w, x, m, "optimal", pureParams(1), 3, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -274,12 +275,12 @@ func TestRunParallelBitIdentical(t *testing.T) {
 	p := pureParams(1)
 	for _, m := range []Method{Flat, Hierarchy, Wavelet} {
 		for _, budgets := range []string{"uniform", "optimal"} {
-			ref, err := Run(w, x, m, budgets, p, 17)
+			ref, err := Run(context.Background(), w, x, m, budgets, p, 17, 1)
 			if err != nil {
 				t.Fatalf("%v/%s serial: %v", m, budgets, err)
 			}
 			for _, workers := range []int{2, 4} {
-				got, err := RunParallel(w, x, m, budgets, p, 17, workers)
+				got, err := Run(context.Background(), w, x, m, budgets, p, 17, workers)
 				if err != nil {
 					t.Fatalf("%v/%s workers=%d: %v", m, budgets, workers, err)
 				}

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -26,209 +25,135 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestFlightGroupCoalesces: concurrent do calls on one key run fn once and
-// hand every caller the same payload; exactly one caller leads.
-func TestFlightGroupCoalesces(t *testing.T) {
-	g := newFlightGroup()
-	registered := make(chan struct{})
-	var regOnce sync.Once
-	g.barrier = func(string) { regOnce.Do(func() { close(registered) }) }
-	block := make(chan struct{})
-	var calls atomic.Int64
-	fn := func() ([]byte, error) {
-		calls.Add(1)
-		<-block
-		return []byte("payload"), nil
-	}
-	const followers = 4
-	var wg sync.WaitGroup
-	var leads atomic.Int64
-	results := make([][]byte, followers+1)
-	errs := make([]error, followers+1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var led bool
-		results[0], led, errs[0] = g.do(context.Background(), "k", fn, nil)
-		if led {
-			leads.Add(1)
-		}
-	}()
-	<-registered
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var led bool
-			results[i], led, errs[i] = g.do(context.Background(), "k", fn, nil)
-			if led {
-				leads.Add(1)
-			}
-		}(i)
-	}
-	waitFor(t, "followers to park", func() bool { return g.waiting("k") == followers })
-	close(block)
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("fn ran %d times, want 1", n)
-	}
-	if n := leads.Load(); n != 1 {
-		t.Fatalf("%d callers led, want exactly 1", n)
-	}
-	for i := range results {
-		if errs[i] != nil || string(results[i]) != "payload" {
-			t.Fatalf("caller %d got (%q, %v), want the shared payload", i, results[i], errs[i])
-		}
-	}
+// herdEndpoints are the release-shaped endpoints with the per-endpoint
+// request fields each needs.
+var herdEndpoints = []struct {
+	path string
+	over map[string]any
+}{
+	{"/v1/release", nil},
+	{"/v1/synthetic", map[string]any{"synthetic_seed": 11}},
+	{"/v1/cube", map[string]any{"max_order": 2}},
 }
 
-// TestFlightFollowerCancelDetaches: a follower whose own context dies
-// returns its ctx error immediately while the leader keeps running and
-// completes for everyone else.
-func TestFlightFollowerCancelDetaches(t *testing.T) {
-	g := newFlightGroup()
-	registered := make(chan struct{})
-	var regOnce sync.Once
-	g.barrier = func(string) { regOnce.Do(func() { close(registered) }) }
-	block := make(chan struct{})
-	leaderRes := make(chan error, 1)
-	go func() {
-		payload, led, err := g.do(context.Background(), "k", func() ([]byte, error) {
-			<-block
-			return []byte("ok"), nil
-		}, nil)
-		if !led || err != nil || string(payload) != "ok" {
-			leaderRes <- errors.New("leader did not complete normally")
-			return
-		}
-		leaderRes <- nil
-	}()
-	<-registered
-	ctx, cancel := context.WithCancel(context.Background())
-	followerErr := make(chan error, 1)
-	var waited atomic.Int64
-	go func() {
-		_, led, err := g.do(ctx, "k", func() ([]byte, error) {
-			return nil, errors.New("follower must not execute")
-		}, func() { waited.Add(1) })
-		if led {
-			followerErr <- errors.New("follower led")
-			return
-		}
-		followerErr <- err
-	}()
-	waitFor(t, "follower to park", func() bool { return g.waiting("k") == 1 })
-	cancel()
-	if err := <-followerErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled follower returned %v, want context.Canceled", err)
-	}
-	if waited.Load() != 1 {
-		t.Fatalf("onWait ran %d times, want 1", waited.Load())
-	}
-	// The leader must still be alive and complete untouched.
-	close(block)
-	if err := <-leaderRes; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFlightLeaderCancelRetries: a follower handed a leader's cancellation
-// does not inherit the 499 — it contends for a fresh flight and executes.
-func TestFlightLeaderCancelRetries(t *testing.T) {
-	g := newFlightGroup()
-	registered := make(chan struct{})
-	var regOnce sync.Once
-	g.barrier = func(string) { regOnce.Do(func() { close(registered) }) }
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	go func() {
-		_, _, _ = g.do(leaderCtx, "k", func() ([]byte, error) {
-			<-leaderCtx.Done()
-			return nil, retainedChargeError{leaderCtx.Err()}
-		}, nil)
-	}()
-	<-registered
-	got := make(chan struct {
-		payload []byte
-		led     bool
-		err     error
-	}, 1)
-	go func() {
-		payload, led, err := g.do(context.Background(), "k", func() ([]byte, error) {
-			return []byte("fresh"), nil
-		}, nil)
-		got <- struct {
-			payload []byte
-			led     bool
-			err     error
-		}{payload, led, err}
-	}()
-	waitFor(t, "follower to park", func() bool { return g.waiting("k") == 1 })
-	cancelLeader()
-	res := <-got
-	if res.err != nil || !res.led || string(res.payload) != "fresh" {
-		t.Fatalf("retrying follower got (%q, led=%v, %v), want to lead a fresh flight", res.payload, res.led, res.err)
-	}
-}
-
-// TestCoalescedHerdChargesOnce is the acceptance criterion end to end: N
-// concurrent identical cold dataset-backed requests produce one pipeline
-// execution, one ledger charge, and N byte-identical payloads; the other
-// N−1 count as coalesced in /v1/metrics.
+// TestCoalescedHerdChargesOnce is the acceptance criterion end to end, on
+// every release-shaped endpoint: N concurrent identical cold dataset-backed
+// requests produce one pipeline execution, one ledger charge, and N
+// byte-identical payloads; the other N−1 count as coalesced in /v1/metrics.
 func TestCoalescedHerdChargesOnce(t *testing.T) {
 	const n = 6
+	for _, ep := range herdEndpoints {
+		t.Run(strings.TrimPrefix(ep.path, "/v1/"), func(t *testing.T) {
+			s := newTestServer(t, testConfig())
+			if rec := putDataset(t, s, "d1", testNDJSON(t)); rec.Code != http.StatusCreated {
+				t.Fatalf("ingest: %d %s", rec.Code, rec.Body.String())
+			}
+			var (
+				keyCh   = make(chan string, 1)
+				proceed = make(chan struct{})
+				regOnce sync.Once
+			)
+			s.results.Barrier = func(key string) {
+				regOnce.Do(func() { keyCh <- key })
+				<-proceed
+			}
+			recs := make([]*httptest.ResponseRecorder, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					recs[i] = post(t, s, ep.path, datasetBody("d1", ep.over))
+				}(i)
+			}
+			key := <-keyCh
+			// Every follower must be parked on the leader's flight before it
+			// runs: the herd is fully assembled, no request can sneak a
+			// second execution.
+			waitFor(t, "herd to assemble", func() bool { return s.results.Waiting(key) == n-1 })
+			close(proceed)
+			wg.Wait()
+			for i, rec := range recs {
+				if rec.Code != http.StatusOK {
+					t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body.String())
+				}
+				if !bytes.Equal(rec.Body.Bytes(), recs[0].Body.Bytes()) {
+					t.Fatalf("request %d payload differs from request 0", i)
+				}
+			}
+			if l := s.Ledger(); l.Count() != 1 {
+				t.Fatalf("herd of %d charged the ledger %d times, want 1", n, l.Count())
+			}
+			if got := s.coalesced.Value(); got != n-1 {
+				t.Fatalf("coalesced counter = %d, want %d", got, n-1)
+			}
+			m := decode[metricsResponse](t, do(t, s, http.MethodGet, "/v1/metrics"))
+			if m.Coalesced != n-1 {
+				t.Fatalf("metrics coalesced_requests = %d, want %d", m.Coalesced, n-1)
+			}
+			// The herd settled into one cached payload: a straggler is a
+			// plain hit.
+			if rec := post(t, s, ep.path, datasetBody("d1", ep.over)); rec.Code != http.StatusOK ||
+				!bytes.Equal(rec.Body.Bytes(), recs[0].Body.Bytes()) {
+				t.Fatalf("straggler after the herd: %d", rec.Code)
+			}
+			if l := s.Ledger(); l.Count() != 1 {
+				t.Fatal("straggler recharged the ledger")
+			}
+		})
+	}
+}
+
+// TestInvalidRequestPlansNothing: validation runs before the Releaser
+// lookup, so a refused request on a never-seen cluster workload — whose
+// pre-plan is a full greedy search — is a 400 that neither plans nor
+// registers (and so cannot evict) a Releaser.
+func TestInvalidRequestPlansNothing(t *testing.T) {
+	s := newTestServer(t, testConfig())
+	before := s.CacheStats()
+	body := testBody(map[string]any{"epsilon": 0, "strategy": "cluster", "workload": map[string]any{"k": 2}})
+	for _, path := range []string{"/v1/release", "/v1/synthetic"} {
+		if rec := post(t, s, path, body); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: epsilon 0 got %d %s, want 400", path, rec.Code, rec.Body.String())
+		}
+	}
+	if after := s.CacheStats(); after.Misses != before.Misses || after.Entries != before.Entries {
+		t.Fatalf("refused requests planned: plan cache %+v -> %+v", before, after)
+	}
+	s.mu.Lock()
+	n := len(s.releasers)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("refused requests registered %d Releasers, want 0", n)
+	}
+}
+
+// TestCubeKeyIgnoresUnreadFields: /v1/cube reads neither the workload nor
+// skip_consistency, so two cube requests differing only there share one
+// cache entry — the second is a hit and the ledger is charged once.
+func TestCubeKeyIgnoresUnreadFields(t *testing.T) {
 	s := newTestServer(t, testConfig())
 	if rec := putDataset(t, s, "d1", testNDJSON(t)); rec.Code != http.StatusCreated {
 		t.Fatalf("ingest: %d %s", rec.Code, rec.Body.String())
 	}
-	var (
-		keyCh   = make(chan string, 1)
-		proceed = make(chan struct{})
-		regOnce sync.Once
-	)
-	s.flights.barrier = func(key string) {
-		regOnce.Do(func() { keyCh <- key })
-		<-proceed
+	first := post(t, s, "/v1/cube", datasetBody("d1", map[string]any{"max_order": 2}))
+	if first.Code != http.StatusOK {
+		t.Fatalf("first cube: %d %s", first.Code, first.Body.String())
 	}
-	recs := make([]*httptest.ResponseRecorder, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			recs[i] = post(t, s, "/v1/release", datasetBody("d1", nil))
-		}(i)
+	second := post(t, s, "/v1/cube", datasetBody("d1", map[string]any{
+		"max_order": 2, "workload": map[string]any{"k": 2}, "skip_consistency": true,
+	}))
+	if second.Code != http.StatusOK {
+		t.Fatalf("second cube: %d %s", second.Code, second.Body.String())
 	}
-	key := <-keyCh
-	// Every follower must be parked on the leader's flight before it runs:
-	// the herd is fully assembled, no request can sneak a second execution.
-	waitFor(t, "herd to assemble", func() bool { return s.flights.waiting(key) == n-1 })
-	close(proceed)
-	wg.Wait()
-	for i, rec := range recs {
-		if rec.Code != http.StatusOK {
-			t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body.String())
-		}
-		if !bytes.Equal(rec.Body.Bytes(), recs[0].Body.Bytes()) {
-			t.Fatalf("request %d payload differs from request 0", i)
-		}
+	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+		t.Fatal("cube requests differing only in unread fields returned different bytes")
+	}
+	if st := s.results.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats %+v, want 1 hit / 1 miss", st)
 	}
 	if l := s.Ledger(); l.Count() != 1 {
-		t.Fatalf("herd of %d charged the ledger %d times, want 1", n, l.Count())
-	}
-	if got := s.coalesced.Value(); got != n-1 {
-		t.Fatalf("coalesced counter = %d, want %d", got, n-1)
-	}
-	m := decode[metricsResponse](t, do(t, s, http.MethodGet, "/v1/metrics"))
-	if m.Coalesced != n-1 {
-		t.Fatalf("metrics coalesced_requests = %d, want %d", m.Coalesced, n-1)
-	}
-	// The herd settled into one cached payload: a straggler is a plain hit.
-	if rec := post(t, s, "/v1/release", datasetBody("d1", nil)); rec.Code != http.StatusOK ||
-		!bytes.Equal(rec.Body.Bytes(), recs[0].Body.Bytes()) {
-		t.Fatalf("straggler after the herd: %d", rec.Code)
-	}
-	if l := s.Ledger(); l.Count() != 1 {
-		t.Fatal("straggler recharged the ledger")
+		t.Fatalf("ledger charged %d times, want 1", l.Count())
 	}
 }
 

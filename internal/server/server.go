@@ -65,14 +65,17 @@
 // 500) is retained, because noise may already have been drawn against the
 // data by the time the failure surfaces. The error body says so
 // explicitly. Requests that fail validation (400) are always free —
-// validation runs before admission. Ingestion is free too: PUT
+// validation runs before admission, and before the request plans, registers
+// a Releaser or touches the result cache. Ingestion is free too: PUT
 // /v1/datasets never charges a ledger; privacy is spent when answers
 // leave, not when data arrives.
 //
 // # Single-flight coalescing
 //
-// A release-shaped request that misses the result cache enters a
-// single-flight keyed on the same request key: the first request in (the
+// Every release-shaped endpoint runs one flow (serveRelease) whose one
+// caching call is rescache.Cache.Do. A request that misses the result
+// cache enters a single-flight keyed on the same request key: the first
+// request in (the
 // leader) charges and runs the pipeline while concurrent identical
 // requests (followers) wait and share its payload — a cold-cache
 // thundering herd costs ONE execution and ONE ledger charge, and every
@@ -284,8 +287,7 @@ type Server struct {
 	ledgers *repro.BudgetRegistry
 	keys    map[string]bool // valid API keys; empty map = auth disabled
 	cache   *repro.PlanCache
-	results *rescache.Cache // nil when ResultCacheSize < 0
-	flights *flightGroup    // single-flight coalescing over result keys
+	results *rescache.Cache // result memo + single-flight; nil when ResultCacheSize < 0
 	store   *store.Store
 	fabric  *fabric.Coordinator // nil without FabricWorkers
 	mux     *http.ServeMux
@@ -382,7 +384,6 @@ func New(cfg Config) (*Server, error) {
 		cache:     repro.NewPlanCacheSize(cfg.CacheSize),
 		store:     st,
 		releasers: map[string]*repro.Releaser{},
-		flights:   newFlightGroup(),
 		tele:      tele,
 		log:       cfg.Logger,
 		metrics:   map[string]*endpointMetrics{},
@@ -985,223 +986,221 @@ type datasetListResponse struct {
 // Handlers.
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	req, schema, x, h, err := s.decodeData(w, r, true)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	if h != nil {
-		defer h.Close()
-	}
-	r = s.withTrace(r, "release", req)
-	rel, err := s.releaser(r.Context(), schema, req)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	// Admission: validation first (a malformed request must be a free
-	// 400), then the atomic two-level charge. Everything after the charge
-	// is on the retained-charge side of the contract.
-	if err := validateSpec(req); err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	// A cached result short-circuits BEFORE the charge: replaying the same
-	// noised output is free post-processing, paid for by the miss that
-	// computed it (see internal/rescache).
-	key, cacheable := s.resultKey("release", h, schema, req)
-	if payload, ok := s.cachedResult(key, cacheable); ok {
-		annotateCache(r, "hit")
-		s.writeSpliced(w, r, payload)
-		return
-	}
-	annotateCache(r, cacheVerdict(cacheable))
-	// Everything from admission on runs under single-flight: a cold-key
-	// thundering herd admits one leader, and its followers share the payload
-	// without charging. Post-charge failures are wrapped so only the leader
-	// answers with the retained-charge contract.
-	payload, led, err := s.coalesce(r, key, cacheable, func() ([]byte, error) {
-		if err := s.chargeTraced(r, rel, req, "release"); err != nil {
-			return nil, err
-		}
-		res, err := s.release(r, rel, req, x, h)
-		if err != nil {
-			return nil, retainedChargeError{err}
-		}
-		payload, err := json.Marshal(releaseBody{
-			Strategy:      res.Strategy,
-			TotalVariance: res.TotalVariance,
-			Tables:        tablesJSON(res),
-		})
-		if err != nil {
-			return nil, retainedChargeError{err}
-		}
-		if cacheable {
-			s.results.Put(key, req.DatasetID, payload)
-		}
-		return payload, nil
-	})
-	if err != nil {
-		s.failFlight(w, r, err, req, led)
-		return
-	}
-	s.writeSpliced(w, r, payload)
+	s.serveRelease(w, r, releaseEndpoint{name: "release", releaser: true, body: (*Server).renderRelease})
 }
 
 func (s *Server) handleSynthetic(w http.ResponseWriter, r *http.Request) {
-	req, schema, x, h, err := s.decodeData(w, r, true)
+	s.serveRelease(w, r, releaseEndpoint{name: "synthetic", releaser: true,
+		check: checkSynthetic, body: (*Server).renderSynthetic})
+}
+
+func (s *Server) handleCube(w http.ResponseWriter, r *http.Request) {
+	s.serveRelease(w, r, releaseEndpoint{name: "cube", check: checkCube, body: (*Server).renderCube})
+}
+
+// releaseCall is one decoded release-shaped request: what an endpoint's
+// body builder reads.
+type releaseCall struct {
+	req    releaseRequest
+	schema *repro.Schema
+	x      *repro.BlockedVector
+	h      *store.Handle // non-nil for dataset_id requests; pinned until the handler returns
+	kind   repro.StrategyKind
+	rel    *repro.Releaser // the shared Releaser; nil on endpoints without one
+}
+
+// releaseEndpoint is everything that tells /v1/release, /v1/synthetic and
+// /v1/cube apart inside the one serving flow, serveRelease.
+type releaseEndpoint struct {
+	// name is the trace root, the result-key kind and the default ledger
+	// label stem.
+	name string
+	// releaser marks endpoints whose mechanism runs through a shared
+	// Releaser (built, and pre-planned, on first use).
+	releaser bool
+	// check is the endpoint's own validation, run before anything is
+	// planned or charged; nil means none.
+	check func(req *releaseRequest, schema *repro.Schema) error
+	// body renders the response — a JSON object without the budget field —
+	// after the admission charge; any error it returns keeps the charge.
+	body func(s *Server, r *http.Request, c *releaseCall) ([]byte, error)
+}
+
+// label is the default ledger label stem of a request on ep.
+func (ep releaseEndpoint) label(req *releaseRequest) string {
+	if ep.name == "cube" {
+		return fmt.Sprintf("cube-%d-way", req.MaxOrder)
+	}
+	return ep.name
+}
+
+// serveRelease is the one serving flow of every release-shaped endpoint:
+// decode → validate → trace → releaser → rescache.Do(charge → body) →
+// write. Validation comes first, so a malformed request is a free 400 that
+// plans nothing, registers (or evicts) no Releaser and charges nothing. A
+// result-cache hit replays the stored payload BEFORE any charge: replaying
+// the same noised output is free post-processing, paid for by the miss that
+// computed it (see internal/rescache). On a miss, everything from admission
+// on runs under the key's single-flight: a cold-key thundering herd admits
+// one leader, and its followers share the payload without charging.
+// Post-charge failures are wrapped so only the leader answers with the
+// retained-charge contract.
+func (s *Server) serveRelease(w http.ResponseWriter, r *http.Request, ep releaseEndpoint) {
+	c, err := s.decodeData(w, r)
 	if err != nil {
 		s.fail(w, r, err)
 		return
 	}
-	if h != nil {
-		defer h.Close()
+	if c.h != nil {
+		defer c.h.Close()
 	}
-	if req.SkipConsistency {
-		s.fail(w, r, fmt.Errorf("%w: synthetic data needs a consistent release (skip_consistency must be false)",
-			repro.ErrInvalidOption))
-		return
+	req := &c.req
+	if ep.check != nil {
+		err = ep.check(req, c.schema)
 	}
-	r = s.withTrace(r, "synthetic", req)
-	rel, err := s.releaser(r.Context(), schema, req)
+	if err == nil {
+		err = validateSpec(req)
+	}
+	if err == nil {
+		c.kind, err = strategyKind(req.Strategy)
+	}
 	if err != nil {
 		s.fail(w, r, err)
 		return
 	}
-	if err := validateSpec(req); err != nil {
-		s.fail(w, r, err)
-		return
+	r = s.withTrace(r, ep.name, req)
+	if ep.releaser {
+		if c.rel, err = s.releaser(r.Context(), c); err != nil {
+			s.fail(w, r, err)
+			return
+		}
 	}
-	// Sampling is seeded by synthetic_seed (part of the cache key), so a
-	// repeated request replays the identical tuple sample — cacheable like
-	// any other deterministic post-processing of the release.
-	key, cacheable := s.resultKey("synthetic", h, schema, req)
-	if payload, ok := s.cachedResult(key, cacheable); ok {
-		annotateCache(r, "hit")
-		s.writeSpliced(w, r, payload)
-		return
-	}
-	annotateCache(r, cacheVerdict(cacheable))
-	payload, led, err := s.coalesce(r, key, cacheable, func() ([]byte, error) {
-		if err := s.chargeTraced(r, rel, req, "synthetic"); err != nil {
+	root := telemetry.TraceFrom(r.Context()).Root()
+	var wait *telemetry.Span
+	payload, outcome, err := s.results.Do(r.Context(), s.resultKey(ep.name, c), req.DatasetID, func() ([]byte, error) {
+		if err := s.charge(r, c.rel, req, ep.label(req)); err != nil {
 			return nil, err
 		}
-		res, err := s.release(r, rel, req, x, h)
+		payload, err := ep.body(s, r, c)
 		if err != nil {
 			return nil, retainedChargeError{err}
-		}
-		// Sampling is free post-processing: no further ledger spend.
-		ssp := telemetry.TraceFrom(r.Context()).Root().Start("sample")
-		syn, err := rel.Synthetic(r.Context(), res, req.SyntheticSeed)
-		ssp.End()
-		if err != nil {
-			return nil, retainedChargeError{err}
-		}
-		rows := syn.Rows
-		if rows == nil {
-			rows = [][]int{}
-		}
-		payload, err := json.Marshal(syntheticBody{
-			Strategy: res.Strategy,
-			Count:    syn.Count(),
-			Rows:     rows,
-		})
-		if err != nil {
-			return nil, retainedChargeError{err}
-		}
-		if cacheable {
-			s.results.Put(key, req.DatasetID, payload)
 		}
 		return payload, nil
+	}, func() {
+		if wait == nil {
+			wait = root.StartDetail("flight.wait")
+		}
 	})
+	wait.End()
+	switch outcome {
+	case rescache.Bypass:
+		root.Annotate("rescache", "bypass")
+	case rescache.Hit:
+		root.Annotate("rescache", "hit")
+	case rescache.Led:
+		root.Annotate("rescache", "miss")
+		root.Annotate("flight", "lead")
+	case rescache.Coalesced:
+		root.Annotate("rescache", "miss")
+		root.Annotate("flight", "coalesced")
+		if err == nil {
+			s.coalesced.Inc()
+		}
+	}
 	if err != nil {
-		s.failFlight(w, r, err, req, led)
+		s.failFlight(w, r, err, req, outcome != rescache.Coalesced)
 		return
 	}
 	s.writeSpliced(w, r, payload)
 }
 
-func (s *Server) handleCube(w http.ResponseWriter, r *http.Request) {
-	// Decoding with needVector validates every row (or the dataset) BEFORE
-	// the ledger is charged: a malformed request has to be a free 400,
-	// never a burned budget. The vector built here feeds the mechanism
-	// directly — the cube path never re-vectorizes.
-	req, schema, x, h, err := s.decodeData(w, r, true)
-	if err != nil {
-		s.fail(w, r, err)
-		return
+// checkSynthetic refuses raw releases: sampling needs consistent marginals.
+func checkSynthetic(req *releaseRequest, _ *repro.Schema) error {
+	if req.SkipConsistency {
+		return fmt.Errorf("%w: synthetic data needs a consistent release (skip_consistency must be false)",
+			repro.ErrInvalidOption)
 	}
-	if h != nil {
-		defer h.Close()
-	}
+	return nil
+}
+
+// checkCube bounds the cuboid order.
+func checkCube(req *releaseRequest, schema *repro.Schema) error {
 	if req.MaxOrder <= 0 || req.MaxOrder > len(schema.Attrs) {
-		s.fail(w, r, fmt.Errorf("%w: max_order %d out of range [1,%d]",
-			repro.ErrInvalidOption, req.MaxOrder, len(schema.Attrs)))
-		return
+		return fmt.Errorf("%w: max_order %d out of range [1,%d]",
+			repro.ErrInvalidOption, req.MaxOrder, len(schema.Attrs))
 	}
-	if err := validateSpec(req); err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	kind, err := strategyKind(req.Strategy)
+	return nil
+}
+
+// renderRelease runs /v1/release: the workload's noisy marginal tables.
+func (s *Server) renderRelease(r *http.Request, c *releaseCall) ([]byte, error) {
+	res, err := s.release(r, c)
 	if err != nil {
-		s.fail(w, r, err)
-		return
+		return nil, err
 	}
-	r = s.withTrace(r, "cube", req)
-	key, cacheable := s.resultKey("cube", h, schema, req)
-	if payload, ok := s.cachedResult(key, cacheable); ok {
-		annotateCache(r, "hit")
-		s.writeSpliced(w, r, payload)
-		return
+	return json.Marshal(releaseBody{
+		Strategy:      res.Strategy,
+		TotalVariance: res.TotalVariance,
+		Tables:        tablesJSON(res),
+	})
+}
+
+// renderSynthetic runs /v1/synthetic: a release, then tuples sampled from
+// it. Sampling is seeded by synthetic_seed (part of the result key), so a
+// repeated request replays the identical sample, and it is free
+// post-processing — no further ledger spend.
+func (s *Server) renderSynthetic(r *http.Request, c *releaseCall) ([]byte, error) {
+	res, err := s.release(r, c)
+	if err != nil {
+		return nil, err
 	}
-	annotateCache(r, cacheVerdict(cacheable))
-	// Admission first, then the mechanism — both inside the flight, so a
-	// herd of identical cube requests charges once; a post-admission
-	// failure keeps the leader's charge (see failRetained).
-	payload, led, err := s.coalesce(r, key, cacheable, func() ([]byte, error) {
-		if err := s.chargeTraced(r, nil, req, fmt.Sprintf("cube-%d-way", req.MaxOrder)); err != nil {
-			return nil, err
-		}
-		cube, err := repro.ReleaseCubeBlockedContext(r.Context(), schema, x, req.MaxOrder, repro.Options{
-			Epsilon:       req.Epsilon,
-			Delta:         req.Delta,
-			Strategy:      kind,
-			UniformBudget: req.UniformBudget,
-			Seed:          req.Seed,
-			Workers:       s.workers(req.Workers),
-			Shards:        s.shards(req.Shards),
-			Cache:         s.cache,
-		})
-		if err != nil {
-			return nil, retainedChargeError{err}
-		}
-		cuboids := make([]marginalJSON, len(cube.Lattice.Cuboids))
-		for i, c := range cube.Lattice.Cuboids {
-			attrs := c.Attrs
-			if attrs == nil {
-				attrs = []int{}
-			}
-			cuboids[i] = marginalJSON{Attrs: attrs, Cells: cube.Tables[i], Variance: cube.CellVariance[i]}
-		}
-		payload, err := json.Marshal(cubeBody{
-			MaxOrder:      req.MaxOrder,
-			TotalVariance: cube.TotalVariance,
-			Cuboids:       cuboids,
-		})
-		if err != nil {
-			return nil, retainedChargeError{err}
-		}
-		if cacheable {
-			s.results.Put(key, req.DatasetID, payload)
-		}
-		return payload, nil
+	ssp := telemetry.TraceFrom(r.Context()).Root().Start("sample")
+	syn, err := c.rel.Synthetic(r.Context(), res, c.req.SyntheticSeed)
+	ssp.End()
+	if err != nil {
+		return nil, err
+	}
+	rows := syn.Rows
+	if rows == nil {
+		rows = [][]int{}
+	}
+	return json.Marshal(syntheticBody{
+		Strategy: res.Strategy,
+		Count:    syn.Count(),
+		Rows:     rows,
+	})
+}
+
+// renderCube runs /v1/cube over the vector decodeData already built — the
+// cube path never re-vectorizes.
+func (s *Server) renderCube(r *http.Request, c *releaseCall) ([]byte, error) {
+	req := &c.req
+	cube, err := repro.ReleaseCubeBlockedContext(r.Context(), c.schema, c.x, req.MaxOrder, repro.Options{
+		Epsilon:       req.Epsilon,
+		Delta:         req.Delta,
+		Strategy:      c.kind,
+		UniformBudget: req.UniformBudget,
+		Seed:          req.Seed,
+		Workers:       s.workers(req.Workers),
+		Shards:        s.shards(req.Shards),
+		Cache:         s.cache,
 	})
 	if err != nil {
-		s.failFlight(w, r, err, req, led)
-		return
+		return nil, err
 	}
-	s.writeSpliced(w, r, payload)
+	cuboids := make([]marginalJSON, len(cube.Lattice.Cuboids))
+	for i, cb := range cube.Lattice.Cuboids {
+		attrs := cb.Attrs
+		if attrs == nil {
+			attrs = []int{}
+		}
+		cuboids[i] = marginalJSON{Attrs: attrs, Cells: cube.Tables[i], Variance: cube.CellVariance[i]}
+	}
+	return json.Marshal(cubeBody{
+		MaxOrder:      req.MaxOrder,
+		TotalVariance: cube.TotalVariance,
+		Cuboids:       cuboids,
+	})
 }
 
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
@@ -1430,18 +1429,19 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // Request plumbing.
 
-// decodeData parses the body, resolves the schema (from the request, or
-// from the named dataset) and, when needVector, the contingency vector.
+// decodeData parses the body and resolves the schema (from the request, or
+// from the named dataset) and the contingency vector.
 // With dataset_id the returned handle pins the dataset for the request's
 // duration — the caller must Close it; a concurrent DELETE then never tears
 // the release mid-run.
-func (s *Server) decodeData(w http.ResponseWriter, r *http.Request, needVector bool) (*releaseRequest, *repro.Schema, *repro.BlockedVector, *store.Handle, error) {
-	var req releaseRequest
+func (s *Server) decodeData(w http.ResponseWriter, r *http.Request) (*releaseCall, error) {
+	c := new(releaseCall)
+	req := &c.req
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%w: bad JSON: %v", repro.ErrInvalidOption, err)
+	if err := dec.Decode(req); err != nil {
+		return nil, fmt.Errorf("%w: bad JSON: %v", repro.ErrInvalidOption, err)
 	}
 	sources := 0
 	for _, has := range []bool{req.Rows != nil, req.Counts != nil, req.DatasetID != ""} {
@@ -1450,34 +1450,31 @@ func (s *Server) decodeData(w http.ResponseWriter, r *http.Request, needVector b
 		}
 	}
 	if sources != 1 {
-		return nil, nil, nil, nil, fmt.Errorf("%w: provide exactly one of rows, counts or dataset_id", repro.ErrInvalidOption)
+		return nil, fmt.Errorf("%w: provide exactly one of rows, counts or dataset_id", repro.ErrInvalidOption)
 	}
 	// A δ above the server's cap can never be admitted: reject it as a bad
 	// request up front instead of a misleading, retryable 429 later.
 	if req.Delta > s.cfg.DeltaCap {
-		return nil, nil, nil, nil, fmt.Errorf("%w: delta %v exceeds the server's delta cap %v (never admissible)",
+		return nil, fmt.Errorf("%w: delta %v exceeds the server's delta cap %v (never admissible)",
 			repro.ErrInvalidDelta, req.Delta, s.cfg.DeltaCap)
 	}
 
 	if req.DatasetID != "" {
 		h, err := s.store.Get(req.DatasetID)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, err
 		}
 		if len(req.Schema) > 0 && !schemaMatches(req.Schema, h.Schema().Attrs) {
 			h.Close()
-			return nil, nil, nil, nil, fmt.Errorf("%w: request schema does not match dataset %q",
+			return nil, fmt.Errorf("%w: request schema does not match dataset %q",
 				repro.ErrInvalidOption, req.DatasetID)
 		}
-		var x *repro.BlockedVector
-		if needVector {
-			x = h.Vector()
-		}
-		return &req, h.Schema(), x, h, nil
+		c.schema, c.x, c.h = h.Schema(), h.Vector(), h
+		return c, nil
 	}
 
 	if len(req.Schema) == 0 {
-		return nil, nil, nil, nil, fmt.Errorf("%w: empty schema", repro.ErrInvalidOption)
+		return nil, fmt.Errorf("%w: empty schema", repro.ErrInvalidOption)
 	}
 	attrs := make([]repro.Attribute, len(req.Schema))
 	for i, a := range req.Schema {
@@ -1485,25 +1482,23 @@ func (s *Server) decodeData(w http.ResponseWriter, r *http.Request, needVector b
 	}
 	schema, err := repro.NewSchema(attrs)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%w: %v", repro.ErrInvalidOption, err)
-	}
-	if !needVector {
-		return &req, schema, nil, nil, nil
+		return nil, fmt.Errorf("%w: %v", repro.ErrInvalidOption, err)
 	}
 	var dense []float64
 	if req.Counts != nil {
 		if len(req.Counts) != schema.DomainSize() {
-			return nil, nil, nil, nil, fmt.Errorf("%w: counts has %d entries, domain needs %d",
+			return nil, fmt.Errorf("%w: counts has %d entries, domain needs %d",
 				repro.ErrDimensionMismatch, len(req.Counts), schema.DomainSize())
 		}
 		dense = req.Counts
 	} else {
 		tab := &repro.Table{Schema: schema, Rows: req.Rows}
 		if dense, err = tab.Vector(); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("%w: %v", repro.ErrInvalidOption, err)
+			return nil, fmt.Errorf("%w: %v", repro.ErrInvalidOption, err)
 		}
 	}
-	return &req, schema, repro.NewBlockedVector(dense), nil, nil
+	c.schema, c.x = schema, repro.NewBlockedVector(dense)
+	return c, nil
 }
 
 // schemaMatches reports whether the inline schema names exactly the
@@ -1587,12 +1582,9 @@ func validateSpec(req *releaseRequest) error {
 // keys, and a client that gives up aborts its own planning. Two racing
 // cold-starts may both plan; the loser's work is not wasted because both
 // share s.cache, and only one Releaser is registered.
-func (s *Server) releaser(ctx context.Context, schema *repro.Schema, req *releaseRequest) (*repro.Releaser, error) {
+func (s *Server) releaser(ctx context.Context, c *releaseCall) (*repro.Releaser, error) {
+	schema, req, kind := c.schema, &c.req, c.kind
 	w, err := workloadOf(schema, req.Workload)
-	if err != nil {
-		return nil, err
-	}
-	kind, err := strategyKind(req.Strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -1699,29 +1691,35 @@ func releaserKey(schema *repro.Schema, req *releaseRequest, kind repro.StrategyK
 
 // resultKey fingerprints everything that determines a release-shaped
 // response's bytes: endpoint kind, dataset identity AND install version,
-// the full structural key (schema, workload, strategy, uniform/consistency
-// toggles), the exact privacy parameters (Float64bits — the key must
-// distinguish values a decimal rendering could collide), seed, and the
-// resolved shard count, plus the per-endpoint extras (synthetic_seed,
-// max_order). Workers stay out: the engine is bit-identical at every worker
-// count, so thread count must not fragment the cache. Only dataset-backed
-// requests are cacheable — inline rows carry no version to key on.
-func (s *Server) resultKey(kind string, h *store.Handle, schema *repro.Schema, req *releaseRequest) (string, bool) {
-	if s.results == nil || h == nil {
-		return "", false
+// the structural key (schema, workload, strategy, uniform/consistency
+// toggles — minus what the endpoint ignores), the exact privacy parameters
+// (Float64bits — the key must distinguish values a decimal rendering could
+// collide), seed, and the resolved shard count, plus the per-endpoint
+// extras (synthetic_seed, max_order). Workers stay out: the engine is
+// bit-identical at every worker count, so thread count must not fragment
+// the cache. Only dataset-backed requests are cacheable — inline rows carry
+// no version to key on — and "" marks an uncacheable request.
+func (s *Server) resultKey(kind string, c *releaseCall) string {
+	if s.results == nil || c.h == nil {
+		return ""
 	}
-	sk, err := strategyKind(req.Strategy)
-	if err != nil {
-		return "", false
+	req := &c.req
+	if kind == "cube" {
+		// The cube reads neither the workload nor skip_consistency: blank
+		// them, or requests differing only there would miss each other's
+		// byte-identical entries and each charge the ledger.
+		cr := *req
+		cr.Workload, cr.SkipConsistency = workloadJSON{}, false
+		req = &cr
 	}
 	var b strings.Builder
 	b.WriteString(kind)
 	b.WriteByte('|')
-	b.WriteString(h.ID())
+	b.WriteString(c.h.ID())
 	b.WriteByte('@')
-	b.WriteString(strconv.FormatInt(h.Version(), 10))
+	b.WriteString(strconv.FormatInt(c.h.Version(), 10))
 	b.WriteByte('|')
-	b.WriteString(releaserKey(schema, req, sk))
+	b.WriteString(releaserKey(c.schema, req, c.kind))
 	b.WriteByte('|')
 	b.WriteString(strconv.FormatUint(math.Float64bits(req.Epsilon), 16))
 	b.WriteByte(',')
@@ -1738,15 +1736,7 @@ func (s *Server) resultKey(kind string, h *store.Handle, schema *repro.Schema, r
 		b.WriteString(",mo")
 		b.WriteString(strconv.Itoa(req.MaxOrder))
 	}
-	return b.String(), true
-}
-
-// cachedResult looks key up when cacheable; the bool reports a usable hit.
-func (s *Server) cachedResult(key string, cacheable bool) ([]byte, bool) {
-	if !cacheable {
-		return nil, false
-	}
-	return s.results.Get(key)
+	return b.String()
 }
 
 // withTrace installs a release trace in the request context. Every
@@ -1756,18 +1746,6 @@ func (s *Server) cachedResult(key string, cacheable bool) ([]byte, bool) {
 func (s *Server) withTrace(r *http.Request, name string, req *releaseRequest) *http.Request {
 	tr := telemetry.NewTrace(s.tele, name, req.DebugTiming)
 	return r.WithContext(telemetry.ContextWithTrace(r.Context(), tr))
-}
-
-// annotateCache records the result-cache verdict on the trace root.
-func annotateCache(r *http.Request, verdict string) {
-	telemetry.TraceFrom(r.Context()).Root().Annotate("rescache", verdict)
-}
-
-func cacheVerdict(cacheable bool) string {
-	if cacheable {
-		return "miss"
-	}
-	return "bypass"
 }
 
 // retainedChargeError marks a failure that happened AFTER this flight's
@@ -1780,45 +1758,6 @@ type retainedChargeError struct{ err error }
 
 func (e retainedChargeError) Error() string { return e.err.Error() }
 func (e retainedChargeError) Unwrap() error { return e.err }
-
-// coalesce runs produce under single-flight on the result-cache key:
-// concurrent requests with the same key share one execution (and one
-// admission charge, which produce performs). Non-cacheable requests — no
-// stable key exists — run directly. led reports whether this request
-// executed produce itself; followers get the leader's payload or error.
-func (s *Server) coalesce(r *http.Request, key string, cacheable bool, produce func() ([]byte, error)) (payload []byte, led bool, err error) {
-	if !cacheable {
-		payload, err := produce()
-		return payload, true, err
-	}
-	leader := func() ([]byte, error) {
-		// Double-check the cache after winning the flight: a previous
-		// flight may have completed between this request's miss and its
-		// registration. Peek keeps the hit/miss stats describing real
-		// traffic, not flight bookkeeping.
-		if payload, ok := s.results.Peek(key); ok {
-			return payload, nil
-		}
-		return produce()
-	}
-	root := telemetry.TraceFrom(r.Context()).Root()
-	var wsp *telemetry.Span
-	payload, led, err = s.flights.do(r.Context(), key, leader, func() {
-		if wsp == nil {
-			wsp = root.StartDetail("flight.wait")
-		}
-	})
-	wsp.End()
-	if led {
-		root.Annotate("flight", "lead")
-	} else {
-		root.Annotate("flight", "coalesced")
-		if err == nil {
-			s.coalesced.Inc()
-		}
-	}
-	return payload, led, err
-}
 
 // failFlight reports a coalesced execution's error with the right charge
 // framing: only the flight's leader charged, so only the leader's failure
@@ -1835,15 +1774,6 @@ func (s *Server) failFlight(w http.ResponseWriter, r *http.Request, err error, r
 		return
 	}
 	s.fail(w, r, err)
-}
-
-// chargeTraced wraps the admission charge in a span so debug_timing shows
-// where ledger contention (and the allocator's σ pre-planning) goes.
-func (s *Server) chargeTraced(r *http.Request, rel *repro.Releaser, req *releaseRequest, defaultLabel string) error {
-	sp := telemetry.TraceFrom(r.Context()).Root().Start("charge")
-	err := s.charge(r, rel, req, defaultLabel)
-	sp.End()
-	return err
 }
 
 // writeSpliced sends a response body (a JSON object withOUT the budget
@@ -1887,11 +1817,11 @@ func (s *Server) writeSpliced(w http.ResponseWriter, r *http.Request, payload []
 // always run locally — bit-identical either way). The cube endpoint stays
 // local too: its mechanism runs one sub-release per cuboid through its own
 // pipeline, below the granularity the fabric ships.
-func (s *Server) release(r *http.Request, rel *repro.Releaser, req *releaseRequest, x *repro.BlockedVector, h *store.Handle) (*repro.Result, error) {
-	if h != nil {
-		return rel.ReleaseDataset(r.Context(), h, s.spec(req))
+func (s *Server) release(r *http.Request, c *releaseCall) (*repro.Result, error) {
+	if c.h != nil {
+		return c.rel.ReleaseDataset(r.Context(), c.h, s.spec(&c.req))
 	}
-	return rel.ReleaseBlocked(r.Context(), x, s.spec(req))
+	return c.rel.ReleaseBlocked(r.Context(), c.x, s.spec(&c.req))
 }
 
 // spec maps the request's per-call parameters, clamping workers and shards
@@ -1946,7 +1876,12 @@ func (s *Server) shards(requested int) int {
 // rather than the (ε, δ) conversion bound. The cube endpoint passes nil —
 // its mechanism splits the budget across cuboid sub-releases internally, so
 // no single allocator σ describes it and the conversion stays in force.
+//
+// The charge runs under a span so debug_timing shows where ledger
+// contention (and the allocator's σ pre-planning) goes.
 func (s *Server) charge(r *http.Request, rel *repro.Releaser, req *releaseRequest, defaultLabel string) error {
+	sp := telemetry.TraceFrom(r.Context()).Root().Start("charge")
+	defer sp.End()
 	label := req.Label
 	if label == "" {
 		label = fmt.Sprintf("%s-%d", defaultLabel, s.relSeq.Add(1))

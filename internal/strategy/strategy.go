@@ -13,7 +13,6 @@
 //	Fourier  — S = the Fourier coefficients F of the workload ("F"/"F+"),
 //	           the strategy of Barak et al. [1].
 //	Cluster  — greedy clustered marginals of Ding et al. [6] ("C"/"C+").
-//	Sketch   — sparse random projections [5] (point-query demo strategy).
 //
 // All strategies satisfy the grouping property (Definition 3.1); their
 // groups are laid out group-major so the strategy answers can be addressed

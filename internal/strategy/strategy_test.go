@@ -270,65 +270,6 @@ func TestIdentityCellVarianceScalesWithOrder(t *testing.T) {
 	}
 }
 
-func TestSketchRecoversSparsePointQueries(t *testing.T) {
-	// Sparse x with few spikes: the sketch's per-cell estimates (the full
-	// marginal, i.e. point queries) recover the spikes well — the regime
-	// sketches are designed for. Dense aggregations accumulate collision
-	// error, which is why the paper positions sketches for sparse release.
-	d := 10
-	x := make([]float64, 1<<d)
-	x[17] = 100
-	x[900] = 50
-	w := marginal.MustWorkload(d, []bits.Mask{bits.Full(d)}) // point queries
-	s := Sketch{Reps: 7, Buckets: 512, Seed: 42}
-	plan, err := s.Plan(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z := plan.Answers(x)
-	groupVar := make([]float64, len(plan.Specs))
-	answers, _, err := plan.RecoverDense(z, groupVar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(answers[17]-100) > 25 || math.Abs(answers[900]-50) > 25 {
-		t.Fatalf("spikes poorly recovered: %v and %v", answers[17], answers[900])
-	}
-	// Total mass is preserved exactly per repetition on average; check the
-	// median zero-cell error stays well below the spike scale.
-	big := 0
-	for i, v := range answers {
-		if i == 17 || i == 900 {
-			continue
-		}
-		if math.Abs(v) > 25 {
-			big++
-		}
-	}
-	if big > len(answers)/20 {
-		t.Fatalf("%d/%d zero cells have error > 25", big, len(answers))
-	}
-}
-
-func TestSketchDeterministicBySeed(t *testing.T) {
-	d := 6
-	w := marginal.AllKWay(d, 1)
-	x := testX(rand.New(rand.NewSource(5)), d)
-	mk := func(seed int64) []float64 {
-		plan, err := Sketch{Reps: 3, Buckets: 64, Seed: seed}.Plan(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plan.Answers(x)
-	}
-	a, b := mk(1), mk(1)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed must give identical sketch plans")
-		}
-	}
-}
-
 func TestPlanRowsAndOffsets(t *testing.T) {
 	w := marginal.MustWorkload(3, []bits.Mask{0b100, 0b110})
 	plan, _ := Workload{}.Plan(w)

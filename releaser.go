@@ -233,7 +233,7 @@ func WithQueryWeights(weights []float64) ReleaserOption {
 // single-process path — at any fleet size, including zero healthy workers
 // (pure local fallback). Only dataset-backed releases distribute: fabric
 // tasks reference datasets by id and content fingerprint rather than
-// shipping cells, so Release/ReleaseVector/ReleaseBlocked stay local.
+// shipping cells, so Release and ReleaseBlocked stay local.
 func WithFabric(f *Fabric) ReleaserOption {
 	return func(r *Releaser) error {
 		if f == nil {
@@ -393,24 +393,14 @@ func (r *Releaser) Release(ctx context.Context, t *Table, spec ReleaseSpec) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return r.ReleaseVector(ctx, x, spec)
-}
-
-// ReleaseVector is Release for callers who already hold the contingency
-// vector.
-func (r *Releaser) ReleaseVector(ctx context.Context, x []float64, spec ReleaseSpec) (*Result, error) {
-	if len(x) != 1<<uint(r.w.D) {
-		return nil, fmt.Errorf("%w: data vector has %d entries, domain needs %d",
-			ErrDimensionMismatch, len(x), 1<<uint(r.w.D))
-	}
 	return r.ReleaseBlocked(ctx, vector.FromDense(x), spec)
 }
 
-// ReleaseBlocked is ReleaseVector for callers holding the contingency
-// vector in sharded form — the dataset store's aggregate reaches the engine
-// here without ever being gathered into one dense slice. Bit-identical to
-// ReleaseVector over the same cells at the same spec, whatever the
-// blocking.
+// ReleaseBlocked is Release for callers who already hold the contingency
+// vector, sharded (NewBlockedVector, or a dataset-store aggregate, which
+// reaches the engine without ever being gathered into one dense slice).
+// Bit-identical to Release over the same cells at the same spec, whatever
+// the blocking.
 func (r *Releaser) ReleaseBlocked(ctx context.Context, x *BlockedVector, spec ReleaseSpec) (*Result, error) {
 	return r.releaseBlocked(ctx, x, spec, engine.Stages{})
 }
@@ -433,13 +423,13 @@ func (r *Releaser) releaseBlocked(ctx context.Context, x *BlockedVector, spec Re
 	if err := r.charge(ctx, spec); err != nil {
 		return nil, err
 	}
-	cons := core.WeightedL2Consistency
+	cons := engine.WeightedL2Consistency
 	if r.skipConsistency {
-		cons = core.NoConsistency
+		cons = engine.NoConsistency
 	}
-	budgeting := core.OptimalBudget
+	budgeting := engine.OptimalBudget
 	if r.uniformBudget {
-		budgeting = core.UniformBudget
+		budgeting = engine.UniformBudget
 	}
 	workers := r.workers
 	if spec.Workers > 0 {
@@ -452,7 +442,7 @@ func (r *Releaser) releaseBlocked(ctx context.Context, x *BlockedVector, spec Re
 	rel, err := engine.NewWithStages(
 		engine.Options{Workers: workers, Shards: shards, Cache: r.cache},
 		stages,
-	).RunVector(ctx, r.w, x, core.Config{
+	).RunVector(ctx, r.w, x, engine.Config{
 		Strategy:     r.strategy.impl(),
 		Budgeting:    budgeting,
 		Consistency:  cons,
@@ -629,7 +619,7 @@ func (r *Releaser) params(spec ReleaseSpec) noise.Params {
 }
 
 // buildResult shapes an engine release into the public per-marginal form.
-func buildResult(w *Workload, schema *Schema, rel *core.Release) *Result {
+func buildResult(w *Workload, schema *Schema, rel *engine.Release) *Result {
 	res := &Result{
 		Answers:       rel.Answers,
 		TotalVariance: rel.TotalVariance,

@@ -90,7 +90,7 @@ func TestReleaserTypedErrors(t *testing.T) {
 	if _, err := r.Release(ctx, tab, ReleaseSpec{Epsilon: 1, Delta: 1.5}); !errors.Is(err, ErrInvalidDelta) {
 		t.Fatalf("delta out of range: got %v", err)
 	}
-	if _, err := r.ReleaseVector(ctx, make([]float64, 4), ReleaseSpec{Epsilon: 1}); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := r.ReleaseBlocked(ctx, NewBlockedVector(make([]float64, 4)), ReleaseSpec{Epsilon: 1}); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("short vector: got %v", err)
 	}
 	// The legacy free functions surface the same sentinels.

@@ -251,17 +251,6 @@ func Release(t *Table, w *Workload, o Options) (*Result, error) {
 	return r.Release(context.Background(), t, o.spec())
 }
 
-// ReleaseVector is Release for callers who already hold the contingency
-// vector; schema may be nil (attribute indices in the result are then
-// omitted).
-func ReleaseVector(x []float64, w *Workload, o Options, schema *Schema) (*Result, error) {
-	r, err := NewReleaser(schema, w, o.releaserOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return r.ReleaseVector(context.Background(), x, o.spec())
-}
-
 // consistencyOf recovers the Fourier coefficients of a release by running
 // the deterministic L2 consistency projection over its answers.
 func consistencyOf(w *Workload, res *Result) (map[bits.Mask]float64, error) {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestReleaseBlockedBitIdentical: the sharded public entry points
-// (ReleaseBlocked, WithShards, ReleaseSpec.Shards) reproduce ReleaseVector
-// bit for bit.
+// (ReleaseBlocked, WithShards, ReleaseSpec.Shards) reproduce the table
+// path, Release, bit for bit.
 func TestReleaseBlockedBitIdentical(t *testing.T) {
 	tab := SyntheticNLTCS(5, 3000)
 	schema := tab.Schema
@@ -23,7 +23,7 @@ func TestReleaseBlockedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := base.ReleaseVector(context.Background(), x, spec)
+	ref, err := base.Release(context.Background(), tab, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestReleaseBlockedBitIdentical(t *testing.T) {
 	// Per-call override through the spec.
 	specShards := spec
 	specShards.Shards = 5
-	got, err := base.ReleaseVector(context.Background(), x, specShards)
+	got, err := base.Release(context.Background(), tab, specShards)
 	if err != nil {
 		t.Fatal(err)
 	}
