@@ -49,33 +49,6 @@
 // balancers stop routing first; plans and ledgers are snapshotted only
 // after the last in-flight release handler has returned.
 //
-// # Cluster mode
-//
-// A fleet splits one release's Measure and Recover stages across
-// processes (see internal/fabric). Start shard workers with -worker and
-// point a coordinator at them:
-//
-//	dpcubed -addr :8081 -worker -fabric-api-key fleet-secret &
-//	dpcubed -addr :8082 -worker -fabric-api-key fleet-secret &
-//	dpcubed -addr :8080 -fabric-api-key fleet-secret \
-//	    -fabric-workers http://localhost:8081,http://localhost:8082
-//
-// Every process needs its own copy of each dataset (ingest to all of
-// them; a shared -store-dir snapshot tree also works when processes share
-// a filesystem). -fabric-api-key is the fleet secret: coordinators present
-// it on every task, and a -worker requires it on its task endpoint. It
-// must be distinct from every tenant API key — tenant keys never
-// authenticate fabric tasks, and a worker with -api-keys refuses to start
-// without a fabric key. The coordinator hands a worker a task only if the
-// worker's copy matches the coordinator's content fingerprint, so a stale
-// replica is refused rather than silently merged. Releases are
-// bit-identical to single-process at any fleet size — worker crashes,
-// stragglers (re-executed locally after -fabric-hedge) and timeouts
-// (-fabric-timeout, -fabric-retries) cost latency, never correctness.
-// Only dataset_id-backed /v1/release and /v1/synthetic requests
-// distribute; /v1/metrics reports per-worker task counts, retries, hedges
-// and straggler re-executions under "fabric".
-//
 // Profiling: -pprof-addr (e.g. -pprof-addr localhost:6060) serves
 // net/http/pprof on a SEPARATE admin listener — never on the public -addr,
 // so exposing the API does not expose heap and CPU profiles. It is off by
@@ -95,10 +68,8 @@
 // -log-level (debug|info|warn|error) and -log-format (json|text) select
 // the structured log/slog output on stderr: one record per request with
 // method, path, status, duration and request_id (inbound X-Request-Id is
-// honored, otherwise one is generated and echoed on the response), plus
-// one record per fabric task on workers carrying the coordinator's
-// request ID, so a release's logs correlate across the fleet. API keys
-// appear in logs only as short fingerprints, never verbatim. See
+// honored, otherwise one is generated and echoed on the response). API
+// keys appear in logs only as short fingerprints, never verbatim. See
 // internal/server and internal/telemetry for the metric families.
 package main
 
@@ -111,7 +82,6 @@ import (
 	_ "net/http/pprof" // admin-listener profiles, gated by -pprof-addr
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -137,13 +107,6 @@ func main() {
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof and /metrics on this separate admin address (empty = disabled); bind to localhost or an internal interface")
 		logLevel   = flag.String("log-level", "info", "minimum structured-log level: debug, info, warn or error")
 		logFormat  = flag.String("log-format", "json", "structured-log encoding on stderr: json or text")
-
-		worker     = flag.Bool("worker", false, "serve POST /v1/fabric/task: act as a shard worker for a fabric coordinator")
-		fabWorkers = flag.String("fabric-workers", "", "comma-separated worker base URLs (e.g. http://10.0.0.2:8080,...); non-empty makes this process a fabric coordinator")
-		fabKey     = flag.String("fabric-api-key", "", "fleet secret: presented to fabric workers on every task (X-API-Key) and required by -worker on its task endpoint; must differ from every tenant API key")
-		fabTimeout = flag.Duration("fabric-timeout", 0, "per fabric task attempt timeout (0 = 30s)")
-		fabRetries = flag.Int("fabric-retries", 0, "additional remote attempts per failed fabric task (0 = default 1, negative disables)")
-		fabHedge   = flag.Duration("fabric-hedge", 0, "re-execute a straggling fabric task locally after this long (0 = half the task timeout, negative disables)")
 	)
 	flag.Parse()
 
@@ -160,24 +123,18 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		EpsilonCap:        *epsCap,
-		DeltaCap:          *deltaCap,
-		MaxWorkers:        *maxWorkers,
-		MaxShards:         *maxShards,
-		CacheSize:         *cacheSize,
-		StoreDir:          *storeDir,
-		MaxDatasets:       *maxData,
-		APIKeys:           keys,
-		Composition:       *compMode,
-		TargetDelta:       *targetDel,
-		FabricWorkers:     splitList(*fabWorkers),
-		FabricAPIKey:      *fabKey,
-		FabricTaskTimeout: *fabTimeout,
-		FabricRetries:     *fabRetries,
-		FabricHedgeAfter:  *fabHedge,
-		FabricWorker:      *worker,
-		Logger:            logger,
-		Metrics:           telemetry.Default(),
+		EpsilonCap:  *epsCap,
+		DeltaCap:    *deltaCap,
+		MaxWorkers:  *maxWorkers,
+		MaxShards:   *maxShards,
+		CacheSize:   *cacheSize,
+		StoreDir:    *storeDir,
+		MaxDatasets: *maxData,
+		APIKeys:     keys,
+		Composition: *compMode,
+		TargetDelta: *targetDel,
+		Logger:      logger,
+		Metrics:     telemetry.Default(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dpcubed:", err)
@@ -240,12 +197,6 @@ func main() {
 		if len(keys) > 0 {
 			logger.Info("API keys configured; requests must authenticate", "keys", len(keys))
 		}
-		if *worker {
-			logger.Info("fabric worker mode: serving POST /v1/fabric/task")
-		}
-		if f := srv.Fabric(); f != nil {
-			logger.Info("fabric coordinator", "workers", f.Workers())
-		}
 		if st := srv.Store().Stats(); st.Datasets > 0 {
 			logger.Info("recovered datasets from store", "datasets", st.Datasets, "cells", st.TotalCells, "store_dir", *storeDir)
 		}
@@ -283,17 +234,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dpcubed: persisting snapshots:", err)
 	}
 	fmt.Fprint(os.Stderr, srv.BudgetSummary())
-}
-
-// splitList parses a comma-separated flag value, dropping empty entries.
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // loadKeys resolves the API key set: the -api-keys file when given,

@@ -193,12 +193,10 @@
 // on the -pprof-addr admin listener) exposes everything — including Go
 // runtime gauges — in Prometheus text format. Requests carry a
 // correlation ID (inbound X-Request-Id honored, otherwise generated and
-// echoed) that flows through structured slog request logs, into error
-// bodies, and across fabric task frames so worker-side logs line up
-// with the coordinator's release. A release request with
-// "debug_timing": true gets its full span tree — stage durations, shard
-// fan-out, result-cache verdict, per-task fabric attempts — embedded in
-// the response. With no trace installed the instrumentation is free:
+// echoed) that flows through structured slog request logs and into error
+// bodies. A release request with "debug_timing": true gets its full span
+// tree — stage durations, shard fan-out, result-cache verdict — embedded
+// in the response. With no trace installed the instrumentation is free:
 // tests pin the nil-trace hot paths at zero allocations. Metrics and
 // logs never contain cell counts, noisy answers or raw API keys (keys
 // appear only as short fingerprints).

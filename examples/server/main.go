@@ -110,80 +110,6 @@ func main() {
 	}
 	show("GET /v1/budget (no key)", resp)
 
-	clusterMode(nd.String())
-}
-
-// clusterMode is the distributed release fabric, in process: two shard
-// workers plus a coordinator splitting each release's Measure and Recover
-// stages across them. The programmatic equivalent of
-//
-//	dpcubed -addr :8081 -worker -fabric-api-key fleet-secret &
-//	dpcubed -addr :8082 -worker -fabric-api-key fleet-secret &
-//	dpcubed -addr :8080 -fabric-api-key fleet-secret \
-//	    -fabric-workers http://localhost:8081,http://localhost:8082
-//
-// Every process holds its own copy of the dataset; the coordinator's
-// content-fingerprint handshake refuses a worker whose copy diverged. The
-// fleet secret (never a tenant key) authenticates each task post. The
-// released bits are identical to a single process at any fleet size —
-// worker failures and stragglers are retried, hedged, or re-executed
-// locally, costing latency but never a bit.
-func clusterMode(ndjson string) {
-	ingest := func(url string) {
-		req, _ := http.NewRequest(http.MethodPut, url+"/v1/datasets/people", strings.NewReader(ndjson))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			log.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-
-	var workerURLs []string
-	for i := 0; i < 2; i++ {
-		wsrv, err := server.New(server.Config{
-			EpsilonCap:   10,
-			DeltaCap:     1e-6,
-			FabricWorker: true,
-			FabricAPIKey: "fleet-secret",
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		wts := httptest.NewServer(wsrv)
-		defer wts.Close()
-		ingest(wts.URL)
-		workerURLs = append(workerURLs, wts.URL)
-	}
-
-	coord, err := server.New(server.Config{
-		EpsilonCap:    10,
-		DeltaCap:      1e-6,
-		FabricWorkers: workerURLs,
-		FabricAPIKey:  "fleet-secret",
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cts := httptest.NewServer(coord)
-	defer cts.Close()
-	ingest(cts.URL)
-
-	// The release request is byte-for-byte the single-process request: the
-	// fleet is server configuration, invisible on the wire and in the bits.
-	resp, err := http.Post(cts.URL+"/v1/release", "application/json",
-		strings.NewReader(`{"dataset_id":"people","workload":{"k":2},"epsilon":0.5,"seed":42}`))
-	if err != nil {
-		log.Fatal(err)
-	}
-	show("POST /v1/release (2-worker fabric)", resp)
-
-	// The metrics' fabric section shows where the shards ran: per-worker
-	// task counts, retries, hedges and straggler re-executions.
-	resp, err = http.Get(cts.URL + "/v1/metrics")
-	if err != nil {
-		log.Fatal(err)
-	}
-	show("GET /v1/metrics (fabric section)", resp)
 }
 
 func show(what string, resp *http.Response) {

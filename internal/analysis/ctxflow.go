@@ -8,10 +8,10 @@ import (
 // CtxFlow flags functions that receive a context.Context but reach for
 // context.Background() or context.TODO() downstream. The serving contract
 // (PR 2 onward) threads cancellation from the HTTP request through every
-// pipeline stage — Plan, Allocate, Measure, Recover, Consist — and across
-// fabric task frames; a silent Background() breaks the chain, so work
-// outlives the client, budget is charged for releases nobody receives,
-// and shutdown drains hang on orphaned stages.
+// pipeline stage — Plan, Allocate, Measure, Recover, Consist. A silent
+// Background() breaks the chain, so work outlives the client, budget is
+// charged for releases nobody receives, and shutdown drains hang on
+// orphaned stages.
 //
 // Deliberate detachment (cleanup that must survive the request, lock
 // handoff in single-flight) is allowed, but must be annotated:

@@ -9,7 +9,7 @@ import (
 
 // DetMap flags iteration over a map whose body feeds an order-sensitive
 // sink. Go randomizes map iteration order, so such a loop silently breaks
-// the bit-identity contract: every parallel/sharded/distributed path must
+// the bit-identity contract: every parallel or sharded path must
 // produce byte-for-byte the serial oracle's output (ROADMAP: "pinned
 // bit-identical ... under -race"), and the serving layer replays cached
 // payloads byte-identically.
@@ -31,14 +31,13 @@ import (
 var DetMap = &Analyzer{
 	Name: "detmap",
 	Doc:  "flag map iteration feeding order-sensitive sinks in determinism-critical packages",
-	// The seven pipeline packages the bit-identity contract names, plus
+	// The six pipeline packages the bit-identity contract names, plus
 	// the layers that must stay byte-stable for snapshots (store) and
 	// replayed cached payloads (rescache, server).
 	Packages: []string{
 		"internal/engine", "internal/strategy", "internal/vector",
-		"internal/consistency", "internal/transform", "internal/fabric",
-		"internal/telemetry", "internal/store", "internal/rescache",
-		"internal/server",
+		"internal/consistency", "internal/transform", "internal/telemetry",
+		"internal/store", "internal/rescache", "internal/server",
 	},
 	Run: runDetMap,
 }

@@ -14,10 +14,10 @@
 //
 // detmap — map iteration must not feed order-sensitive sinks in the
 // determinism-critical packages (engine, strategy, vector, consistency,
-// transform, fabric, telemetry, plus store/rescache/server for snapshot
+// transform, telemetry, plus store/rescache/server for snapshot
 // and payload byte-stability). Go randomizes map order per iteration; the
-// bit-identity contract (serial oracle == parallel == sharded ==
-// distributed, byte for byte) cannot survive an append, float/string
+// bit-identity contract (serial oracle == parallel == sharded, byte for
+// byte) cannot survive an append, float/string
 // accumulation, wire encoding, or channel send whose order tracks a map.
 // The collect-then-sort idiom is recognized and exempt.
 //

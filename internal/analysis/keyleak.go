@@ -15,21 +15,21 @@ import (
 //
 // Taint is name-based (the suite's one deliberate heuristic): an
 // identifier or selector field whose normalized name is "key"/"apikey"(s)
-// or contains "apikey" — e.g. key, apiKey, kc.Key, cfg.FabricAPIKey —
+// or contains "apikey" — e.g. key, apiKey, kc.Key, cfg.APIKeys —
 // with a string-shaped type. A value is sanitized by passing through any
 // callee whose name contains "redact". Sinks are calls into fmt, log,
 // log/slog (functions and methods, including attr constructors like
 // slog.String) and net/http.Error.
 //
-// Scope: the layers that hold credentials (server, fabric, accountant,
-// store, cmd/...). Packages whose "key" identifiers are cache hashes
+// Scope: the layers that hold credentials (server, accountant, store,
+// cmd/...). Packages whose "key" identifiers are cache hashes
 // (engine, rescache) are excluded rather than suppressed file-by-file.
 var KeyLeak = &Analyzer{
 	Name: "keyleak",
 	Doc:  "require redactKey fingerprints for API keys reaching fmt/slog/error sinks",
 	Packages: []string{
-		"internal/server", "internal/fabric", "internal/accountant",
-		"internal/store", "cmd/...",
+		"internal/server", "internal/accountant", "internal/store",
+		"cmd/...",
 	},
 	Run: runKeyLeak,
 }

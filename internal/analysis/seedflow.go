@@ -32,12 +32,12 @@ var SeedFlow = &Analyzer{
 	Doc:  "forbid math/rand, crypto/rand and clock-derived seeds in pipeline packages",
 	Packages: []string{
 		"internal/engine", "internal/strategy", "internal/vector",
-		"internal/consistency", "internal/transform", "internal/fabric",
-		"internal/recovery", "internal/core", "internal/synth",
-		"internal/rangequery", "internal/datacube", "internal/marginal",
-		"internal/budget", "internal/bits", "internal/linalg", "internal/lp",
-		"internal/store", "internal/rescache", "internal/server",
-		"internal/accountant", "internal/experiments",
+		"internal/consistency", "internal/transform", "internal/recovery",
+		"internal/core", "internal/synth", "internal/rangequery",
+		"internal/datacube", "internal/marginal", "internal/budget",
+		"internal/bits", "internal/linalg", "internal/lp", "internal/store",
+		"internal/rescache", "internal/server", "internal/accountant",
+		"internal/experiments",
 	},
 	Run: runSeedFlow,
 }

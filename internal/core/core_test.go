@@ -409,20 +409,3 @@ func TestPreviewNeedsNoData(t *testing.T) {
 		t.Fatal("empty forecast")
 	}
 }
-
-func TestCompareStrategies(t *testing.T) {
-	w := marginal.AllKWay(5, 1)
-	fcs, err := CompareStrategies(w, []engine.Config{
-		{Strategy: strategy.Workload{}, Budgeting: engine.OptimalBudget, Privacy: pureParams(1)},
-		{Strategy: strategy.Fourier{}, Budgeting: engine.OptimalBudget, Privacy: pureParams(1)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fcs) != 2 || fcs[0].StrategyName == fcs[1].StrategyName {
-		t.Fatalf("comparison broken: %+v", fcs)
-	}
-	if _, err := CompareStrategies(w, []engine.Config{{Privacy: pureParams(1)}}); err == nil {
-		t.Fatal("nil strategy accepted")
-	}
-}

@@ -81,17 +81,3 @@ func Preview(w *marginal.Workload, cfg engine.Config) (*Forecast, error) {
 	}
 	return f, nil
 }
-
-// CompareStrategies previews several configurations side by side, sorted as
-// given; a convenience for CLI/report code.
-func CompareStrategies(w *marginal.Workload, cfgs []engine.Config) ([]*Forecast, error) {
-	out := make([]*Forecast, len(cfgs))
-	for i, cfg := range cfgs {
-		f, err := Preview(w, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: previewing %d: %w", i, err)
-		}
-		out[i] = f
-	}
-	return out, nil
-}

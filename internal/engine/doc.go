@@ -1,7 +1,6 @@
 // Package engine is the staged, parallel release engine behind the paper's
 // three-step mechanism. It decomposes what used to be a monolithic run into
-// five explicit pipeline stages, each behind a small interface so they are
-// individually constructible, testable and replaceable:
+// five explicit pipeline stages, each a small type with one method:
 //
 //	Plan     — Step 1: build (or fetch from the PlanCache) the grouped
 //	           strategy matrix description for the workload.

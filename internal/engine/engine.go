@@ -177,86 +177,14 @@ func (o Options) shardsFor(rows, workers int) int {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Stage interfaces. Each pipeline step is a small interface so callers can
-// substitute instrumented or alternative implementations stage by stage;
-// Stages zero-values fall back to the defaults. Every stage receives the
-// run's context and must return promptly (ctx.Err wrapped or bare) once it
-// is cancelled — the serving layer relies on an abandoned request not
-// burning CPU through the remaining stages.
-
-// PlanStage produces the Step-1 strategy plan for a workload.
-type PlanStage interface {
-	Plan(ctx context.Context, w *marginal.Workload, cfg Config) (*strategy.Plan, error)
-}
-
-// AllocateStage performs Step-2 budgeting over the plan's group specs and is
-// responsible for rejecting allocations that would break the privacy
-// constraint.
-type AllocateStage interface {
-	Allocate(ctx context.Context, specs []budget.Spec, cfg Config) (*budget.SpecAllocation, error)
-}
-
-// MeasureStage computes the noisy strategy answers z = Sx + ν. Both sides
-// are blocked vectors: x may arrive sharded (a dataset-store aggregate) and
-// z leaves sharded when the plan supports per-block answer slicing, one
-// block per worker at a time.
-type MeasureStage interface {
-	Measure(ctx context.Context, plan *strategy.Plan, x *vector.Blocked, eta []float64, cfg Config, workers, shards int) (*vector.Blocked, error)
-}
-
-// RecoverStage turns noisy strategy answers (possibly sharded) into
-// concatenated marginal answers plus per-marginal cell variances.
-type RecoverStage interface {
-	Recover(ctx context.Context, w *marginal.Workload, plan *strategy.Plan, z *vector.Blocked, groupVar []float64, workers int) (answers, cellVar []float64, err error)
-}
-
-// ConsistStage applies the Step-3 consistency projection (possibly a
-// no-op), fanning the projection's independent pieces over workers.
-type ConsistStage interface {
-	Consist(ctx context.Context, w *marginal.Workload, answers, cellVar []float64, cfg Config, workers int) ([]float64, map[bits.Mask]float64, error)
-}
-
-// Stages bundles one implementation per pipeline step. A nil field selects
-// the default implementation.
-type Stages struct {
-	Plan     PlanStage
-	Allocate AllocateStage
-	Measure  MeasureStage
-	Recover  RecoverStage
-	Consist  ConsistStage
-}
-
 // Engine executes the staged release pipeline.
 type Engine struct {
-	opts   Options
-	stages Stages
+	opts Options
 }
 
-// New returns an engine with the default stage implementations.
+// New returns an engine with the given options.
 func New(opts Options) *Engine {
-	return NewWithStages(opts, Stages{})
-}
-
-// NewWithStages returns an engine with caller-supplied stages; nil fields
-// use the defaults (the plan stage default consults opts.Cache).
-func NewWithStages(opts Options, st Stages) *Engine {
-	if st.Plan == nil {
-		st.Plan = Planner{Cache: opts.Cache, Workers: opts.Workers}
-	}
-	if st.Allocate == nil {
-		st.Allocate = Allocator{}
-	}
-	if st.Measure == nil {
-		st.Measure = Measurer{}
-	}
-	if st.Recover == nil {
-		st.Recover = Recoverer{}
-	}
-	if st.Consist == nil {
-		st.Consist = Consister{}
-	}
-	return &Engine{opts: opts, stages: st}
+	return &Engine{opts: opts}
 }
 
 // Options returns the engine's options (workers resolved lazily).
@@ -293,7 +221,7 @@ func (e *Engine) RunVector(ctx context.Context, w *marginal.Workload, x *vector.
 	if sp != nil {
 		pctx = telemetry.ContextWithSpan(ctx, sp)
 	}
-	plan, err := e.stages.Plan.Plan(pctx, w, cfg)
+	plan, err := Planner{Cache: e.opts.Cache, Workers: e.opts.Workers}.Plan(pctx, w, cfg)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -302,7 +230,7 @@ func (e *Engine) RunVector(ctx context.Context, w *marginal.Workload, x *vector.
 		return nil, err
 	}
 	sp = tr.Root().StartStage("allocate")
-	alloc, err := e.stages.Allocate.Allocate(ctx, plan.Specs, cfg)
+	alloc, err := Allocator{}.Allocate(ctx, plan.Specs, cfg)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -317,7 +245,7 @@ func (e *Engine) RunVector(ctx context.Context, w *marginal.Workload, x *vector.
 		sp.AnnotateInt("workers", int64(workers))
 		mctx = telemetry.ContextWithSpan(ctx, sp)
 	}
-	z, err := e.stages.Measure.Measure(mctx, plan, x, alloc.Eta, cfg, workers, shards)
+	z, err := Measurer{}.Measure(mctx, plan, x, alloc.Eta, cfg, workers, shards)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -327,7 +255,7 @@ func (e *Engine) RunVector(ctx context.Context, w *marginal.Workload, x *vector.
 	if sp != nil {
 		rctx = telemetry.ContextWithSpan(ctx, sp)
 	}
-	answers, cellVar, err := e.stages.Recover.Recover(rctx, w, plan, z, groupVar, workers)
+	answers, cellVar, err := Recoverer{}.Recover(rctx, w, plan, z, groupVar, workers)
 	sp.End()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -345,7 +273,7 @@ func (e *Engine) RunVector(ctx context.Context, w *marginal.Workload, x *vector.
 		StrategyName:   plan.Strategy,
 	}
 	sp = tr.Root().StartStage("consist")
-	consistent, coeffs, err := e.stages.Consist.Consist(ctx, w, answers, cellVar, cfg, workers)
+	consistent, coeffs, err := Consister{}.Consist(ctx, w, answers, cellVar, cfg, workers)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -365,9 +293,12 @@ func TotalCellVariance(w *marginal.Workload, cellVar []float64) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Default stage implementations.
+// Stage implementations. RunVector calls one value of each type per run.
+// Every stage receives the run's context and returns promptly (ctx.Err
+// wrapped or bare) once it is cancelled — the serving layer relies on an
+// abandoned request not burning CPU through the remaining stages.
 
-// Planner is the default PlanStage: it plans through the strategy (weighted
+// Planner is the Step-1 stage: it plans through the strategy (weighted
 // when QueryWeights are set, and across Workers when the strategy's search
 // parallelises) and memoises the result in Cache when present.
 type Planner struct {
@@ -379,9 +310,9 @@ type Planner struct {
 	Workers int
 }
 
-// Plan implements PlanStage. The cache lookup is free, so it happens even
-// under a cancelled context; only a cache miss — the expensive Step-1
-// search — is gated on ctx.
+// Plan produces the strategy plan for a workload. The cache lookup is
+// free, so it happens even under a cancelled context; only a cache miss —
+// the expensive Step-1 search — is gated on ctx.
 func (p Planner) Plan(ctx context.Context, w *marginal.Workload, cfg Config) (*strategy.Plan, error) {
 	sp := telemetry.SpanFrom(ctx)
 	if p.Cache != nil {
@@ -438,13 +369,14 @@ func (p Planner) planOnce(ctx context.Context, w *marginal.Workload, cfg Config)
 	return plan, nil
 }
 
-// Allocator is the default AllocateStage: the closed-form Step-2 budgets of
+// Allocator is the Step-2 stage: the closed-form budgets of
 // Corollary 3.3 (optimal) or the uniform baseline, followed by the
 // Proposition 3.1 privacy re-check.
 type Allocator struct{}
 
-// Allocate implements AllocateStage. Budgeting is closed-form and cheap, so
-// the context is not consulted beyond the interface contract.
+// Allocate budgets the plan's group specs and rejects allocations that would
+// break the privacy constraint. Budgeting is closed-form and cheap, so the
+// context is not consulted.
 func (Allocator) Allocate(_ context.Context, specs []budget.Spec, cfg Config) (*budget.SpecAllocation, error) {
 	var (
 		alloc *budget.SpecAllocation
@@ -491,7 +423,7 @@ func verifyPrivacy(specs []budget.Spec, eta []float64, p noise.Params) error {
 	return nil
 }
 
-// Measurer is the default MeasureStage: exact strategy answers plus
+// Measurer is the measure stage, z = Sx + ν: exact strategy answers plus
 // substream-seeded per-group noise, fanned out over the worker pool.
 //
 // When the plan supports per-block answer slicing (strategy.Plan.
@@ -506,7 +438,7 @@ func verifyPrivacy(specs []budget.Spec, eta []float64, p noise.Params) error {
 // (workers, shards) setting.
 type Measurer struct{}
 
-// Measure implements MeasureStage.
+// Measure computes the noisy strategy answers as a blocked vector.
 func (Measurer) Measure(ctx context.Context, plan *strategy.Plan, x *vector.Blocked, eta []float64, cfg Config, workers, shards int) (*vector.Blocked, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -693,67 +625,20 @@ feed:
 	return ctx.Err()
 }
 
-// PerturbRangeContext adds the release's noise to the strategy rows
-// [lo, lo+len(out)), writing row r's draw into out[r-lo] — the primitive a
-// remote shard uses to reproduce its slice of the full perturbation without
-// holding the whole vector. It replays exactly the draws Perturb makes for
-// those rows: the row grid is the same fixed noiseBlock partition, and
-// because the number of raw uniforms consumed per row is variable (the
-// Gaussian ziggurat and the Laplace draw both reject), a range that starts
-// mid-block must reseed at the block boundary and burn the leading rows'
-// draws rather than jump the stream. That burn-in is at most noiseBlock-1
-// rows per group and is the price of bit-identity.
-//
-// Groups must be the full release's group list in original order (position
-// g selects the substream), exactly as passed to Perturb. out is
-// accumulated into (+=), matching Perturb's contract.
-func PerturbRangeContext(ctx context.Context, out []float64, lo int, groups []NoiseGroup, p noise.Params, seed int64) error {
-	hi := lo + len(out)
-	src := noise.NewSubstream(seed, 0)
-	for g, grp := range groups {
-		if grp.Start+grp.Count <= lo || grp.Start >= hi {
-			continue
-		}
-		for b := 0; b < grp.Count; b += noiseBlock {
-			n := noiseBlock
-			if grp.Count-b < n {
-				n = grp.Count - b
-			}
-			bLo := grp.Start + b
-			bHi := bLo + n
-			if bHi <= lo {
-				continue
-			}
-			if bLo >= hi {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			src.Reseed(seed, uint64(g)<<32|uint64(b/noiseBlock))
-			for r := bLo; r < bHi; r++ {
-				v := p.RowNoise(src, grp.Eta)
-				if r >= lo && r < hi {
-					out[r-lo] += v
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// Recoverer is the default RecoverStage. When the plan supports per-marginal
-// recovery and more than one worker is available, marginals recover
-// concurrently, each reading the shards of z it needs (merged shard
-// contributions — the blocked accessors gather exactly the answer ranges a
-// marginal touches); the serial path and the parallel path are bit-identical
-// because strategy.Plan's contract requires Recover to equal the
-// concatenation of RecoverMarginal outputs (both accumulate in the same
-// order per output cell).
+// Recoverer is the recover stage: noisy strategy answers (possibly
+// sharded) become concatenated marginal answers plus per-marginal cell
+// variances. When the plan supports per-marginal recovery and more than
+// one worker is available, marginals recover concurrently, each reading
+// the shards of z it needs (merged shard contributions — the blocked
+// accessors gather exactly the answer ranges a marginal touches); the
+// serial path and the parallel path are bit-identical because
+// strategy.Plan's contract requires Recover to equal the concatenation of
+// RecoverMarginal outputs (both accumulate in the same order per output
+// cell).
 type Recoverer struct{}
 
-// Recover implements RecoverStage. Cancellation is honoured between
-// marginals: no new per-marginal recovery starts after ctx is done.
+// Recover runs the stage. Cancellation is honoured between marginals: no
+// new per-marginal recovery starts after ctx is done.
 func (Recoverer) Recover(ctx context.Context, w *marginal.Workload, plan *strategy.Plan, z *vector.Blocked, groupVar []float64, workers int) ([]float64, []float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -816,7 +701,7 @@ feed:
 	return answers, cellVar, nil
 }
 
-// Consister is the default ConsistStage: the Section 3.3/4.3 projections.
+// Consister is the Step-3 stage: the Section 3.3/4.3 projections.
 // The L2 projections — historically the pipeline's last serial stage — fan
 // their per-marginal transforms, the sharded per-coefficient weighted
 // average and the reconstruction over the worker pool
@@ -824,9 +709,10 @@ feed:
 // The L1/L∞ LPs remain monolithic solves.
 type Consister struct{}
 
-// Consist implements ConsistStage. Cancellation is checked on entry; the
-// projection itself runs to completion (its pieces are too fine-grained to
-// poll a context profitably).
+// Consist applies the configured projection (possibly a no-op).
+// Cancellation is checked on entry; the projection itself runs to
+// completion (its pieces are too fine-grained to poll a context
+// profitably).
 func (Consister) Consist(ctx context.Context, w *marginal.Workload, answers, cellVar []float64, cfg Config, workers int) ([]float64, map[bits.Mask]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

@@ -199,54 +199,6 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 }
 
-// countingPlanner wraps the default plan stage to count invocations —
-// exercising per-stage substitution via NewWithStages.
-type countingPlanner struct {
-	inner PlanStage
-	calls int
-}
-
-func (c *countingPlanner) Plan(ctx context.Context, w *marginal.Workload, cfg Config) (*strategy.Plan, error) {
-	c.calls++
-	return c.inner.Plan(ctx, w, cfg)
-}
-
-// zeroMeasurer replaces measurement with the exact (noiseless) answers.
-type zeroMeasurer struct{}
-
-func (zeroMeasurer) Measure(ctx context.Context, plan *strategy.Plan, x *vector.Blocked, eta []float64, cfg Config, workers, shards int) (*vector.Blocked, error) {
-	return vector.FromDense(plan.TrueAnswers(x, workers)), nil
-}
-
-// TestStagesIndividuallyConstructible: each stage can be swapped out without
-// touching the others, and the engine composes whatever it is given.
-func TestStagesIndividuallyConstructible(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	d := 5
-	x := testX(rng, d)
-	w := marginal.AllKWay(d, 1)
-	counter := &countingPlanner{inner: Planner{}}
-	eng := NewWithStages(Options{Workers: 2}, Stages{
-		Plan:    counter,
-		Measure: zeroMeasurer{},
-	})
-	cfg := Config{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 3}
-	rel, err := run(eng, w, x, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counter.calls != 1 {
-		t.Fatalf("custom plan stage called %d times", counter.calls)
-	}
-	truth := w.EvalSinglePass(x)
-	for i := range truth {
-		if rel.Answers[i] != truth[i] {
-			t.Fatalf("noiseless measure stage should yield exact answers; cell %d: %v vs %v",
-				i, rel.Answers[i], truth[i])
-		}
-	}
-}
-
 // TestDefaultStagesMatchMonolith: stage-by-stage execution equals a direct
 // serial composition of the underlying primitives (plan → budget → noise →
 // recover), pinning the wrapper-over-stages structure.
@@ -321,48 +273,6 @@ func TestPerturbBlockBoundaries(t *testing.T) {
 		if math.Float64bits(c[n+r]) != math.Float64bits(d[n+r]) ||
 			math.Float64bits(c[n+r]) != math.Float64bits(e[n+r]) {
 			t.Fatalf("group-1 noise at row %d depends on group 0's size", r)
-		}
-	}
-}
-
-// TestPerturbRangeBitIdentity: PerturbRangeContext reproduces exactly the
-// draws Perturb makes for an arbitrary row range — including ranges that
-// start mid-noise-block (forcing burn-in of the leading rows' draws) and
-// ranges spanning group boundaries — for both noise types.
-func TestPerturbRangeBitIdentity(t *testing.T) {
-	groups := []NoiseGroup{
-		{Start: 0, Count: noiseBlock + 100, Eta: 0.4},
-		{Start: noiseBlock + 100, Count: 37, Eta: 0.9},
-		{Start: noiseBlock + 137, Count: 2*noiseBlock + 5, Eta: 0.2},
-	}
-	total := 3*noiseBlock + 142
-	params := []noise.Params{
-		pureParams(1),
-		{Type: noise.ApproxDP, Epsilon: 1, Delta: 1e-6, Neighbor: noise.AddRemove},
-	}
-	ranges := [][2]int{
-		{0, total},                               // whole vector
-		{0, 10},                                  // prefix
-		{total - 10, total},                      // suffix
-		{noiseBlock - 3, noiseBlock + 3},         // straddles a noise-block boundary
-		{noiseBlock + 90, noiseBlock + 150},      // straddles two group boundaries
-		{17, 17},                                 // empty
-		{2*noiseBlock + 200, 2*noiseBlock + 201}, // single mid-block row
-	}
-	for _, p := range params {
-		full := make([]float64, total)
-		Perturb(full, groups, p, 42, 3)
-		for _, r := range ranges {
-			lo, hi := r[0], r[1]
-			got := make([]float64, hi-lo)
-			if err := PerturbRangeContext(context.Background(), got, lo, groups, p, 42); err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(full[lo+i]) {
-					t.Fatalf("%v range [%d,%d): row %d differs from full perturb", p.Type, lo, hi, lo+i)
-				}
-			}
 		}
 	}
 }

@@ -8,35 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
-
-// startWorkers builds n fabric worker servers with the test dataset
-// ingested, each behind a real listener, and returns their base URLs plus
-// a shutdown func. fabricKey, when non-empty, is the fleet secret the
-// workers require on their task endpoint.
-func startWorkers(t testing.TB, n int, id, ndjson, fabricKey string) ([]string, []*httptest.Server) {
-	t.Helper()
-	urls := make([]string, n)
-	servers := make([]*httptest.Server, n)
-	for i := 0; i < n; i++ {
-		cfg := testConfig()
-		cfg.FabricWorker = true
-		cfg.FabricAPIKey = fabricKey
-		ws := newTestServer(t, cfg)
-		rec := putDataset(t, ws, id, ndjson)
-		if rec.Code != http.StatusCreated {
-			t.Fatalf("worker %d ingest: %d %s", i, rec.Code, rec.Body.String())
-		}
-		hs := httptest.NewServer(ws)
-		t.Cleanup(hs.Close)
-		urls[i] = hs.URL
-		servers[i] = hs
-	}
-	return urls, servers
-}
 
 // bodyMinusBudget strips the live budget block so two responses with
 // different ledger histories can be compared byte for byte.
@@ -59,137 +35,6 @@ func sameBody(t testing.TB, label string, a, b map[string]json.RawMessage) {
 		if string(a[k]) != string(b[k]) {
 			t.Fatalf("%s: field %q differs:\n%s\n%s", label, k, a[k], b[k])
 		}
-	}
-}
-
-// TestServerFabricBitIdentity is the serving-layer acceptance test: a
-// coordinator distributing over a real worker fleet answers /v1/release
-// and /v1/synthetic byte-identically to a local-only server — including
-// after a worker is killed mid-fleet — and /v1/metrics reports the
-// per-worker task counters.
-func TestServerFabricBitIdentity(t *testing.T) {
-	nd := testNDJSON(t)
-	urls, workers := startWorkers(t, 2, "people", nd, "fleet-secret")
-
-	local := newTestServer(t, testConfig())
-	if rec := putDataset(t, local, "people", nd); rec.Code != http.StatusCreated {
-		t.Fatalf("local ingest: %d", rec.Code)
-	}
-	cfg := testConfig()
-	cfg.FabricWorkers = urls
-	cfg.FabricAPIKey = "fleet-secret"
-	coord := newTestServer(t, cfg)
-	if rec := putDataset(t, coord, "people", nd); rec.Code != http.StatusCreated {
-		t.Fatalf("coordinator ingest: %d", rec.Code)
-	}
-
-	request := func(overrides map[string]any) map[string]any {
-		body := testBody(overrides)
-		delete(body, "rows")
-		delete(body, "schema")
-		body["dataset_id"] = "people"
-		return body
-	}
-	compare := func(path string, overrides map[string]any) {
-		t.Helper()
-		want := post(t, local, path, request(overrides))
-		got := post(t, coord, path, request(overrides))
-		if want.Code != http.StatusOK || got.Code != http.StatusOK {
-			t.Fatalf("%s: local %d, fabric %d: %s", path, want.Code, got.Code, got.Body.String())
-		}
-		sameBody(t, path, bodyMinusBudget(t, want.Body.Bytes()), bodyMinusBudget(t, got.Body.Bytes()))
-	}
-
-	compare("/v1/release", map[string]any{"workload": map[string]any{"k": 2}})
-	compare("/v1/release", map[string]any{"strategy": "cluster", "seed": int64(11)})
-	compare("/v1/synthetic", map[string]any{"synthetic_seed": int64(5)})
-
-	rec := do(t, coord, http.MethodGet, "/v1/metrics")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("metrics: %d", rec.Code)
-	}
-	m := decode[metricsResponse](t, rec)
-	if m.Fabric == nil {
-		t.Fatal("metrics: no fabric section on a coordinator")
-	}
-	if len(m.Fabric.Workers) != 2 {
-		t.Fatalf("metrics: %d fabric workers, want 2", len(m.Fabric.Workers))
-	}
-	var tasks int64
-	for _, wm := range m.Fabric.Workers {
-		tasks += wm.Tasks
-	}
-	if tasks == 0 {
-		t.Fatal("metrics: fleet completed zero tasks — fabric releases ran locally")
-	}
-
-	// Kill one worker: the release (fresh seed, so no result-cache replay)
-	// must still match local-only bit for bit.
-	workers[0].Close()
-	compare("/v1/release", map[string]any{"seed": int64(23)})
-
-	// Local-only servers report no fabric section.
-	lm := decode[metricsResponse](t, do(t, local, http.MethodGet, "/v1/metrics"))
-	if lm.Fabric != nil {
-		t.Fatal("metrics: fabric section on a server with no fleet")
-	}
-}
-
-// TestFabricWorkerEndpointGating: /v1/fabric/task exists only in worker
-// mode, is opened by the fleet secret alone — never a tenant key, which
-// would bypass the budget ledger — and a worker mixing tenant auth with a
-// missing or colliding fabric key refuses to construct at all.
-func TestFabricWorkerEndpointGating(t *testing.T) {
-	plain := newTestServer(t, testConfig())
-	rec := do(t, plain, http.MethodPost, "/v1/fabric/task")
-	if rec.Code != http.StatusNotFound && rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("task endpoint on a non-worker: %d", rec.Code)
-	}
-
-	cfg := testConfig()
-	cfg.FabricWorker = true
-	cfg.APIKeys = []KeyConfig{{Key: "tenant-key"}}
-	cfg.FabricAPIKey = "fleet-secret"
-	worker := newTestServer(t, cfg)
-	postTask := func(key string) int {
-		req := httptest.NewRequest(http.MethodPost, "/v1/fabric/task", strings.NewReader("x"))
-		if key != "" {
-			req.Header.Set("X-API-Key", key)
-		}
-		rec := httptest.NewRecorder()
-		worker.ServeHTTP(rec, req)
-		return rec.Code
-	}
-	if code := postTask(""); code != http.StatusUnauthorized {
-		t.Fatalf("unauthenticated task post: %d, want 401", code)
-	}
-	// The budget-bypass regression: a valid TENANT key must not open the
-	// task endpoint — tasks are not charged, so tenant credentials posting
-	// arbitrary-seed tasks could average the noise out of any dataset.
-	if code := postTask("tenant-key"); code != http.StatusUnauthorized {
-		t.Fatalf("tenant key opened the fabric task endpoint: %d, want 401", code)
-	}
-	// The fleet secret passes auth (the garbage body then fails as a bad
-	// frame — anything but 401 proves the gate opened).
-	if code := postTask("fleet-secret"); code == http.StatusUnauthorized {
-		t.Fatal("fleet secret refused on the fabric task endpoint")
-	}
-	// Health stays reachable without credentials — it is the probe target.
-	if rec := do(t, worker, http.MethodGet, "/v1/healthz"); rec.Code != http.StatusOK {
-		t.Fatalf("healthz on an authenticated worker: %d, want 200", rec.Code)
-	}
-
-	// Misconfigurations that would leave the endpoint reachable by tenants
-	// (or unauthenticated next to tenant auth) refuse to construct.
-	bad := testConfig()
-	bad.FabricWorker = true
-	bad.APIKeys = []KeyConfig{{Key: "tenant-key"}}
-	if _, err := New(bad); err == nil {
-		t.Fatal("worker with tenant auth but no fabric key constructed")
-	}
-	bad.FabricAPIKey = "tenant-key"
-	if _, err := New(bad); err == nil {
-		t.Fatal("fabric key equal to a tenant key constructed")
 	}
 }
 
@@ -404,54 +249,6 @@ func TestGzipIngestExpansionCap(t *testing.T) {
 	}
 }
 
-// TestResultCacheTopologyIndependent: the result-cache key ignores fleet
-// topology, so an entry computed through the fabric replays byte-identical
-// after the entire fleet is gone — and vice versa a local-only entry
-// serves a fabric-configured server.
-func TestResultCacheTopologyIndependent(t *testing.T) {
-	nd := testNDJSON(t)
-	urls, workers := startWorkers(t, 2, "people", nd, "")
-	cfg := testConfig()
-	cfg.FabricWorkers = urls
-	s := newTestServer(t, cfg)
-	if rec := putDataset(t, s, "people", nd); rec.Code != http.StatusCreated {
-		t.Fatalf("ingest: %d", rec.Code)
-	}
-
-	body := testBody(nil)
-	delete(body, "rows")
-	delete(body, "schema")
-	body["dataset_id"] = "people"
-
-	first := post(t, s, "/v1/release", body)
-	if first.Code != http.StatusOK {
-		t.Fatalf("fabric release: %d %s", first.Code, first.Body.String())
-	}
-	m := decode[metricsResponse](t, do(t, s, http.MethodGet, "/v1/metrics"))
-	if m.ResultCache == nil || m.ResultCache.Misses != 1 {
-		t.Fatalf("after first release: result cache %+v, want 1 miss", m.ResultCache)
-	}
-
-	// Fleet gone: the identical request must be a cache hit, not a
-	// re-execution that would now take the local path.
-	for _, w := range workers {
-		w.Close()
-	}
-	second := post(t, s, "/v1/release", body)
-	if second.Code != http.StatusOK {
-		t.Fatalf("replay: %d", second.Code)
-	}
-	sameBody(t, "cache replay across topology change",
-		bodyMinusBudget(t, first.Body.Bytes()), bodyMinusBudget(t, second.Body.Bytes()))
-	m = decode[metricsResponse](t, do(t, s, http.MethodGet, "/v1/metrics"))
-	if m.ResultCache.Hits != 1 {
-		t.Fatalf("replay was not a cache hit: %+v", m.ResultCache)
-	}
-	if spent := decode[budgetResponse](t, do(t, s, http.MethodGet, "/v1/budget")); spent.EpsilonSpent != 1 {
-		t.Fatalf("cache hit charged the ledger: ε spent %v, want 1", spent.EpsilonSpent)
-	}
-}
-
 // TestResultCacheAppendInvalidation: ?mode=append installs a new dataset
 // version, so a cached release for the old bits can never replay — the
 // same request re-runs against the new counts (and re-charges).
@@ -492,4 +289,53 @@ func TestResultCacheAppendInvalidation(t *testing.T) {
 	// The new version's entry replays normally.
 	replay := post(t, s, "/v1/release", body)
 	sameBody(t, "post-append replay", b, bodyMinusBudget(t, replay.Body.Bytes()))
+}
+
+// TestDomainCapRefusesWideSchemas: a schema wider than store.MaxDim bits is
+// a 400 on both untrusted-schema paths — a header-only NDJSON PUT and an
+// inline-rows release — refused before its 2^d-cell domain is allocated,
+// and neither registers a dataset, a Releaser nor a ledger charge.
+func TestDomainCapRefusesWideSchemas(t *testing.T) {
+	s := newTestServer(t, testConfig())
+	wide := []map[string]any{{"name": "wide", "cardinality": 1 << 26}} // 26 bits
+	hdr, err := json.Marshal(map[string]any{"schema": wide})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := testBody(map[string]any{"schema": wide, "rows": [][]int{{0}}})
+
+	// Each request is checked before the next runs: past the cap a
+	// release would go on to run the whole pipeline over 2^26 cells.
+	refused := func(what string, send func() *httptest.ResponseRecorder) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rec := send()
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+			t.Fatalf("%s allocated %d MiB, want < 64 MiB", what, alloc>>20)
+		}
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "domain limit") {
+			t.Fatalf("%s: %d %s, want a 400 naming the domain limit", what, rec.Code, rec.Body.String())
+		}
+	}
+	refused("26-bit header-only PUT", func() *httptest.ResponseRecorder {
+		return putDataset(t, s, "wide", string(hdr)+"\n")
+	})
+	refused("26-bit inline-rows release", func() *httptest.ResponseRecorder {
+		return post(t, s, "/v1/release", release)
+	})
+	if rec := do(t, s, http.MethodGet, "/v1/datasets/wide"); rec.Code != http.StatusNotFound {
+		t.Fatalf("rejected PUT registered a dataset: %d", rec.Code)
+	}
+	if n := s.store.Stats().Datasets; n != 0 {
+		t.Fatalf("%d datasets resident after rejected PUT", n)
+	}
+	if n := len(s.releasers); n != 0 {
+		t.Fatalf("%d Releasers registered by a rejected release", n)
+	}
+	if spent := decode[budgetResponse](t, do(t, s, http.MethodGet, "/v1/budget")); spent.Releases != 0 {
+		t.Fatalf("rejected release charged the ledger: %+v", spent)
+	}
 }

@@ -16,21 +16,11 @@
 //	POST   /v1/synthetic     — release + row-level synthetic microdata
 //	GET    /v1/budget        — the caller's privacy spend against its cap
 //	GET    /v1/metrics       — request/error counters, spend, cache, store
-//	GET    /v1/healthz       — liveness (unauthenticated; fabric probe target)
+//	GET    /v1/healthz       — liveness (unauthenticated)
 //	GET    /v1/readyz        — readiness (unauthenticated; 503 while draining)
-//	POST   /v1/fabric/task   — shard-task endpoint (FabricWorker mode only;
-//	                           authenticated by FabricAPIKey, never tenant keys)
 //
 // PUT /v1/datasets accepts Content-Encoding: gzip; a corrupt stream is
 // rejected transactionally, like any malformed NDJSON.
-//
-// With Config.FabricWorkers set the server acts as a fabric coordinator:
-// dataset-backed release and synthetic requests fan their Measure and
-// Recover stages out across the worker fleet (see internal/fabric) and
-// remain bit-identical to local execution — worker failures, stragglers
-// and stale replicas degrade latency, never bits. /v1/metrics gains a
-// "fabric" section with per-worker task counts, retries, hedges and
-// straggler re-executions.
 //
 // Release-shaped requests carry their data as exactly one of rows (tuples
 // in the body), counts (the full contingency vector) or dataset_id (a
@@ -108,16 +98,13 @@
 // Every routed request is assigned a correlation ID: a well-formed
 // inbound X-Request-Id header is honored, anything else gets a generated
 // 16-hex ID. The ID is echoed in the X-Request-Id response header, in
-// error bodies ("request_id"), in the structured request log, and — for
-// distributed releases — rides the fabric task frames so a worker's task
-// logs carry the coordinator's ID.
+// error bodies ("request_id") and in the structured request log.
 //
 // With Config.Logger set, each request emits one log/slog record:
 // method, path, status, duration_ms, request_id, and (when
 // authenticated) api_key — always the redactKey fingerprint, never the
-// raw credential. Fabric workers additionally log one record per
-// executed task (kind, dataset, range, request_id, duration_ms). Logs
-// and metrics never contain cell counts, noisy answers or raw keys.
+// raw credential. Logs and metrics never contain cell counts, noisy
+// answers or raw keys.
 //
 // GET /v1/metrics serves JSON counters plus "latency" (per-endpoint
 // p50/p95/p99/mean, bucket-derived) and "stages" (per engine stage:
@@ -126,7 +113,6 @@
 // format v0.0.4. Metric families: dpcubed_requests_total,
 // dpcubed_request_errors_total and dpcubed_request_duration_seconds
 // (label endpoint), dpcubed_stage_duration_seconds (label stage),
-// dpcubed_fabric_task_duration_seconds (label kind, worker mode),
 // budget/cache/store gauges (dpcubed_budget_*, dpcubed_plan_cache_*,
 // dpcubed_rescache_*, dpcubed_datasets_resident,
 // dpcubed_inflight_requests) and Go runtime stats (go_goroutines,
@@ -134,7 +120,7 @@
 //
 // A release-shaped request may set "debug_timing": true to receive a
 // "timing" field: the release's span tree (stage durations, shard
-// fan-out, result-cache verdict, per-task fabric attempts and hedges).
+// fan-out, result-cache verdict).
 // For example:
 //
 //	POST /v1/release
@@ -155,7 +141,6 @@ package server
 import (
 	"compress/gzip"
 	"context"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -172,7 +157,6 @@ import (
 
 	"repro"
 	"repro/internal/accountant"
-	"repro/internal/fabric"
 	"repro/internal/rescache"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -206,9 +190,11 @@ type Config struct {
 	MaxReleasers int
 	// MaxBodyBytes bounds request bodies (0 = 32 MiB).
 	MaxBodyBytes int64
-	// MaxIngestBytes bounds a PUT /v1/datasets stream (0 = unlimited —
-	// ingestion is bounded-memory by construction, so the body limit is a
-	// policy knob, not a safety one).
+	// MaxIngestBytes bounds a PUT /v1/datasets stream (0 = unlimited).
+	// Ingest memory does not grow with the stream: it is the schema's
+	// 2^d-cell domain, capped at store.MaxDim bits, plus a bounded window
+	// of in-flight batches. The body limit is a policy knob for ingest
+	// work, not the memory guard.
 	MaxIngestBytes int64
 	// StoreDir enables dataset-snapshot (and warm-plan) persistence when
 	// non-empty: a restarted server answers releases for previously
@@ -231,41 +217,9 @@ type Config struct {
 	// TargetDelta is the δ at which zcdp accounting reports composed ε
 	// (0 = the DeltaCap). Ignored for basic.
 	TargetDelta float64
-	// FabricWorkers lists shard-worker base URLs ("http://host:port");
-	// non-empty makes this process a fabric coordinator: dataset-backed
-	// release and synthetic requests distribute their Measure and Recover
-	// stages across the fleet, bit-identical to local execution at any
-	// fleet size (see internal/fabric).
-	FabricWorkers []string
-	// FabricAPIKey is the fleet secret. A coordinator presents it
-	// (X-API-Key) on every fabric task; a FabricWorker requires it on
-	// POST /v1/fabric/task. It is deliberately distinct from the tenant
-	// APIKeys — tenant keys never authenticate fabric tasks, because the
-	// task endpoint bypasses the budget ledger (the coordinator charged at
-	// admission) and a tenant reaching it could replay arbitrary-seed
-	// measure tasks to average the noise away. New refuses a FabricWorker
-	// whose FabricAPIKey is empty while tenant auth is on, or equal to any
-	// tenant key.
-	FabricAPIKey string
-	// FabricTaskTimeout bounds one remote task attempt (0 = 30s).
-	FabricTaskTimeout time.Duration
-	// FabricRetries is how many additional remote attempts a failed task
-	// gets before local re-execution (0 = default 1; negative disables).
-	FabricRetries int
-	// FabricHedgeAfter starts a local re-execution of a still-running
-	// remote task after this long (0 = half the task timeout; negative
-	// disables hedging).
-	FabricHedgeAfter time.Duration
-	// FabricWorker additionally serves POST /v1/fabric/task, making this
-	// process usable as a shard worker by some other coordinator. A worker
-	// executes tasks against its own dataset store; the coordinator's
-	// fingerprint handshake refuses a worker whose copy diverged. The task
-	// endpoint authenticates with FabricAPIKey only, never tenant keys.
-	FabricWorker bool
 	// Logger, when non-nil, receives one structured record per routed
-	// request (and per executed fabric task in worker mode): method, path,
-	// status, duration, request ID, and — when authenticated — the
-	// redacted API key. Nil disables request logging.
+	// request: method, path, status, duration, request ID, and — when
+	// authenticated — the redacted API key. Nil disables request logging.
 	Logger *slog.Logger
 	// Metrics is the telemetry registry the server records into and
 	// exposes (JSON latency/stage sections, ?format=prometheus). Nil gives
@@ -289,7 +243,6 @@ type Server struct {
 	cache   *repro.PlanCache
 	results *rescache.Cache // result memo + single-flight; nil when ResultCacheSize < 0
 	store   *store.Store
-	fabric  *fabric.Coordinator // nil without FabricWorkers
 	mux     *http.ServeMux
 	relSeq  atomic.Uint64 // default ledger-label counter
 
@@ -336,20 +289,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		keys[kc.Key] = true
 		perKey[kc.Key] = kc.caps()
-	}
-	if cfg.FabricWorker {
-		// The task endpoint bypasses the budget ledger, so it must never be
-		// reachable with a tenant credential: a tenant replaying
-		// arbitrary-seed measure tasks could average the noise out of any
-		// resident dataset without spending a drop of budget.
-		if cfg.FabricAPIKey == "" && len(cfg.APIKeys) > 0 {
-			return nil, fmt.Errorf("%w: FabricWorker with tenant APIKeys requires a FabricAPIKey (tenant keys never authenticate fabric tasks)",
-				repro.ErrInvalidOption)
-		}
-		if cfg.FabricAPIKey != "" && keys[cfg.FabricAPIKey] {
-			return nil, fmt.Errorf("%w: FabricAPIKey must be distinct from every tenant API key",
-				repro.ErrInvalidOption)
-		}
 	}
 	ledgers, err := repro.NewBudgetRegistry(cfg.EpsilonCap, cfg.DeltaCap, comp, perKey)
 	if err != nil {
@@ -401,15 +340,6 @@ func New(cfg Config) (*Server, error) {
 	// Warm plans from the previous process: a failure to load is a stale
 	// snapshot, not a reason to refuse to serve.
 	_, _ = st.LoadPlans(s.cache)
-	if len(cfg.FabricWorkers) > 0 {
-		s.fabric = fabric.New(fabric.Config{
-			Workers:     cfg.FabricWorkers,
-			APIKey:      cfg.FabricAPIKey,
-			TaskTimeout: cfg.FabricTaskTimeout,
-			Retries:     cfg.FabricRetries,
-			HedgeAfter:  cfg.FabricHedgeAfter,
-		})
-	}
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/release", s.handleRelease)
 	s.route("POST /v1/cube", s.handleCube)
@@ -420,21 +350,9 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /v1/datasets/{id}", s.handleDatasetGet)
 	s.route("DELETE /v1/datasets/{id}", s.handleDatasetDelete)
 	s.route("GET /v1/datasets", s.handleDatasetList)
-	if cfg.FabricWorker {
-		// Worker task endpoint. Counted like any other endpoint (task
-		// traffic shows up in /v1/metrics, and Drain waits for in-flight
-		// tasks), but authenticated by the fleet secret alone: the frames
-		// never touch a budget ledger — the coordinator charged at
-		// admission — so a tenant key must not open this door (see
-		// Config.FabricAPIKey).
-		exec := &fabric.Executor{Store: st, Cache: s.cache, Workers: cfg.MaxWorkers, Log: cfg.Logger, Metrics: tele}
-		s.routeFabric("POST /v1/fabric/task", func(w http.ResponseWriter, r *http.Request) {
-			exec.ServeHTTP(w, r)
-		})
-	}
 	// Health endpoints bypass authentication (and the metrics counters):
-	// load balancers and fabric coordinators probe them without credentials,
-	// and a probe must never burn an auth failure into the error counts.
+	// load balancers probe them without credentials, and a probe must
+	// never burn an auth failure into the error counts.
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
 	s.registerCollectors()
@@ -505,19 +423,6 @@ func compositionFor(cfg Config) (repro.Composition, error) {
 // request logging; the pattern itself is the metrics key and the
 // endpoint label.
 func (s *Server) route(pattern string, h http.HandlerFunc) {
-	s.handle(pattern, h, false)
-}
-
-// routeFabric registers the shard-task endpoint with the same
-// instrumentation as route, but authenticated by the fabric fleet secret
-// instead of the tenant key set. With no FabricAPIKey configured the
-// endpoint is open — New only permits that when the whole server runs
-// unauthenticated.
-func (s *Server) routeFabric(pattern string, h http.HandlerFunc) {
-	s.handle(pattern, h, true)
-}
-
-func (s *Server) handle(pattern string, h http.HandlerFunc, fabricAuth bool) {
 	label := telemetry.Label{Key: "endpoint", Value: pattern}
 	m := &endpointMetrics{
 		requests: s.tele.Counter("dpcubed_requests_total", "Routed requests, by endpoint pattern.", label),
@@ -539,15 +444,9 @@ func (s *Server) handle(pattern string, h http.HandlerFunc, fabricAuth bool) {
 		r = r.WithContext(telemetry.ContextWithRequestID(r.Context(), rid))
 		sw := &statusWriter{ResponseWriter: w}
 		sw.Header().Set("X-Request-Id", rid)
-		var key string
-		var authErr error
-		if fabricAuth {
-			authErr = s.authenticateFabric(r)
-		} else {
-			key, authErr = s.authenticate(r)
-		}
-		if authErr != nil {
-			writeJSON(sw, http.StatusUnauthorized, errorResponse{Error: authErr.Error(), RequestID: rid})
+		key, err := s.authenticate(r)
+		if err != nil {
+			writeJSON(sw, http.StatusUnauthorized, errorResponse{Error: err.Error(), RequestID: rid})
 		} else {
 			h(sw, r.WithContext(withAPIKey(r.Context(), key)))
 		}
@@ -566,9 +465,9 @@ func (s *Server) handle(pattern string, h http.HandlerFunc, fabricAuth bool) {
 
 // requestID resolves the request's correlation ID: a well-formed inbound
 // X-Request-Id is honored (so a caller's ID follows the request through
-// logs, spans and fabric frames), anything else gets a fresh one. The
-// sanity check bounds length and rejects control/quote characters — the
-// ID lands verbatim in response headers and structured logs.
+// logs and spans), anything else gets a fresh one. The sanity check bounds
+// length and rejects control/quote characters — the ID lands verbatim in
+// response headers and structured logs.
 func requestID(r *http.Request) string {
 	if id := r.Header.Get("X-Request-Id"); validRequestID(id) {
 		return id
@@ -613,27 +512,6 @@ func (s *Server) logRequest(r *http.Request, rid, key string, status int, d time
 		attrs = append(attrs, slog.String("api_key", redactKey(key)))
 	}
 	s.log.LogAttrs(r.Context(), lvl, "request", attrs...)
-}
-
-// authenticateFabric admits a fabric task only when the presented key is
-// the fleet secret. Tenant keys are deliberately not consulted: the task
-// endpoint bypasses the budget ledger, so tenant credentials must never
-// reach it. The comparison is constant-time and the error never echoes the
-// presented key.
-func (s *Server) authenticateFabric(r *http.Request) error {
-	if s.cfg.FabricAPIKey == "" {
-		return nil
-	}
-	key := r.Header.Get("X-API-Key")
-	if key == "" {
-		if ah := r.Header.Get("Authorization"); strings.HasPrefix(ah, "Bearer ") {
-			key = strings.TrimPrefix(ah, "Bearer ")
-		}
-	}
-	if subtle.ConstantTimeCompare([]byte(key), []byte(s.cfg.FabricAPIKey)) != 1 {
-		return errors.New("fabric task requires the fleet's fabric API key (X-API-Key header or Authorization: Bearer)")
-	}
-	return nil
 }
 
 // authenticate resolves the caller's API key. With auth disabled every
@@ -742,7 +620,7 @@ func (s *Server) FlushLedgers() (int, error) {
 }
 
 // Drain marks the server not-ready (GET /v1/readyz answers 503, so load
-// balancers and fabric coordinators stop sending work) and waits for every
+// balancers stop sending work) and waits for every
 // in-flight routed request to leave its handler, or for ctx to expire.
 // Call it after http.Server.Shutdown and before Close: Shutdown stops new
 // connections but Close snapshots the ledgers and plans, and a release
@@ -759,10 +637,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	return nil
 }
-
-// Fabric exposes the coordinator (nil without FabricWorkers); tests and
-// embedders read its Metrics.
-func (s *Server) Fabric() *fabric.Coordinator { return s.fabric }
 
 // Telemetry exposes the server's metrics registry (tests, embedders).
 func (s *Server) Telemetry() *telemetry.Registry { return s.tele }
@@ -835,7 +709,7 @@ type releaseRequest struct {
 	MaxOrder int `json:"max_order,omitempty"`
 
 	// DebugTiming embeds the release's span tree — stage durations, shard
-	// fan-out, cache verdict, fabric attempts/hedges — in the response as
+	// fan-out, cache verdict — in the response as
 	// a "timing" field. Purely observational: it never enters the result
 	// cache key because it never changes a released bit (cached payloads
 	// exclude timing; it is spliced per response, like budget).
@@ -963,9 +837,6 @@ type metricsResponse struct {
 	// in-flight execution (single-flight; see the package doc).
 	Coalesced uint64      `json:"coalesced_requests"`
 	Datasets  store.Stats `json:"datasets"`
-	// Fabric reports the coordinator's per-worker task counters (present
-	// only when FabricWorkers is configured).
-	Fabric *fabric.Metrics `json:"fabric,omitempty"`
 }
 
 // engineStages are the pipeline stage names RunVector traces, in
@@ -1255,11 +1126,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		rs := s.results.Stats()
 		rc = &cacheJSON{Hits: rs.Hits, Misses: rs.Misses, Entries: rs.Entries}
 	}
-	var fm *fabric.Metrics
-	if s.fabric != nil {
-		m := s.fabric.Metrics()
-		fm = &m
-	}
 	writeJSON(w, http.StatusOK, metricsResponse{
 		Endpoints:   eps,
 		Latency:     lat,
@@ -1271,7 +1137,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ResultCache: rc,
 		Coalesced:   s.coalesced.Value(),
 		Datasets:    s.store.Stats(),
-		Fabric:      fm,
 	})
 }
 
@@ -1407,17 +1272,16 @@ func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, datasetListResponse{Datasets: infos})
 }
 
-// handleHealthz is liveness: the process is up and serving HTTP. It is the
-// fabric coordinator's worker probe target, and it never says no — a
-// draining process is still alive.
+// handleHealthz is liveness: the process is up and serving HTTP. It never
+// says no — a draining process is still alive.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, healthResponse{Status: "ok"})
 }
 
 // handleReadyz is readiness: the store is open with its snapshots loaded
 // and the ledgers restored — both preconditions of New, so a constructed
-// server is ready until it starts draining. 503 tells load balancers and
-// coordinators to route elsewhere while in-flight work finishes.
+// server is ready until it starts draining. 503 tells load balancers to
+// route elsewhere while in-flight work finishes.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, healthResponse{Status: "draining"})
@@ -1482,6 +1346,9 @@ func (s *Server) decodeData(w http.ResponseWriter, r *http.Request) (*releaseCal
 	}
 	schema, err := repro.NewSchema(attrs)
 	if err != nil {
+		return nil, fmt.Errorf("%w: %v", repro.ErrInvalidOption, err)
+	}
+	if err := store.CheckDim(schema); err != nil {
 		return nil, fmt.Errorf("%w: %v", repro.ErrInvalidOption, err)
 	}
 	var dense []float64
@@ -1610,12 +1477,6 @@ func (s *Server) releaser(ctx context.Context, c *releaseCall) (*repro.Releaser,
 	}
 	if s.cfg.MaxWorkers > 0 {
 		opts = append(opts, repro.WithWorkers(s.cfg.MaxWorkers))
-	}
-	if s.fabric != nil {
-		// One coordinator serves every Releaser: the fleet is server-wide
-		// state, and fabric attachment never enters the registry key because
-		// it never changes a released bit.
-		opts = append(opts, repro.WithFabric(s.fabric))
 	}
 	r, err = repro.NewReleaserContext(ctx, schema, w, opts...)
 	if err != nil {
@@ -1811,12 +1672,8 @@ func (s *Server) writeSpliced(w http.ResponseWriter, r *http.Request, payload []
 }
 
 // release runs the mechanism over whichever data source the request
-// carried. Dataset-backed requests go through ReleaseDataset so an
-// attached fabric coordinator can distribute the stages (inline rows and
-// counts carry no dataset identity for the worker handshake, so they
-// always run locally — bit-identical either way). The cube endpoint stays
-// local too: its mechanism runs one sub-release per cuboid through its own
-// pipeline, below the granularity the fabric ships.
+// carried. Dataset-backed requests go through ReleaseDataset, whose schema
+// check guards the handle's attribute layout.
 func (s *Server) release(r *http.Request, c *releaseCall) (*repro.Result, error) {
 	if c.h != nil {
 		return c.rel.ReleaseDataset(r.Context(), c.h, s.spec(&c.req))

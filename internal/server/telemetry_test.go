@@ -315,63 +315,3 @@ func TestRequestLogRedactsKey(t *testing.T) {
 		t.Errorf("budget summary missing redacted key %q:\n%s", redactKey(secret), sum)
 	}
 }
-
-// TestFabricWorkerLogCorrelation is the cross-process correlation test:
-// a release sent to the coordinator with an explicit X-Request-Id shows
-// up, with the same ID, in the worker's fabric task logs.
-func TestFabricWorkerLogCorrelation(t *testing.T) {
-	nd := testNDJSON(t)
-	var workerLogs bytes.Buffer
-	wlog, err := telemetry.NewLogger(&workerLogs, "info", "json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcfg := testConfig()
-	wcfg.FabricWorker = true
-	wcfg.FabricAPIKey = "fleet-secret"
-	wcfg.Logger = wlog
-	ws := newTestServer(t, wcfg)
-	if rec := putDataset(t, ws, "people", nd); rec.Code != http.StatusCreated {
-		t.Fatalf("worker ingest: %d", rec.Code)
-	}
-	hs := httptest.NewServer(ws)
-	t.Cleanup(hs.Close)
-
-	ccfg := testConfig()
-	ccfg.FabricWorkers = []string{hs.URL}
-	ccfg.FabricAPIKey = "fleet-secret"
-	coord := newTestServer(t, ccfg)
-	if rec := putDataset(t, coord, "people", nd); rec.Code != http.StatusCreated {
-		t.Fatalf("coordinator ingest: %d", rec.Code)
-	}
-
-	body := testBody(map[string]any{"dataset_id": "people"})
-	delete(body, "rows")
-	delete(body, "schema")
-	raw, _ := json.Marshal(body)
-	req := httptest.NewRequest(http.MethodPost, "/v1/release", bytes.NewReader(raw))
-	req.Header.Set("X-Request-Id", "corr-fabric-42")
-	rec := httptest.NewRecorder()
-	coord.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("fabric release: %d %s", rec.Code, rec.Body.String())
-	}
-
-	found := false
-	for _, line := range strings.Split(strings.TrimSpace(workerLogs.String()), "\n") {
-		var entry struct {
-			Msg       string `json:"msg"`
-			RequestID string `json:"request_id"`
-			Kind      string `json:"kind"`
-		}
-		if json.Unmarshal([]byte(line), &entry) != nil {
-			continue
-		}
-		if entry.Msg == "fabric task" && entry.RequestID == "corr-fabric-42" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("worker logs carry no fabric task with the coordinator's request ID:\n%s", workerLogs.String())
-	}
-}

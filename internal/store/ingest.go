@@ -32,6 +32,14 @@ type IngestOptions struct {
 // a tuple of 64 attributes is well under a kilobyte.
 const DefaultMaxLineBytes = 1 << 20
 
+// MaxDim bounds the encoded width, in bits, of a schema that untrusted
+// input may declare. A schema of d bits makes ingest allocate 2^d int64
+// plus 2^d float64 cells before it reads a single row, so a header line of
+// a few dozen bytes could otherwise ask for gigabytes (16 GiB at
+// bits.MaxDim = 30). 24 bits — 256 MiB of cells — admits the largest
+// paper dataset (Adult, 23 bits) with room to spare.
+const MaxDim = 24
+
 // Batching constants. Batches bound in-flight memory: at most
 // workers+batchQueue batches of ≤ batchBytes (plus one line that may
 // individually reach MaxLineBytes) are buffered at any moment, regardless
@@ -41,6 +49,15 @@ const (
 	batchBytes = 64 << 10
 	batchQueue = 4
 )
+
+// CheckDim refuses a schema wider than MaxDim bits. Every decoder of
+// untrusted schemas calls it before allocating the schema's domain.
+func CheckDim(schema *dataset.Schema) error {
+	if d := schema.Dim(); d > MaxDim {
+		return fmt.Errorf("schema encodes to %d bits, above the %d-bit domain limit", d, MaxDim)
+	}
+	return nil
+}
 
 // ingestHeader is the first NDJSON line.
 type ingestHeader struct {
@@ -224,6 +241,9 @@ func readHeader(br *bufio.Reader, lineNo *int64, maxLine int) (*dataset.Schema, 
 		}
 		schema, err := dataset.NewSchema(attrs)
 		if err != nil {
+			return nil, fmt.Errorf("%w: line %d: %v", ErrInvalidDataset, *lineNo, err)
+		}
+		if err := CheckDim(schema); err != nil {
 			return nil, fmt.Errorf("%w: line %d: %v", ErrInvalidDataset, *lineNo, err)
 		}
 		return schema, nil

@@ -93,36 +93,40 @@ func TestIngestMatchesTableVector(t *testing.T) {
 	}
 }
 
+// ingestEdgeCases are malformed streams, each with a substring of the
+// error it must produce; FuzzIngestNDJSON seeds its corpus from them.
+var ingestEdgeCases = []struct {
+	name string
+	body string
+	opts IngestOptions
+	want string // substring of the error
+}{
+	{name: "empty body", body: "", want: "empty body"},
+	{name: "blank lines only", body: "\n\n  \n", want: "empty body"},
+	{name: "missing header", body: "[0,1,2]\n", want: "schema header"},
+	{name: "header names no attributes", body: `{"schema":[]}` + "\n", want: "no attributes"},
+	{name: "bad header cardinality", body: `{"schema":[{"name":"a","cardinality":0}]}` + "\n", want: "cardinality"},
+	{name: "schema wider than MaxDim", body: `{"schema":[{"name":"a","cardinality":33554432}]}` + "\n", want: "domain limit"},
+	{name: "truncated final line", body: testHeader + "\n[0,1,2]\n[1,0", want: "line 3"},
+	{name: "out-of-range value mid-stream", body: testHeader + "\n[0,1,2]\n[0,1,9]\n[1,0,0]\n", want: "out of range"},
+	{name: "negative value", body: testHeader + "\n[-1,0,0]\n", want: "out of range"},
+	{name: "wrong arity", body: testHeader + "\n[0,1]\n", want: "2 values"},
+	{name: "fractional value", body: testHeader + "\n[0.5,1,2]\n", want: "value 0"},
+	{name: "not an array", body: testHeader + "\n{\"color\":0}\n", want: "JSON array"},
+	{name: "trailing garbage", body: testHeader + "\n[0,1,2] [0,1,2]\n", want: "trailing"},
+	{
+		name: "oversized line",
+		body: testHeader + "\n[0, 1,                                                              2]\n",
+		opts: IngestOptions{MaxLineBytes: 16},
+		want: "line limit",
+	},
+}
+
 // TestIngestEdgeCases: every malformed stream is rejected with
 // ErrInvalidDataset and registers nothing — a partial dataset can never be
 // released from.
 func TestIngestEdgeCases(t *testing.T) {
-	cases := []struct {
-		name string
-		body string
-		opts IngestOptions
-		want string // substring of the error
-	}{
-		{name: "empty body", body: "", want: "empty body"},
-		{name: "blank lines only", body: "\n\n  \n", want: "empty body"},
-		{name: "missing header", body: "[0,1,2]\n", want: "schema header"},
-		{name: "header names no attributes", body: `{"schema":[]}` + "\n", want: "no attributes"},
-		{name: "bad header cardinality", body: `{"schema":[{"name":"a","cardinality":0}]}` + "\n", want: "cardinality"},
-		{name: "truncated final line", body: testHeader + "\n[0,1,2]\n[1,0", want: "line 3"},
-		{name: "out-of-range value mid-stream", body: testHeader + "\n[0,1,2]\n[0,1,9]\n[1,0,0]\n", want: "out of range"},
-		{name: "negative value", body: testHeader + "\n[-1,0,0]\n", want: "out of range"},
-		{name: "wrong arity", body: testHeader + "\n[0,1]\n", want: "2 values"},
-		{name: "fractional value", body: testHeader + "\n[0.5,1,2]\n", want: "value 0"},
-		{name: "not an array", body: testHeader + "\n{\"color\":0}\n", want: "JSON array"},
-		{name: "trailing garbage", body: testHeader + "\n[0,1,2] [0,1,2]\n", want: "trailing"},
-		{
-			name: "oversized line",
-			body: testHeader + "\n[0, 1,                                                              2]\n",
-			opts: IngestOptions{MaxLineBytes: 16},
-			want: "line limit",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range ingestEdgeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := memStore(t)
 			_, err := s.IngestNDJSON(context.Background(), "d", strings.NewReader(tc.body), tc.opts)

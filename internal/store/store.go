@@ -128,17 +128,6 @@ func (h *Handle) Rows() int64 { return h.d.rows }
 // release-result cache) is in-memory too.
 func (h *Handle) Version() int64 { return h.d.version }
 
-// Fingerprint returns a content hash of the dataset — schema layout plus
-// every cell of the aggregated counts, in cell order. Unlike Version it is
-// a pure function of the data, so two processes that ingested the same
-// stream (or loaded the same snapshot) report the same fingerprint. The
-// distributed release fabric uses it as the dataset handshake: a worker
-// executes a shard task only when its resident copy's fingerprint matches
-// the coordinator's, because equal fingerprints (same schema, same counts,
-// bit for bit) are exactly the precondition for the shard's answers being
-// bit-identical to the coordinator computing them locally.
-func (h *Handle) Fingerprint() uint64 { return h.d.fprint }
-
 // Created returns the ingestion time.
 func (h *Handle) Created() time.Time { return h.d.created }
 
@@ -161,8 +150,11 @@ type Info struct {
 	// Version is the install version of the resident dataset (see
 	// Handle.Version).
 	Version int64 `json:"version"`
-	// Fingerprint is the content hash (see Handle.Fingerprint), hex-encoded
-	// so JSON round-trips don't lose uint64 precision.
+	// Fingerprint is a content hash of the dataset — schema layout plus
+	// every cell of the aggregated counts, in cell order — hex-encoded so
+	// JSON round-trips don't lose uint64 precision. Unlike Version it is a
+	// pure function of the data, so two processes that ingested the same
+	// stream (or loaded the same snapshot) report the same fingerprint.
 	Fingerprint string `json:"fingerprint"`
 	// ActiveHandles counts in-flight references (releases reading the
 	// dataset right now).

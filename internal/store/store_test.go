@@ -321,8 +321,7 @@ func TestVersionAndChangeHook(t *testing.T) {
 // TestFingerprintHandshake: the fingerprint is a pure function of the data —
 // equal across processes that ingested the same stream and across snapshot
 // reload (where the process-local Version is reassigned) — and changes
-// whenever the counts do. This is the property the distributed release
-// fabric's stale-task handshake rests on.
+// whenever the counts do.
 func TestFingerprintHandshake(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -335,52 +334,48 @@ func TestFingerprintHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := ndjsonBody(testRows(64))
-	if _, err := s1.IngestNDJSON(ctx, "d", strings.NewReader(body), IngestOptions{}); err != nil {
+	i1, err := s1.IngestNDJSON(ctx, "d", strings.NewReader(body), IngestOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.IngestNDJSON(ctx, "d", strings.NewReader(body), IngestOptions{}); err != nil {
+	i2, err := s2.IngestNDJSON(ctx, "d", strings.NewReader(body), IngestOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	h1, _ := s1.Get("d")
-	h2, _ := s2.Get("d")
-	if h1.Fingerprint() == 0 {
+	if i1.Fingerprint == "" || i1.Fingerprint == fmt.Sprintf("%016x", 0) {
 		t.Fatal("fingerprint not computed")
 	}
-	if h1.Fingerprint() != h2.Fingerprint() {
-		t.Fatalf("same stream, different fingerprints: %x vs %x", h1.Fingerprint(), h2.Fingerprint())
+	if i1.Fingerprint != i2.Fingerprint {
+		t.Fatalf("same stream, different fingerprints: %s vs %s", i1.Fingerprint, i2.Fingerprint)
 	}
-	h1.Close()
-	h2.Close()
 
 	// Snapshot reload preserves it even though Version restarts.
 	s3, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3, err := s3.Get("d")
+	i3, err := s3.Describe("d")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h3.Fingerprint() != h1.Fingerprint() {
-		t.Fatalf("snapshot reload changed fingerprint: %x vs %x", h3.Fingerprint(), h1.Fingerprint())
+	if i3.Fingerprint != i1.Fingerprint {
+		t.Fatalf("snapshot reload changed fingerprint: %s vs %s", i3.Fingerprint, i1.Fingerprint)
 	}
-	h3.Close()
 
 	// Appending rows changes the counts, so the fingerprint must move.
-	if _, err := s2.AppendNDJSON(ctx, "d", strings.NewReader(ndjsonBody(testRows(3))), IngestOptions{}); err != nil {
+	i4, err := s2.AppendNDJSON(ctx, "d", strings.NewReader(ndjsonBody(testRows(3))), IngestOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	h4, _ := s2.Get("d")
-	defer h4.Close()
-	if h4.Fingerprint() == h1.Fingerprint() {
+	if i4.Fingerprint == i1.Fingerprint {
 		t.Fatal("append left the fingerprint unchanged")
 	}
-	// And Info reports it hex-encoded.
+	// Describe reports the same hash the append returned.
 	info, err := s2.Describe("d")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf("%016x", h4.Fingerprint()); info.Fingerprint != want {
-		t.Fatalf("Info.Fingerprint = %q, want %q", info.Fingerprint, want)
+	if info.Fingerprint != i4.Fingerprint {
+		t.Fatalf("Describe fingerprint = %q, want %q", info.Fingerprint, i4.Fingerprint)
 	}
 }

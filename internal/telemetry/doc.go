@@ -4,7 +4,7 @@
 // context-carried span tree tracing one release through the engine
 // pipeline, request-ID plumbing, and log/slog construction helpers.
 // It imports nothing outside the standard library, so every layer —
-// engine, fabric, server, the CLIs — can instrument itself without a
+// engine, server, the CLIs — can instrument itself without a
 // dependency cycle or a third-party module.
 //
 // # Histogram bucketing
@@ -27,12 +27,11 @@
 // request context, the engine opens one span per pipeline stage
 // (StartStage also records the duration into the registry's
 // per-stage histogram), and sub-spans — per measured block, per
-// recovered marginal, per fabric task — are created only when the
-// trace was built with detail on (the "debug_timing" request flag).
-// Every method is nil-receiver safe and a nil trace costs zero
-// allocations: library callers and fabric workers that never install
-// a trace pay nothing, a contract pinned by alloc tests in
-// internal/engine.
+// recovered marginal — are created only when the trace was built with
+// detail on (the "debug_timing" request flag). Every method is
+// nil-receiver safe and a nil trace costs zero allocations: library
+// callers that never install a trace pay nothing, a contract pinned by
+// alloc tests in internal/engine.
 //
 // # Privacy stance
 //

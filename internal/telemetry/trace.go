@@ -25,17 +25,16 @@ func StageHistogram(reg *Registry, stage string) *Histogram {
 
 // Trace is one request's span tree. The server builds one per
 // release-shaped request and installs it in the context; the engine
-// and fabric open spans against it. A nil *Trace is fully inert:
-// every method on it and on the nil spans it hands out is a no-op
-// that allocates nothing, so un-instrumented callers pay nothing.
+// opens spans against it. A nil *Trace is fully inert: every method on
+// it and on the nil spans it hands out is a no-op that allocates
+// nothing, so un-instrumented callers pay nothing.
 //
 // Spans form a tree under Root. Stage spans (StartStage) are always
 // recorded when a trace is present and additionally observe their
 // duration into the registry's stage histogram; detail spans
-// (StartDetail) — per block, per marginal, per fabric task — are
-// recorded only when the trace was built with detail on, so the
-// span count stays O(stages) unless the caller asked for the full
-// breakdown with "debug_timing".
+// (StartDetail) — per block, per marginal — are recorded only when the
+// trace was built with detail on, so the span count stays O(stages)
+// unless the caller asked for the full breakdown with "debug_timing".
 type Trace struct {
 	reg    *Registry
 	detail bool

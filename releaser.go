@@ -10,25 +10,9 @@ import (
 	"repro/internal/accountant"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/fabric"
 	"repro/internal/noise"
 	"repro/internal/vector"
 )
-
-// Fabric is the distributed release fabric's coordinator (see
-// internal/fabric): attach one to a Releaser with WithFabric and
-// dataset-backed releases fan their Measure and Recover stages out over a
-// worker fleet — bit-identical to the local path at any fleet size.
-type Fabric = fabric.Coordinator
-
-// FabricConfig wires a Fabric to its worker fleet.
-type FabricConfig = fabric.Config
-
-// NewFabric builds a release-fabric coordinator. An empty worker list is
-// valid (every stage runs locally); one Fabric is typically shared by all
-// Releasers of a serving process so worker health and task metrics
-// aggregate in one place.
-func NewFabric(cfg FabricConfig) *Fabric { return fabric.New(cfg) }
 
 // BlockedVector is a contingency vector stored as contiguous cell-range
 // shards (see internal/vector): the form dataset aggregates take, and the
@@ -75,7 +59,6 @@ type Releaser struct {
 	capSet          bool
 	perKeyCaps      map[string]BudgetKeyCaps
 	noPreplan       bool
-	fabric          *Fabric
 
 	seq atomic.Uint64 // ledger label counter
 }
@@ -223,23 +206,6 @@ func WithModifyNeighbors() ReleaserOption {
 func WithQueryWeights(weights []float64) ReleaserOption {
 	return func(r *Releaser) error {
 		r.queryWeights = append([]float64(nil), weights...)
-		return nil
-	}
-}
-
-// WithFabric attaches a distributed release fabric: ReleaseDataset calls
-// then split their Measure and Recover stages across the coordinator's
-// worker fleet, merging shard answers into a release bit-identical to the
-// single-process path — at any fleet size, including zero healthy workers
-// (pure local fallback). Only dataset-backed releases distribute: fabric
-// tasks reference datasets by id and content fingerprint rather than
-// shipping cells, so Release and ReleaseBlocked stay local.
-func WithFabric(f *Fabric) ReleaserOption {
-	return func(r *Releaser) error {
-		if f == nil {
-			return fmt.Errorf("%w: nil fabric coordinator", ErrInvalidOption)
-		}
-		r.fabric = f
 		return nil
 	}
 }
@@ -402,13 +368,6 @@ func (r *Releaser) Release(ctx context.Context, t *Table, spec ReleaseSpec) (*Re
 // Bit-identical to Release over the same cells at the same spec, whatever
 // the blocking.
 func (r *Releaser) ReleaseBlocked(ctx context.Context, x *BlockedVector, spec ReleaseSpec) (*Result, error) {
-	return r.releaseBlocked(ctx, x, spec, engine.Stages{})
-}
-
-// releaseBlocked is the shared release path; stages optionally overrides
-// pipeline stages (the fabric's distributing Measure/Recover), zero-value
-// fields falling back to the engine defaults.
-func (r *Releaser) releaseBlocked(ctx context.Context, x *BlockedVector, spec ReleaseSpec, stages engine.Stages) (*Result, error) {
 	if err := validatePrivacy(spec.Epsilon, spec.Delta); err != nil {
 		return nil, err
 	}
@@ -439,9 +398,8 @@ func (r *Releaser) releaseBlocked(ctx context.Context, x *BlockedVector, spec Re
 	if spec.Shards > 0 {
 		shards = spec.Shards
 	}
-	rel, err := engine.NewWithStages(
+	rel, err := engine.New(
 		engine.Options{Workers: workers, Shards: shards, Cache: r.cache},
-		stages,
 	).RunVector(ctx, r.w, x, engine.Config{
 		Strategy:     r.strategy.impl(),
 		Budgeting:    budgeting,
@@ -466,26 +424,17 @@ func (r *Releaser) ReleaseDataset(ctx context.Context, h *DatasetHandle, spec Re
 	if h == nil {
 		return nil, fmt.Errorf("%w: nil dataset handle", ErrInvalidOption)
 	}
-	if h.Schema().Dim() != r.w.D {
-		return nil, fmt.Errorf("%w: workload dimension %d, dataset %q dimension %d",
-			ErrDimensionMismatch, r.w.D, h.ID(), h.Schema().Dim())
-	}
 	// Two schemas can share a bit-width with different attribute layouts
 	// (one 16-ary column vs two 4-ary ones); releasing across that boundary
 	// would silently mislabel every marginal, so require attribute-level
-	// equality whenever the Releaser knows its schema.
+	// equality whenever the Releaser knows its schema. Without one, the
+	// vector-length check in ReleaseBlocked still refuses a dimension
+	// mismatch.
 	if r.schema != nil && !r.schema.Equal(h.Schema()) {
 		return nil, fmt.Errorf("%w: dataset %q schema does not match the Releaser's schema",
 			ErrDimensionMismatch, h.ID())
 	}
-	var stages engine.Stages
-	if r.fabric != nil {
-		// Fresh stages per release: they carry single-release state. The
-		// dataset handshake ships the handle's content fingerprint — every
-		// worker's resident copy must hold these exact bits.
-		stages = r.fabric.Stages(r.w, fabric.DatasetRef{ID: h.ID(), Fingerprint: h.Fingerprint()})
-	}
-	return r.releaseBlocked(ctx, h.Vector(), spec, stages)
+	return r.ReleaseBlocked(ctx, h.Vector(), spec)
 }
 
 // Synthetic converts a consistent release from this Releaser into row-level
