@@ -168,6 +168,14 @@
 // endpoint runs one serving flow whose one caching call coalesces a cold
 // herd of identical requests into one execution and one ledger charge.
 //
+// A request the result cache misses — a fresh seed or ε over the same
+// dataset — still skips the data scan: each cached plan keeps the exact
+// strategy answers S·x of its last release over a dataset snapshot, keyed
+// by the snapshot's identity, so the engine copies them and only draws
+// noise (and charges the ledger as usual). Caller-owned vectors (Release,
+// ReleaseBlocked, inline rows) are never memoised; see internal/engine's
+// "Cache semantics" for the key, invalidation and byte bound.
+//
 // Under the cache, the engine's inner loops are audited to near-zero
 // allocation: the WHT butterfly kernel is cache-blocked and radix-4
 // unrolled (bit-identical to the textbook dataflow, ~2× at 2^20 cells),

@@ -3,6 +3,7 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/accountant"
 )
@@ -105,12 +106,14 @@ func NewBudgetRegistry(epsilonCap, deltaCap float64, comp Composition, perKey ma
 	return r, nil
 }
 
-// validatePrivacy applies the shared (ε, δ) admission checks.
+// validatePrivacy applies the shared (ε, δ) admission checks. The
+// comparisons are written so that NaN fails them, and ε = +Inf (zero
+// noise) is refused.
 func validatePrivacy(epsilon, delta float64) error {
-	if epsilon <= 0 {
+	if !(epsilon > 0) || math.IsInf(epsilon, 1) {
 		return fmt.Errorf("%w: got %v", ErrInvalidEpsilon, epsilon)
 	}
-	if delta < 0 || delta >= 1 {
+	if !(delta >= 0 && delta < 1) {
 		return fmt.Errorf("%w: got %v", ErrInvalidDelta, delta)
 	}
 	return nil

@@ -26,6 +26,7 @@ package accountant
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -73,10 +74,11 @@ func New(epsilonCap, deltaCap float64) (*Accountant, error) {
 // target δ exceeds the δ cap is refused: its composed δ would bounce every
 // single charge off the cap.
 func NewComposed(epsilonCap, deltaCap float64, comp Composition) (*Accountant, error) {
-	if epsilonCap <= 0 {
+	// NaN fails these comparisons: a NaN cap would admit every charge.
+	if !(epsilonCap > 0) {
 		return nil, fmt.Errorf("accountant: epsilon cap must be positive, got %v", epsilonCap)
 	}
-	if deltaCap < 0 || deltaCap >= 1 {
+	if !(deltaCap >= 0 && deltaCap < 1) {
 		return nil, fmt.Errorf("accountant: delta cap must be in [0,1), got %v", deltaCap)
 	}
 	if comp == nil {
@@ -148,15 +150,19 @@ func (a *Accountant) Charge(c Charge) error {
 	return nil
 }
 
+// validateCharge admits only finite parameters. The comparisons are written
+// so that NaN fails them: a NaN ε would make Spent NaN, and every later cap
+// comparison against NaN is false — the ledger would admit anything. A +Inf
+// ε or σ describes a noiseless (or free) mechanism and is refused too.
 func validateCharge(c Charge) error {
-	if c.Epsilon <= 0 {
-		return fmt.Errorf("accountant: charge epsilon must be positive, got %v", c.Epsilon)
+	if !(c.Epsilon > 0) || math.IsInf(c.Epsilon, 1) {
+		return fmt.Errorf("accountant: charge epsilon must be positive and finite, got %v", c.Epsilon)
 	}
-	if c.Delta < 0 || c.Delta >= 1 {
+	if !(c.Delta >= 0 && c.Delta < 1) {
 		return fmt.Errorf("accountant: charge delta must be in [0,1), got %v", c.Delta)
 	}
-	if c.Sigma < 0 || c.Sensitivity < 0 {
-		return fmt.Errorf("accountant: charge sigma/sensitivity must be non-negative, got (%v, %v)", c.Sigma, c.Sensitivity)
+	if !(c.Sigma >= 0) || !(c.Sensitivity >= 0) || math.IsInf(c.Sigma, 1) || math.IsInf(c.Sensitivity, 1) {
+		return fmt.Errorf("accountant: charge sigma/sensitivity must be non-negative and finite, got (%v, %v)", c.Sigma, c.Sensitivity)
 	}
 	return nil
 }

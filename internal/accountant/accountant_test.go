@@ -164,3 +164,61 @@ func TestConcurrentCharges(t *testing.T) {
 		t.Fatalf("cap breached under concurrency: %v", eps)
 	}
 }
+
+// TestNonFiniteChargeRefused: NaN and ±Inf privacy parameters are refused
+// at admission and on restore. A NaN ε that slipped in would make Spent NaN
+// and every later cap comparison false, so a cap-1 ledger would go on to
+// admit an ε=100 charge.
+func TestNonFiniteChargeRefused(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []Charge{
+		{Label: "eps-nan", Epsilon: nan},
+		{Label: "eps-inf", Epsilon: inf},
+		{Label: "eps-neginf", Epsilon: -inf},
+		{Label: "delta-nan", Epsilon: 0.1, Delta: nan},
+		{Label: "delta-inf", Epsilon: 0.1, Delta: inf},
+		{Label: "sigma-nan", Epsilon: 0.1, Delta: 1e-9, Sigma: nan},
+		{Label: "sigma-inf", Epsilon: 0.1, Delta: 1e-9, Sigma: inf},
+		{Label: "sens-nan", Epsilon: 0.1, Delta: 1e-9, Sigma: 2, Sensitivity: nan},
+		{Label: "sens-inf", Epsilon: 0.1, Delta: 1e-9, Sigma: 2, Sensitivity: inf},
+	}
+	zcdp, err := NewZCDP(1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, comp := range []Composition{Basic{}, zcdp} {
+		for _, c := range bad {
+			a, err := NewComposed(1, 1e-3, comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Charge(c); err == nil {
+				t.Errorf("%s/%s: charge admitted", comp.Name(), c.Label)
+			}
+			if err := a.Charge(Charge{Label: "big", Epsilon: 100}); !errors.Is(err, ErrBudgetExceeded) {
+				t.Errorf("%s/%s: ε=100 on a cap-1 ledger returned %v", comp.Name(), c.Label, err)
+			}
+			if eps, del := a.Spent(); eps != 0 || del != 0 {
+				t.Errorf("%s/%s: spent (%v, %v), want nothing", comp.Name(), c.Label, eps, del)
+			}
+			if err := a.restore([]Charge{{Label: "ok", Epsilon: 0.1}, c}); err == nil {
+				t.Errorf("%s/%s: ledger holding the charge restored", comp.Name(), c.Label)
+			}
+			if n := len(a.History()); n != 0 {
+				t.Errorf("%s/%s: refused restore left %d charges", comp.Name(), c.Label, n)
+			}
+		}
+	}
+	r, err := NewRegistry(1, 0, Basic{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Restore([]Charge{{Label: "nan", Epsilon: nan}}, nil); err == nil {
+		t.Error("registry restored a NaN global charge")
+	}
+	for _, caps := range [][2]float64{{nan, 0}, {1, nan}} {
+		if _, err := New(caps[0], caps[1]); err == nil {
+			t.Errorf("cap (%v, %v) accepted", caps[0], caps[1])
+		}
+	}
+}

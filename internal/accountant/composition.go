@@ -91,7 +91,7 @@ type ZCDP struct {
 
 // NewZCDP validates the target δ and returns the composition.
 func NewZCDP(targetDelta float64) (ZCDP, error) {
-	if targetDelta <= 0 || targetDelta >= 1 {
+	if !(targetDelta > 0 && targetDelta < 1) {
 		return ZCDP{}, fmt.Errorf("accountant: zCDP target delta must be in (0,1), got %v", targetDelta)
 	}
 	return ZCDP{TargetDelta: targetDelta}, nil

@@ -6,9 +6,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"weak"
 
 	"repro/internal/marginal"
 	"repro/internal/strategy"
+	"repro/internal/vector"
 )
 
 // PlanCache memoises Step-1 strategy plans across releases. The key covers
@@ -23,6 +25,14 @@ import (
 // schema (fresh seed or fresh data each time) skip planning entirely —
 // decisive for the cluster strategy, whose greedy search costs orders of
 // magnitude more than measurement (Figure 6).
+//
+// Each entry also holds one answer memo: the exact strategy answers S·x of
+// its plan over the last frozen input vector it measured (vector.Freeze),
+// keyed by a weak pointer to that vector. S·x depends on neither ε nor the
+// seed, so a release over an unchanged dataset snapshot copies the memo
+// and only draws noise. The weak key never pins a superseded snapshot, and
+// a new snapshot is a new vector, so an append or replace simply misses.
+// The memos of one cache hold at most MaxAnswerMemoBytes together.
 type PlanCache struct {
 	mu      sync.Mutex
 	max     int
@@ -30,12 +40,32 @@ type PlanCache struct {
 	order   *list.List // front = most recently used
 	hits    uint64
 	misses  uint64
+
+	memoMax      int // MaxAnswerMemoBytes; lowered only by tests
+	memoBytes    int // Σ 8·len(answers) over resident memos
+	answerHits   uint64
+	answerMisses uint64
 }
 
 type cacheEntry struct {
 	key  string
 	plan *strategy.Plan
+	memo *answerMemo // nil until a frozen input is measured with plan
+	gone bool        // evicted or replaced: memoize drops its answers
 }
+
+// answerMemo is one plan's exact answers S·x over one frozen input. Both
+// fields are immutable once published.
+type answerMemo struct {
+	x       weak.Pointer[vector.Blocked]
+	answers []float64
+}
+
+// MaxAnswerMemoBytes bounds the exact-answer memos of one PlanCache
+// together: 64 MiB of float64. A memo that would pass it evicts the memos
+// of the least recently used plans; a single plan whose answers alone pass
+// it is never memoised.
+const MaxAnswerMemoBytes = 64 << 20
 
 // DefaultPlanCacheSize bounds a cache built with NewPlanCache(0).
 const DefaultPlanCacheSize = 128
@@ -50,6 +80,7 @@ func NewPlanCache(maxEntries int) *PlanCache {
 		max:     maxEntries,
 		entries: make(map[string]*list.Element),
 		order:   list.New(),
+		memoMax: MaxAnswerMemoBytes,
 	}
 }
 
@@ -57,16 +88,20 @@ func NewPlanCache(maxEntries int) *PlanCache {
 type CacheStats struct {
 	Hits, Misses uint64
 	Entries      int
+	// AnswerHits and AnswerMisses count answer-memo lookups: releases over
+	// a frozen input whose plan is memoisable (see PlanCache).
+	AnswerHits, AnswerMisses uint64
 }
 
 // Stats returns the cache counters.
 func (c *PlanCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.entries)}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.entries),
+		AnswerHits: c.answerHits, AnswerMisses: c.answerMisses}
 }
 
-func (c *PlanCache) get(key string) (*strategy.Plan, bool) {
+func (c *PlanCache) get(key string) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -76,23 +111,76 @@ func (c *PlanCache) get(key string) (*strategy.Plan, bool) {
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).plan, true
+	return el.Value.(*cacheEntry), true
 }
 
-func (c *PlanCache) put(key string, plan *strategy.Plan) {
+func (c *PlanCache) put(key string, plan *strategy.Plan) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e := &cacheEntry{key: key, plan: plan}
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).plan = plan
+		// A fresh entry, not a new plan in the old one: a release still
+		// holding the old entry must not memoise its plan's answers here.
+		c.retireLocked(el.Value.(*cacheEntry))
+		el.Value = e
 		c.order.MoveToFront(el)
+		return e
+	}
+	c.entries[key] = c.order.PushFront(e)
+	for len(c.entries) > c.max {
+		oldest := c.order.Remove(c.order.Back()).(*cacheEntry)
+		c.retireLocked(oldest)
+		delete(c.entries, oldest.key)
+	}
+	return e
+}
+
+// retireLocked detaches an entry leaving the cache, freeing its memo.
+func (c *PlanCache) retireLocked(e *cacheEntry) {
+	c.dropMemoLocked(e)
+	e.gone = true
+}
+
+func (c *PlanCache) dropMemoLocked(e *cacheEntry) {
+	if e.memo != nil {
+		c.memoBytes -= 8 * len(e.memo.answers)
+		e.memo = nil
+	}
+}
+
+// answers returns e's memoised S·x when it was taken over x, or nil. The
+// slice is shared: callers copy it before writing.
+func (c *PlanCache) answers(e *cacheEntry, x *vector.Blocked) []float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m := e.memo; m != nil && m.x.Value() == x {
+		c.answerHits++
+		return m.answers
+	}
+	c.answerMisses++
+	return nil
+}
+
+// memoize installs a copy of answers as e's memo over x, evicting least
+// recently used memos to stay within MaxAnswerMemoBytes. An entry already
+// evicted or replaced keeps nothing.
+func (c *PlanCache) memoize(e *cacheEntry, x *vector.Blocked, answers []float64) {
+	size := 8 * len(answers)
+	if size > c.memoMax {
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, plan: plan})
-	for len(c.entries) > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+	answers = append([]float64(nil), answers...)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.gone {
+		return
 	}
+	c.dropMemoLocked(e)
+	for el := c.order.Back(); el != nil && c.memoBytes+size > c.memoMax; el = el.Prev() {
+		c.dropMemoLocked(el.Value.(*cacheEntry))
+	}
+	e.memo = &answerMemo{x: weak.Make(x), answers: answers}
+	c.memoBytes += size
 }
 
 // Records returns the serializable residue of every cached plan that

@@ -96,4 +96,30 @@
 // same cube) skip planning entirely.
 // The cache is a bounded LRU and safe for concurrent use; hits return the
 // identical plan the first run used, so caching never changes output.
+//
+// Each cache entry also holds an answer memo: the exact strategy answers
+// S·x its plan computed over one input vector.
+//
+//   - Key. The memo is keyed on (plan, frozen-input identity): the entry
+//     fixes the plan, and a weak pointer fixes the input vector. Only
+//     vectors frozen by their owner (vector.Freeze — the dataset store
+//     freezes every snapshot it installs) are memoised; caller-owned
+//     vectors always recompute. Privacy parameters and the seed stay out
+//     of the key, as for plans: S·x never sees them, so a release over an
+//     unchanged snapshot copies the memo into a fresh answer vector and
+//     then perturbs, recovers and projects exactly as a recomputed one —
+//     bit-identical output, fresh noise, the same charge. Plans with at
+//     least as many rows as x has cells (identity) and the sharded
+//     AnswerBlock path are not memoised.
+//   - Invalidation by identity. Appending to or replacing a dataset
+//     installs a new vector, whose releases simply miss. The weak key never
+//     keeps a superseded snapshot alive, and each entry holds one memo, so
+//     a stale one lasts only until its plan's next release or eviction.
+//   - Fixed bound. The memos of one cache hold at most MaxAnswerMemoBytes;
+//     storing past it evicts the memos of the least recently used plans.
+//
+// Timing exposure: a memo hit makes the measure stage faster, which
+// reveals only that the same plan already ran over the same snapshot —
+// query history, never data values. The server's result cache hit has the
+// same exposure. Records and Install carry plans only, never memos.
 package engine

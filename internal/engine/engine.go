@@ -221,7 +221,7 @@ func (e *Engine) RunVector(ctx context.Context, w *marginal.Workload, x *vector.
 	if sp != nil {
 		pctx = telemetry.ContextWithSpan(ctx, sp)
 	}
-	plan, err := Planner{Cache: e.opts.Cache, Workers: e.opts.Workers}.Plan(pctx, w, cfg)
+	plan, entry, err := Planner{Cache: e.opts.Cache, Workers: e.opts.Workers}.plan(pctx, w, cfg)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -245,7 +245,7 @@ func (e *Engine) RunVector(ctx context.Context, w *marginal.Workload, x *vector.
 		sp.AnnotateInt("workers", int64(workers))
 		mctx = telemetry.ContextWithSpan(ctx, sp)
 	}
-	z, err := Measurer{}.Measure(mctx, plan, x, alloc.Eta, cfg, workers, shards)
+	z, err := Measurer{cache: e.opts.Cache, entry: entry}.Measure(mctx, plan, x, alloc.Eta, cfg, workers, shards)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -314,28 +314,35 @@ type Planner struct {
 // free, so it happens even under a cancelled context; only a cache miss —
 // the expensive Step-1 search — is gated on ctx.
 func (p Planner) Plan(ctx context.Context, w *marginal.Workload, cfg Config) (*strategy.Plan, error) {
+	plan, _, err := p.plan(ctx, w, cfg)
+	return plan, err
+}
+
+// plan is Plan that also returns the plan's cache entry (nil without a
+// cache), which carries the entry's answer memo to the measure stage.
+func (p Planner) plan(ctx context.Context, w *marginal.Workload, cfg Config) (*strategy.Plan, *cacheEntry, error) {
 	sp := telemetry.SpanFrom(ctx)
 	if p.Cache != nil {
 		key := planKey(w, cfg)
-		if plan, ok := p.Cache.get(key); ok {
+		if e, ok := p.Cache.get(key); ok {
 			sp.Annotate("plan_cache", "hit")
-			return plan, nil
+			return e.plan, e, nil
 		}
 		sp.Annotate("plan_cache", "miss")
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		plan, err := p.planOnce(ctx, w, cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		p.Cache.put(key, plan)
-		return plan, nil
+		return plan, p.Cache.put(key, plan), nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return p.planOnce(ctx, w, cfg)
+	plan, err := p.planOnce(ctx, w, cfg)
+	return plan, nil, err
 }
 
 // planOnce runs the Step-1 search itself, under a detail span so a cold
@@ -436,26 +443,41 @@ func verifyPrivacy(specs []budget.Spec, eta []float64, p noise.Params) error {
 // blocked vector in the fixed noiseBlock partition — the shard count never
 // touches a substream boundary, so the release is bit-identical at every
 // (workers, shards) setting.
-type Measurer struct{}
+//
+// On the TrueAnswers path the exact answers S·x of a frozen input come from
+// the plan's answer memo when it holds them (see PlanCache): the copy is
+// bit-identical to recomputing, and the noise pass is unchanged, so a memo
+// hit changes nothing but the time Measure takes.
+type Measurer struct {
+	cache *PlanCache
+	entry *cacheEntry // plan's cache entry; nil without a cache
+}
 
 // Measure computes the noisy strategy answers as a blocked vector.
-func (Measurer) Measure(ctx context.Context, plan *strategy.Plan, x *vector.Blocked, eta []float64, cfg Config, workers, shards int) (*vector.Blocked, error) {
+func (m Measurer) Measure(ctx context.Context, plan *strategy.Plan, x *vector.Blocked, eta []float64, cfg Config, workers, shards int) (*vector.Blocked, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	var z *vector.Blocked
+	source := "computed"
 	if shards > 1 && plan.AnswerBlock != nil {
 		z = vector.New(plan.Rows(), shards)
 		if err := answerBlocks(ctx, plan, x, z, workers); err != nil {
 			return nil, err
 		}
 	} else {
-		z = vector.FromDense(plan.TrueAnswers(x, workers))
+		a, hit := m.trueAnswers(plan, x, workers)
+		if hit {
+			source = "memo"
+		}
+		z = vector.FromDense(a)
 	}
-	offsets := plan.GroupOffsets()
+	telemetry.SpanFrom(ctx).Annotate("answers", source)
 	groups := make([]NoiseGroup, len(plan.Specs))
+	start := 0
 	for g, spec := range plan.Specs {
-		groups[g] = NoiseGroup{Start: offsets[g], Count: spec.Count, Eta: eta[g]}
+		groups[g] = NoiseGroup{Start: start, Count: spec.Count, Eta: eta[g]}
+		start += spec.Count
 	}
 	psp := telemetry.SpanFrom(ctx).StartDetail("perturb")
 	psp.AnnotateInt("groups", int64(len(groups)))
@@ -465,6 +487,22 @@ func (Measurer) Measure(ctx context.Context, plan *strategy.Plan, x *vector.Bloc
 		return nil, err
 	}
 	return z, nil
+}
+
+// trueAnswers returns a fresh, writable S·x and whether it was copied from
+// the answer memo. The memo serves only frozen inputs and plans with fewer
+// rows than x has cells (an identity plan's answers are a copy of x:
+// nothing to save).
+func (m Measurer) trueAnswers(plan *strategy.Plan, x *vector.Blocked, workers int) ([]float64, bool) {
+	if m.entry == nil || !vector.Frozen(x) || plan.Rows() >= x.Len() {
+		return plan.TrueAnswers(x, workers), false
+	}
+	if memo := m.cache.answers(m.entry, x); memo != nil {
+		return append([]float64(nil), memo...), true
+	}
+	a := plan.TrueAnswers(x, workers)
+	m.cache.memoize(m.entry, x, a)
+	return a, false
 }
 
 // answerBlocks fills the blocked answer vector through plan.AnswerBlock,

@@ -176,3 +176,25 @@ func names(spans []telemetry.SpanJSON) []string {
 	}
 	return out
 }
+
+// TestMeasureSpanAnswersAnnotation: the measure span says whether the exact
+// answers came from the answer memo or were computed.
+func TestMeasureSpanAnswersAnnotation(t *testing.T) {
+	w, x := tracedDomain(t, 6)
+	vector.Freeze(x)
+	cache := NewPlanCache(0)
+	cfg := Config{
+		Strategy: strategy.Fourier{}, Budgeting: OptimalBudget,
+		Consistency: L2Consistency, Privacy: pureParams(0.9), Seed: 7,
+	}
+	for _, want := range []string{"computed", "memo"} {
+		tr := telemetry.NewTrace(telemetry.NewRegistry(), "test-release", false)
+		ctx := telemetry.ContextWithTrace(context.Background(), tr)
+		if _, err := New(Options{Workers: 2, Cache: cache}).RunVector(ctx, w, x, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Tree().Spans[2].Attrs["answers"]; got != want {
+			t.Errorf("measure answers=%q, want %q", got, want)
+		}
+	}
+}

@@ -205,10 +205,11 @@ type Params struct {
 
 // Validate reports whether the parameters make sense.
 func (p Params) Validate() error {
-	if p.Epsilon <= 0 {
-		return fmt.Errorf("noise: epsilon must be positive, got %v", p.Epsilon)
+	// Written so NaN fails; +Inf would calibrate zero noise.
+	if !(p.Epsilon > 0) || math.IsInf(p.Epsilon, 1) {
+		return fmt.Errorf("noise: epsilon must be positive and finite, got %v", p.Epsilon)
 	}
-	if p.Type == ApproxDP && (p.Delta <= 0 || p.Delta >= 1) {
+	if p.Type == ApproxDP && !(p.Delta > 0 && p.Delta < 1) {
 		return fmt.Errorf("noise: delta must be in (0,1), got %v", p.Delta)
 	}
 	return nil

@@ -134,6 +134,19 @@ func TestParamsValidate(t *testing.T) {
 	if err := (Params{Type: ApproxDP, Epsilon: 1, Delta: 1e-6}).Validate(); err != nil {
 		t.Errorf("valid approx DP rejected: %v", err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []Params{
+		{Type: PureDP, Epsilon: nan},
+		{Type: PureDP, Epsilon: inf},
+		{Type: ApproxDP, Epsilon: nan, Delta: 1e-6},
+		{Type: ApproxDP, Epsilon: inf, Delta: 1e-6},
+		{Type: ApproxDP, Epsilon: 1, Delta: nan},
+		{Type: ApproxDP, Epsilon: 1, Delta: inf},
+	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("non-finite %+v accepted", p)
+		}
+	}
 }
 
 func TestEffectiveEpsilon(t *testing.T) {

@@ -29,6 +29,28 @@
 // privacy-independent planning work is keyed on (schema, workload,
 // strategy) and amortised across requests through the shared PlanCache.
 //
+// # Exact-answer memo
+//
+// Each cached plan also keeps the exact strategy answers S·x of its last
+// release over a dataset snapshot (engine.PlanCache). Three points:
+//
+//   - The memo key is (plan, frozen-input identity). Dataset snapshots are
+//     frozen at install; inline rows and counts never are, so they always
+//     recompute. ε, δ and the seed stay out of the key: a release over an
+//     unchanged snapshot copies S·x and only draws fresh noise, charges
+//     the ledger as usual and is byte-identical to a recomputed one.
+//   - Invalidation is by identity. An append or replace installs a new
+//     snapshot vector, so the next release misses; the memo holds its
+//     input only weakly and never keeps a superseded snapshot alive.
+//   - The memos hold at most engine.MaxAnswerMemoBytes in total.
+//
+// The measure stage span carries answers=memo|computed, and /v1/metrics
+// reports plan_cache.answer_hits/answer_misses
+// (dpcubed_plan_cache_answer_{hits,misses}_total). Timing exposure: a
+// faster measure stage reveals only that the same plan already ran over
+// the same snapshot — query history, never data values — which is the
+// exposure the result cache's rescache=hit annotation already has.
+//
 // # Multi-tenant budget accounting
 //
 // With Config.APIKeys set, every request must present a known key in an
@@ -369,6 +391,8 @@ func (s *Server) registerCollectors() {
 	planHits := s.tele.Gauge("dpcubed_plan_cache_hits_total", "Plan cache hits.")
 	planMisses := s.tele.Gauge("dpcubed_plan_cache_misses_total", "Plan cache misses.")
 	planEntries := s.tele.Gauge("dpcubed_plan_cache_entries", "Plans resident in the cache.")
+	answerHits := s.tele.Gauge("dpcubed_plan_cache_answer_hits_total", "Releases whose exact strategy answers came from the answer memo.")
+	answerMisses := s.tele.Gauge("dpcubed_plan_cache_answer_misses_total", "Answer-memo lookups that recomputed the exact strategy answers.")
 	datasets := s.tele.Gauge("dpcubed_datasets_resident", "Datasets resident in the store.")
 	datasetCells := s.tele.Gauge("dpcubed_dataset_cells", "Total contingency cells across resident datasets.")
 	inflight := s.tele.Gauge("dpcubed_inflight_requests", "Routed requests currently in a handler.")
@@ -389,6 +413,8 @@ func (s *Server) registerCollectors() {
 		planHits.Set(float64(cs.Hits))
 		planMisses.Set(float64(cs.Misses))
 		planEntries.Set(float64(cs.Entries))
+		answerHits.Set(float64(cs.AnswerHits))
+		answerMisses.Set(float64(cs.AnswerMisses))
 		st := s.store.Stats()
 		datasets.Set(float64(st.Datasets))
 		datasetCells.Set(float64(st.TotalCells))
@@ -816,6 +842,14 @@ type cacheJSON struct {
 	Entries int    `json:"entries"`
 }
 
+// planCacheJSON adds the plan cache's answer-memo counters (see
+// engine.PlanCache) to the common cache fields.
+type planCacheJSON struct {
+	cacheJSON
+	AnswerHits   uint64 `json:"answer_hits"`
+	AnswerMisses uint64 `json:"answer_misses"`
+}
+
 type metricsBudgetJSON struct {
 	budgetJSON
 	EpsilonRemaining float64 `json:"epsilon_remaining"`
@@ -831,7 +865,7 @@ type metricsResponse struct {
 	Budget      metricsBudgetJSON            `json:"budget"`
 	Composition string                       `json:"composition"`
 	PerKey      map[string]metricsBudgetJSON `json:"per_key_budget,omitempty"`
-	PlanCache   cacheJSON                    `json:"plan_cache"`
+	PlanCache   planCacheJSON                `json:"plan_cache"`
 	ResultCache *cacheJSON                   `json:"result_cache,omitempty"`
 	// Coalesced counts requests answered by another identical request's
 	// in-flight execution (single-flight; see the package doc).
@@ -1133,7 +1167,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Budget:      metricsBudget(s.ledgers.Global()),
 		Composition: s.ledgers.Composition().Name(),
 		PerKey:      perKey,
-		PlanCache:   cacheJSON{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries},
+		PlanCache: planCacheJSON{
+			cacheJSON:  cacheJSON{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries},
+			AnswerHits: cs.AnswerHits, AnswerMisses: cs.AnswerMisses,
+		},
 		ResultCache: rc,
 		Coalesced:   s.coalesced.Value(),
 		Datasets:    s.store.Stats(),

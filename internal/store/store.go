@@ -103,7 +103,9 @@ func (h *Handle) Schema() *dataset.Schema { return h.d.schema }
 // sharded form. The storage is shared by every handle over this dataset and
 // by the engine reading it: treat it as read-only. (Copying 2^d floats per
 // release would defeat the upload-once design; the engine's measure/recover
-// stages never write to their input vector.)
+// stages never write to their input vector.) The vector is frozen
+// (vector.Freeze), so the engine may serve later releases over it from
+// memoised strategy answers: a write would go unseen by them.
 func (h *Handle) Vector() *vector.Blocked { return h.d.counts }
 
 // DenseCounts gathers a handle's contingency vector into one dense 2^d
@@ -215,6 +217,7 @@ func Open(cfg Config) (*Store, error) {
 		s.verSeq++
 		d.version = s.verSeq
 		d.fprint = fingerprintDataset(d.schema, d.counts)
+		vector.Freeze(d.counts)
 		s.datasets[d.id] = d
 	}
 	return s, nil
@@ -389,8 +392,11 @@ func (s *Store) registerIfCurrent(d *Dataset, expect *Dataset) (Info, bool, erro
 
 func (s *Store) registerWhen(d *Dataset, expect *Dataset, conditional bool) (Info, bool, error) {
 	// Content hash before taking the lock: it walks every cell, and nothing
-	// it reads can change (the Dataset is not yet published).
+	// it reads can change (the Dataset is not yet published). From here on
+	// the counts are immutable, which lets the engine memoise exact
+	// strategy answers over them (vector.Freeze).
 	d.fprint = fingerprintDataset(d.schema, d.counts)
+	vector.Freeze(d.counts)
 	var tmp string
 	if s.cfg.Dir != "" {
 		var err error

@@ -44,7 +44,21 @@ type Blocked struct {
 	n        int
 	blockLen int
 	blocks   [][]float64
+	frozen   bool // see Freeze
 }
+
+// Freeze marks b immutable: its owner promises that no cell of b changes
+// again. The engine memoises exact strategy answers only for frozen inputs
+// (engine.PlanCache), so writing to a frozen vector would let later
+// releases read answers of the old cells. The dataset store freezes every
+// snapshot it installs. Freeze and Frozen are package functions rather
+// than methods so that the module's public alias of Blocked does not carry
+// them: a caller-owned vector is never frozen.
+func Freeze(b *Blocked) { b.frozen = true }
+
+// Frozen reports whether Freeze was called on b. Copies (Clone, Sum,
+// CloneBlockLen) start unfrozen.
+func Frozen(b *Blocked) bool { return b.frozen }
 
 // New returns a zeroed vector of length n split into the given number of
 // blocks (uniform length ⌈n/blocks⌉; blocks is clamped to [1, n] so every

@@ -56,6 +56,48 @@ func TestReleaserPreplansCache(t *testing.T) {
 	}
 }
 
+// TestReleaseBlockedCallerVectorNotMemoised: a caller-owned vector mutated
+// in place between two ReleaseBlocked calls releases the new cells — the
+// plan cache's answer memo only serves frozen dataset snapshots.
+func TestReleaseBlockedCallerVectorNotMemoised(t *testing.T) {
+	tab := smallTable()
+	w := AllKWayMarginals(tab.Schema, 2)
+	ctx := context.Background()
+	x, err := tab.Vector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReleaser(tab.Schema, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xv := NewBlockedVector(x)
+	if _, err := r.ReleaseBlocked(ctx, xv, ReleaseSpec{Epsilon: 1, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range x {
+		x[i] += float64(i % 5)
+		xv.Add(i, float64(i%5))
+	}
+	got, err := r.ReleaseBlocked(ctx, xv, ReleaseSpec{Epsilon: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewReleaser(tab.Schema, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.ReleaseBlocked(ctx, NewBlockedVector(x), ReleaseSpec{Epsilon: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Answers {
+		if math.Float64bits(want.Answers[i]) != math.Float64bits(got.Answers[i]) {
+			t.Fatalf("answer %d = %v after mutating the vector, want %v", i, got.Answers[i], want.Answers[i])
+		}
+	}
+}
+
 // TestReleaserTypedErrors: construction and admission failures carry the
 // typed sentinels so callers (and the HTTP layer) can branch on errors.Is.
 func TestReleaserTypedErrors(t *testing.T) {
@@ -89,6 +131,14 @@ func TestReleaserTypedErrors(t *testing.T) {
 	}
 	if _, err := r.Release(ctx, tab, ReleaseSpec{Epsilon: 1, Delta: 1.5}); !errors.Is(err, ErrInvalidDelta) {
 		t.Fatalf("delta out of range: got %v", err)
+	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := r.Release(ctx, tab, ReleaseSpec{Epsilon: eps}); !errors.Is(err, ErrInvalidEpsilon) {
+			t.Fatalf("epsilon %v: got %v", eps, err)
+		}
+	}
+	if _, err := r.Release(ctx, tab, ReleaseSpec{Epsilon: 1, Delta: math.NaN()}); !errors.Is(err, ErrInvalidDelta) {
+		t.Fatalf("NaN delta: got %v", err)
 	}
 	if _, err := r.ReleaseBlocked(ctx, NewBlockedVector(make([]float64, 4)), ReleaseSpec{Epsilon: 1}); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("short vector: got %v", err)
