@@ -1,9 +1,8 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (see DESIGN.md, "Experiment index"). Each benchmark runs a reduced but
-// structurally faithful configuration so the whole suite finishes in
-// minutes; cmd/experiments reproduces the paper-scale versions (full 23-bit
-// Adult domain, full ε grid, all workloads) and EXPERIMENTS.md records a
-// complete run.
+// Benchmarks regenerating every table and figure of the paper's evaluation.
+// Each benchmark runs a reduced but structurally faithful configuration so
+// the whole suite finishes in minutes; cmd/experiments reproduces the
+// paper-scale versions (full 23-bit Adult domain, full ε grid, all
+// workloads) and EXPERIMENTS.md records a complete run.
 package repro_test
 
 import (
@@ -180,7 +179,7 @@ func BenchmarkIntroExample(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices called out in DESIGN.md) ---
+// --- Ablations (design choices measured against their alternatives) ---
 
 // BenchmarkAblationBudgeting compares the three budgeting paths on the
 // intro strategy: uniform, closed-form optimal, and the general KKT solver.
@@ -288,15 +287,20 @@ func BenchmarkAblationConsistency(b *testing.B) {
 }
 
 // BenchmarkAblationSinglePassEval quantifies the single-pass marginal
-// evaluation against per-marginal passes (the data-handling cost dominating
-// Figure 6's fast strategies).
+// evaluation against one pass per marginal (the data-handling cost
+// dominating Figure 6's fast strategies). With the lockstep kernel of
+// internal/marginal the two cost the same, which is why identity recovery
+// is the concatenation of its per-marginal recoveries rather than a fused
+// sweep.
 func BenchmarkAblationSinglePassEval(b *testing.B) {
 	tab := nltcs()
 	x := vectorOf(b, tab)
 	w := marginal.SchemaKWay(tab.Schema, 2)
 	b.Run("per-marginal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = w.Eval(x)
+			for _, m := range w.Marginals {
+				_ = m.Eval(x)
+			}
 		}
 	})
 	b.Run("single-pass", func(b *testing.B) {

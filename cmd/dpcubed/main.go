@@ -39,8 +39,11 @@
 // aggregated counts, never raw rows) and reloaded on restart, so the
 // daemon answers releases for previously ingested datasets without
 // re-upload; warm cluster plans and the ledgers' charge histories are
-// persisted on graceful shutdown (and every -plan-flush interval), so
-// neither planning work nor privacy spend is lost across restarts.
+// persisted on graceful shutdown and every -plan-flush interval. A graceful
+// restart keeps all privacy spend, but a crash (kill -9, OOM) loses every
+// charge since the last snapshot; with the default -plan-flush 0 there is
+// no periodic snapshot, so after a crash the spend restarts from the last
+// graceful shutdown, or from 0.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: in-flight requests
 // get -drain to finish, new connections are refused, and the final budget
@@ -99,7 +102,7 @@ func main() {
 		cacheSize  = flag.Int("cache-size", 0, "shared plan cache entries (0 = default)")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 		storeDir   = flag.String("store-dir", "", "dataset snapshot directory; empty keeps datasets in memory only")
-		planFlush  = flag.Duration("plan-flush", 0, "periodic plan+ledger snapshot flush interval (0 = only on graceful shutdown); needs -store-dir")
+		planFlush  = flag.Duration("plan-flush", 0, "periodic plan+ledger snapshot flush interval (0 = only on graceful shutdown, so a crash forgets all spend since then); needs -store-dir")
 		maxData    = flag.Int("max-datasets", 0, "resident dataset bound (0 = unlimited; past it the LRU unpinned dataset is evicted)")
 		apiKeys    = flag.String("api-keys", "", "API key file: one 'key [epsilon-cap [delta-cap]]' per line; empty falls back to $DPCUBED_API_KEYS, and with neither the server runs single-tenant and unauthenticated")
 		compMode   = flag.String("composition", "basic", "budget accounting: basic ((ε,δ) summation) or zcdp (Rényi/zCDP, tight composition of many small releases)")

@@ -265,6 +265,6 @@
 // (the ledger under BudgetLedger), internal/server (the HTTP layer), and
 // internal/linalg, internal/lp, internal/transform, internal/noise,
 // internal/bits and internal/dataset as self-contained substrates. See
-// DESIGN.md for the full inventory and EXPERIMENTS.md for the reproduction
-// of every table and figure in the paper's evaluation.
+// EXPERIMENTS.md for the reproduction of every table and figure in the
+// paper's evaluation.
 package repro

@@ -5,8 +5,7 @@
 //
 // Since the original UCI Adult and StatLib NLTCS extracts cannot be shipped,
 // the package also provides seeded synthetic generators with the same
-// schemas, tuple counts and qualitative dependence structure (see DESIGN.md,
-// "Substitutions").
+// schemas, tuple counts and qualitative dependence structure.
 package dataset
 
 import (

@@ -16,6 +16,7 @@ import (
 	"repro/internal/bits"
 	"repro/internal/dataset"
 	"repro/internal/transform"
+	"repro/internal/vector"
 )
 
 // Marginal identifies one marginal by its attribute mask.
@@ -29,16 +30,9 @@ func (m Marginal) Cells() int { return 1 << uint(m.Alpha.Count()) }
 // Order returns ‖α‖, the dimensionality of the marginal.
 func (m Marginal) Order() int { return m.Alpha.Count() }
 
-// Eval computes Cα x directly in one pass over x (O(N)).
+// Eval computes Cα x over a dense contingency vector.
 func (m Marginal) Eval(x []float64) []float64 {
-	out := make([]float64, m.Cells())
-	for gamma, v := range x {
-		if v == 0 {
-			continue
-		}
-		out[bits.CellIndex(m.Alpha, bits.Mask(gamma)&m.Alpha)] += v
-	}
-	return out
+	return m.EvalVector(vector.FromDense(x))
 }
 
 // EvalFromFourier computes Cα x from Fourier coefficients θ_β = ⟨f^β, x⟩
@@ -126,28 +120,13 @@ func (w *Workload) FourierSupport() []bits.Mask {
 
 // Eval answers every marginal exactly, concatenated in workload order.
 func (w *Workload) Eval(x []float64) []float64 {
-	out := make([]float64, 0, w.TotalCells())
-	for _, m := range w.Marginals {
-		out = append(out, m.Eval(x)...)
-	}
-	return out
+	return w.EvalSinglePassVector(vector.FromDense(x))
 }
 
-// EvalSinglePass answers every marginal exactly with one pass over x,
-// which is markedly faster for large N with many marginals.
+// EvalSinglePass is Eval: the kernel already answers every marginal in one
+// pass over x.
 func (w *Workload) EvalSinglePass(x []float64) []float64 {
-	offsets := w.Offsets()
-	out := make([]float64, w.TotalCells())
-	for gamma, v := range x {
-		if v == 0 {
-			continue
-		}
-		g := bits.Mask(gamma)
-		for i, m := range w.Marginals {
-			out[offsets[i]+bits.CellIndex(m.Alpha, g&m.Alpha)] += v
-		}
-	}
-	return out
+	return w.EvalSinglePassVector(vector.FromDense(x))
 }
 
 // Offsets returns the start index of each marginal's block in the

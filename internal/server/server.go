@@ -103,10 +103,14 @@
 // bypass the flight entirely.
 //
 // With persistence (Config.StoreDir), every ledger's charge history is
-// snapshotted through the store codec — periodically via FlushLedgers and
-// on Close — and replayed on startup, so per-key spend survives a daemon
-// restart; a corrupt ledger snapshot refuses startup rather than silently
-// handing tenants a fresh budget.
+// snapshotted through the store codec — on Close, and periodically via
+// FlushLedgers when the embedder calls it — and replayed on startup, so
+// per-key spend survives a graceful restart. A crash loses every charge
+// since the last snapshot; the daemon takes none between startup and
+// shutdown unless -plan-flush is set, so after a crash under the default
+// the spend is back where the last graceful shutdown left it. A corrupt
+// ledger snapshot refuses startup rather than silently handing tenants a
+// fresh budget.
 //
 // Typed errors from the repro package map onto status codes: invalid
 // parameters (ErrInvalidEpsilon, ErrInvalidDelta, ErrDimensionMismatch,
@@ -638,9 +642,10 @@ func (s *Server) FlushPlans() (int, error) {
 
 // FlushLedgers persists every ledger's charge history through the store
 // (a no-op without StoreDir), returning the number of global charges
-// written. The daemon calls it periodically alongside FlushPlans so a
-// crash loses at most one flush interval of spend — and Close calls it so
-// a graceful restart loses none.
+// written. Close calls it, so a graceful restart loses no spend. The
+// daemon also calls it alongside FlushPlans every -plan-flush interval;
+// that interval defaults to 0 (never), and a crash loses every charge
+// since the last call.
 func (s *Server) FlushLedgers() (int, error) {
 	return s.store.SaveLedgers(s.ledgers)
 }
@@ -801,6 +806,73 @@ type syntheticBody struct {
 type syntheticResponse struct {
 	syntheticBody
 	Budget budgetJSON `json:"budget"`
+}
+
+// marshal returns json.Marshal(b) byte for byte, written without
+// reflection into a buffer sized up front: a sample of ~21k rows × 16
+// attributes is too many small ints for encoding/json's per-value
+// reflection and repeated buffer growth.
+func (b syntheticBody) marshal() ([]byte, error) {
+	strategy, err := json.Marshal(b.Strategy)
+	if err != nil {
+		return nil, err
+	}
+	const head, mid, tail = `{"strategy":`, `,"count":`, `,"rows":`
+	size := len(head) + len(strategy) + len(mid) + intLen(b.Count) + len(tail) + len("null}") + len(b.Rows)
+	for _, row := range b.Rows {
+		size += len("null") + len(row)
+		for _, v := range row {
+			size += intLen(v)
+		}
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, head...)
+	buf = append(buf, strategy...)
+	buf = append(buf, mid...)
+	buf = strconv.AppendInt(buf, int64(b.Count), 10)
+	buf = append(buf, tail...)
+	buf = appendIntRows(buf, b.Rows)
+	return append(buf, '}'), nil
+}
+
+// appendIntRows appends rows as encoding/json writes a [][]int: nil
+// slices as null.
+func appendIntRows(buf []byte, rows [][]int) []byte {
+	if rows == nil {
+		return append(buf, "null"...)
+	}
+	buf = append(buf, '[')
+	for i, row := range rows {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if row == nil {
+			buf = append(buf, "null"...)
+			continue
+		}
+		buf = append(buf, '[')
+		for j, v := range row {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendInt(buf, int64(v), 10)
+		}
+		buf = append(buf, ']')
+	}
+	return append(buf, ']')
+}
+
+// intLen is the length of v in decimal.
+func intLen(v int) int {
+	n := 1
+	u := uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 type errorResponse struct {
@@ -1069,11 +1141,11 @@ func (s *Server) renderSynthetic(r *http.Request, c *releaseCall) ([]byte, error
 	if rows == nil {
 		rows = [][]int{}
 	}
-	return json.Marshal(syntheticBody{
+	return syntheticBody{
 		Strategy: res.Strategy,
 		Count:    syn.Count(),
 		Rows:     rows,
-	})
+	}.marshal()
 }
 
 // renderCube runs /v1/cube over the vector decodeData already built — the

@@ -194,6 +194,41 @@ func TestSyntheticEndpoint(t *testing.T) {
 	}
 }
 
+// TestSyntheticBodyMatchesJSONMarshal: the hand-written synthetic encoder
+// emits exactly the bytes encoding/json does, for empty and nil rows and
+// samples, negative and extreme ints and a strategy name json escapes.
+func TestSyntheticBodyMatchesJSONMarshal(t *testing.T) {
+	big := make([][]int, 500)
+	for i := range big {
+		big[i] = []int{i, i % 7, -i, i * 1000003}
+	}
+	for _, b := range []syntheticBody{
+		{Strategy: "F", Count: 0, Rows: [][]int{}},
+		{Strategy: "F", Count: 0, Rows: nil},
+		{Strategy: "C+", Count: 3, Rows: [][]int{{}, {0}, {}}},
+		{Strategy: "I", Count: 2, Rows: [][]int{nil, {1, 2}}},
+		{Strategy: "<&>\"\\\u00fc\u2028", Count: -1, Rows: [][]int{{math.MaxInt, math.MinInt, 0, -1, 9, 10, 99, 100}}},
+		{Strategy: "Q", Count: len(big), Rows: big},
+	} {
+		want, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("synthetic body differs:\n got %.200s\nwant %.200s", got, want)
+		}
+		// Sized up front: at most "null" for "[]" and one spare comma per
+		// row and for the sample, never an append's doubling.
+		if cap(got) > len(got)+3*len(b.Rows)+3 {
+			t.Fatalf("buffer sized %d for %d bytes", cap(got), len(got))
+		}
+	}
+}
+
 // TestBudgetEndpointAndExhaustion: GET /v1/budget tracks cumulative spend,
 // and a request past the cap is refused with 429 without running.
 func TestBudgetEndpointAndExhaustion(t *testing.T) {

@@ -108,9 +108,7 @@ func (p *Plan) GroupOffsets() []int {
 
 // recoverFromMarginals builds a Plan.Recover as the concatenation of a
 // per-marginal recovery function, making the engine's bit-identity contract
-// (Recover ≡ concat(RecoverMarginal)) hold by construction. Strategies whose
-// full recovery has a faster fused form (identity's single pass) hand-write
-// Recover instead and carry the proof obligation themselves.
+// (Recover ≡ concat(RecoverMarginal)) hold by construction.
 func recoverFromMarginals(w *marginal.Workload, rm func(i int, z *vector.Blocked, groupVar []float64) ([]float64, float64, error)) func(z *vector.Blocked, groupVar []float64) ([]float64, []float64, error) {
 	return func(z *vector.Blocked, groupVar []float64) ([]float64, []float64, error) {
 		answers := make([]float64, 0, w.TotalCells())
@@ -157,6 +155,14 @@ func (Identity) Plan(w *marginal.Workload) (*Plan, error) {
 	n := 1 << uint(w.D)
 	ell := float64(len(w.Marginals))
 	specs := []budget.Spec{{Count: n, RowWeight: ell, C: 1}}
+	// Each marginal cell sums 2^{d−k} independent noisy counts.
+	rm := func(i int, z *vector.Blocked, groupVar []float64) ([]float64, float64, error) {
+		if z.Len() != n || len(groupVar) != 1 {
+			return nil, 0, fmt.Errorf("strategy: identity recover got %d answers, %d variances", z.Len(), len(groupVar))
+		}
+		m := w.Marginals[i]
+		return m.EvalVector(z), float64(int64(1)<<uint(w.D-m.Order())) * groupVar[0], nil
+	}
 	return &Plan{
 		Strategy: "I",
 		Specs:    specs,
@@ -177,32 +183,8 @@ func (Identity) Plan(w *marginal.Workload) (*Plan, error) {
 			}
 			x.CopyRange(out, lo)
 		},
-		Recover: func(z *vector.Blocked, groupVar []float64) ([]float64, []float64, error) {
-			if z.Len() != n || len(groupVar) != 1 {
-				return nil, nil, fmt.Errorf("strategy: identity recover got %d answers, %d variances", z.Len(), len(groupVar))
-			}
-			answers := w.EvalSinglePassVector(z)
-			cellVar := make([]float64, len(w.Marginals))
-			for i, m := range w.Marginals {
-				// Each marginal cell sums 2^{d−k} independent noisy counts.
-				cellVar[i] = float64(int64(1)<<uint(w.D-m.Order())) * groupVar[0]
-			}
-			return answers, cellVar, nil
-		},
-		// Identity keeps the fused single-pass Recover above instead of
-		// recoverFromMarginals — one sweep over 2^d cells beats ℓ sweeps
-		// serially (see BenchmarkAblationSinglePassEval) — so it carries the
-		// bit-identity proof itself: EvalVector and EvalSinglePassVector both
-		// accumulate each output cell over ascending domain indices, making
-		// the two paths bit-identical (pinned by the engine's
-		// TestParallelDeterminism and TestShardedBitIdentity).
-		RecoverMarginal: func(i int, z *vector.Blocked, groupVar []float64) ([]float64, float64, error) {
-			if z.Len() != n || len(groupVar) != 1 {
-				return nil, 0, fmt.Errorf("strategy: identity recover got %d answers, %d variances", z.Len(), len(groupVar))
-			}
-			m := w.Marginals[i]
-			return m.EvalVector(z), float64(int64(1)<<uint(w.D-m.Order())) * groupVar[0], nil
-		},
+		Recover:         recoverFromMarginals(w, rm),
+		RecoverMarginal: rm,
 	}, nil
 }
 

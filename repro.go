@@ -263,8 +263,7 @@ func consistencyOf(w *Workload, res *Result) (map[bits.Mask]float64, error) {
 
 // Synthetic data generators re-exported for examples and experiments.
 var (
-	// SyntheticAdult generates a census-like table (see DESIGN.md,
-	// Substitutions).
+	// SyntheticAdult generates a census-like table with Adult's schema.
 	SyntheticAdult = dataset.SyntheticAdult
 	// SyntheticNLTCS generates a disability-survey-like binary table.
 	SyntheticNLTCS = dataset.SyntheticNLTCS
