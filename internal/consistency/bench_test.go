@@ -28,10 +28,12 @@ func benchWorkload(b *testing.B, d, k int) (*marginal.Workload, []float64, []flo
 }
 
 // BenchmarkConsist compares the serial consistency projection against the
-// sharded one on the d=14 workload (per-marginal WHTs, the per-coefficient
-// weighted average and the reconstruction all fan out over the pool). The
+// parallel one on the d=14 workload — about 1M cells, far above par.Grain,
+// so the per-marginal WHTs and the reconstruction split across workers
+// while the per-coefficient weighted average stays one serial sweep. The
 // CI pipeline records both with -benchmem as a build artifact, so the
-// serial-vs-parallel gap is tracked per PR.
+// serial-vs-parallel gap is tracked per PR; BenchmarkStageGrain in
+// internal/engine sweeps the sizes around the grain.
 func BenchmarkConsist(b *testing.B) {
 	w, noisy, weight := benchWorkload(b, 14, 10)
 	counts := []int{1}

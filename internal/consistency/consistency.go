@@ -23,12 +23,12 @@ package consistency
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/bits"
 	"repro/internal/lp"
 	"repro/internal/marginal"
+	"repro/internal/par"
 	"repro/internal/transform"
 )
 
@@ -55,19 +55,21 @@ func L2Weighted(w *marginal.Workload, noisy []float64, weight []float64) (*Resul
 	return L2WeightedWorkers(w, noisy, weight, 0)
 }
 
-// L2WeightedWorkers is L2Weighted with an explicit worker bound — the
-// parallel form of the projection, which used to be the release pipeline's
-// last serial stage. workers 0 uses all CPUs; 1 forces serial execution.
+// L2WeightedWorkers is L2Weighted with an explicit worker bound: 0 uses
+// all CPUs, 1 forces serial execution. weight[i] must be finite and
+// non-negative; zero excludes marginal i from the fusion.
 //
-// The three phases fan out over the pool, each with a deterministic merge
-// so the result is bit-identical at every worker count:
+// The projection states the released cell count as its work. Below
+// par.Grain cells per worker it runs serially; above it the two
+// per-marginal phases split the marginal list into contiguous runs, each
+// with a deterministic merge so the result is bit-identical at every
+// worker count:
 //
 //  1. per-marginal small WHTs (the T_β transforms) — independent blocks,
-//     one pool task per marginal, each transform itself bit-identical at
-//     any internal worker count (transform.WHTWorkers);
-//  2. the per-coefficient weighted average — the support is sharded across
-//     the pool and every coefficient accumulates its contributions in
-//     ascending marginal order, the exact order of the serial sweep;
+//     each transform run serially inside its run;
+//  2. the per-coefficient weighted average — always one serial
+//     marginal-major sweep, so every coefficient accumulates its
+//     contributions in ascending marginal order;
 //  3. reconstruction R·f̂ — independent per-marginal inverse transforms
 //     writing disjoint slices of the answer vector.
 func L2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []float64, workers int) (*Result, error) {
@@ -77,18 +79,17 @@ func L2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []float64, 
 	if weight != nil && len(weight) != len(w.Marginals) {
 		return nil, fmt.Errorf("consistency: %d weights for %d marginals", len(weight), len(w.Marginals))
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	for i, wi := range weight {
+		if wi < 0 || math.IsNaN(wi) || math.IsInf(wi, 0) {
+			return nil, fmt.Errorf("consistency: weight %v for marginal %d is not finite and non-negative", wi, i)
+		}
 	}
+	workers = par.Workers(len(noisy), workers)
 	d := w.D
 	sqrtN := math.Sqrt(float64(int64(1) << uint(d)))
 	offsets := w.Offsets()
 
-	// Phase 1: transform every positively weighted marginal block. Each
-	// entry is independent, so the pool carves the marginal list up; the
-	// per-marginal transform runs serially inside its task (cross-marginal
-	// parallelism already saturates the pool; WHTWorkers would be
-	// bit-identical either way).
+	// Phase 1: transform every positively weighted marginal block.
 	type transformed struct {
 		buf      *[]float64 // pool token; nil when the marginal is excluded
 		block    []float64
@@ -96,50 +97,40 @@ func L2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []float64, 
 		denTerm  float64
 	}
 	blocks := make([]transformed, len(w.Marginals))
-	for i := range w.Marginals {
-		if weight != nil && weight[i] < 0 {
-			return nil, fmt.Errorf("consistency: negative weight %v for marginal %d", weight[i], i)
-		}
-	}
-	parallelFor(len(w.Marginals), workers, func(i int) {
-		m := w.Marginals[i]
-		wi := 1.0
-		if weight != nil {
-			wi = weight[i]
-		}
-		if wi == 0 {
-			return // excluded from the fusion entirely
-		}
-		k := m.Order()
-		cells := m.Cells()
-		buf := blockPool.Get().(*[]float64)
-		if cap(*buf) < cells {
-			*buf = make([]float64, cells)
-		}
-		block := (*buf)[:cells]
-		copy(block, noisy[offsets[i]:offsets[i]+cells])
-		transform.WHTWorkers(block, 1)
-		// block[packed β] = 2^{−k/2}·T_β, so T_β = 2^{k/2}·block.
-		twoK := float64(int64(1) << uint(k))
-		rCoef := sqrtN / twoK // 2^{d/2−k}
-		blocks[i] = transformed{
-			buf:      buf,
-			block:    block,
-			numScale: wi * rCoef * math.Sqrt(twoK), // w_i·2^{d/2−k}·2^{k/2}
-			denTerm:  wi * (sqrtN * sqrtN) / twoK,  // w_i·2^{d−k}
+	par.For(len(w.Marginals), workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			m := w.Marginals[i]
+			wi := 1.0
+			if weight != nil {
+				wi = weight[i]
+			}
+			if wi == 0 {
+				continue // excluded from the fusion entirely
+			}
+			k := m.Order()
+			cells := m.Cells()
+			buf := blockPool.Get().(*[]float64)
+			if cap(*buf) < cells {
+				*buf = make([]float64, cells)
+			}
+			block := (*buf)[:cells]
+			copy(block, noisy[offsets[i]:offsets[i]+cells])
+			transform.WHTWorkers(block, 1)
+			// block[packed β] = 2^{−k/2}·T_β, so T_β = 2^{k/2}·block.
+			twoK := float64(int64(1) << uint(k))
+			rCoef := sqrtN / twoK // 2^{d/2−k}
+			blocks[i] = transformed{
+				buf:      buf,
+				block:    block,
+				numScale: wi * rCoef * math.Sqrt(twoK), // w_i·2^{d/2−k}·2^{k/2}
+				denTerm:  wi * (sqrtN * sqrtN) / twoK,  // w_i·2^{d−k}
+			}
 		}
 	})
 
-	// Phase 2: the per-coefficient weighted average. Either merge order
-	// below gives coefficient β its contributions in ascending marginal
-	// order — the exact floating-point sequence of the original serial
-	// sweep — so the choice is purely a cost call, never a correctness one:
-	//
-	//   - the marginal-major sweep visits each marginal's 2^k subsets once
-	//     (Σ 2^{k_i} work, no dominance tests) but is inherently serial;
-	//   - the coefficient-major sweep shards the support across the pool,
-	//     paying a dominance test per (coefficient, marginal) pair
-	//     (|F|·ℓ / workers per worker).
+	// Phase 2: the per-coefficient weighted average, marginal-major: each
+	// marginal's 2^k subsets are visited once, so coefficient β receives its
+	// contributions in ascending marginal order.
 	support := w.FourierSupport()
 	colOf := make(map[bits.Mask]int, len(support))
 	for c, b := range support {
@@ -147,46 +138,19 @@ func L2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []float64, 
 	}
 	num := make([]float64, len(support))
 	den := make([]float64, len(support))
-	subsetCost, colCost := 0.0, 0.0
 	for i, m := range w.Marginals {
-		if blocks[i].block != nil {
-			subsetCost += float64(m.Cells())
-			colCost += float64(len(support)) / float64(workers)
+		tb := blocks[i]
+		if tb.block == nil {
+			continue
 		}
-	}
-	if workers <= 1 || subsetCost <= colCost {
-		for i, m := range w.Marginals {
-			tb := blocks[i]
-			if tb.block == nil {
-				continue
-			}
-			m.Alpha.VisitSubsets(func(beta bits.Mask) {
-				c := colOf[beta]
-				num[c] += tb.numScale * tb.block[bits.CellIndex(m.Alpha, beta)]
-				den[c] += tb.denTerm
-			})
-		}
-	} else {
-		parallelRanges(len(support), workers, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				beta := support[c]
-				for i, m := range w.Marginals {
-					tb := blocks[i]
-					if tb.block == nil || beta&^m.Alpha != 0 {
-						continue // zero weight, or β ⋠ α_i
-					}
-					num[c] += tb.numScale * tb.block[bits.CellIndex(m.Alpha, beta)]
-					den[c] += tb.denTerm
-				}
-			}
+		m.Alpha.VisitSubsets(func(beta bits.Mask) {
+			c := colOf[beta]
+			num[c] += tb.numScale * tb.block[bits.CellIndex(m.Alpha, beta)]
+			den[c] += tb.denTerm
 		})
-	}
-	// The transform scratch is dead once the weighted average is folded;
-	// recycle it for the next release.
-	for i := range blocks {
-		if blocks[i].buf != nil {
-			blockPool.Put(blocks[i].buf)
-		}
+		// The transform scratch is dead once folded; recycle it for the
+		// next release.
+		blockPool.Put(tb.buf)
 	}
 
 	coeff := make(map[bits.Mask]float64, len(support))
@@ -203,28 +167,31 @@ func L2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []float64, 
 	return &Result{Coefficients: coeff, Answers: answers}, nil
 }
 
-// evalAnswers reconstructs every marginal from the coefficients, fanning
-// the independent per-marginal inverse transforms over the pool (each
-// writes its own disjoint slice of the concatenated answers).
+// evalAnswers reconstructs every marginal from the coefficients, splitting
+// the independent per-marginal inverse transforms into contiguous runs of
+// marginals (each writes its own disjoint slice of the concatenated
+// answers). workers is already sized by par.Workers.
 func evalAnswers(w *marginal.Workload, coeff map[bits.Mask]float64, workers int) ([]float64, error) {
 	answers := make([]float64, w.TotalCells())
 	offsets := w.Offsets()
 	errs := make([]error, len(w.Marginals))
-	parallelFor(len(w.Marginals), workers, func(i int) {
-		m := w.Marginals[i]
-		// Guard against a workload marginal that shares no coefficients
-		// (cannot happen when coeff came from the same workload).
-		missing := false
-		m.Alpha.VisitSubsets(func(beta bits.Mask) {
-			if _, ok := coeff[beta]; !ok {
-				missing = true
+	par.For(len(w.Marginals), workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			m := w.Marginals[i]
+			// Guard against a workload marginal that shares no coefficients
+			// (cannot happen when coeff came from the same workload).
+			missing := false
+			m.Alpha.VisitSubsets(func(beta bits.Mask) {
+				if _, ok := coeff[beta]; !ok {
+					missing = true
+				}
+			})
+			if missing {
+				errs[i] = fmt.Errorf("consistency: coefficients missing for marginal %v", m.Alpha)
+				continue
 			}
-		})
-		if missing {
-			errs[i] = fmt.Errorf("consistency: coefficients missing for marginal %v", m.Alpha)
-			return
+			m.EvalFromFourierInto(w.D, coeff, answers[offsets[i]:offsets[i]+m.Cells()])
 		}
-		m.EvalFromFourierInto(w.D, coeff, answers[offsets[i]:offsets[i]+m.Cells()])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -239,59 +206,6 @@ func evalAnswers(w *marginal.Workload, coeff map[bits.Mask]float64, workers int)
 // one release's scratch serves the next — the -benchmem audit showed these
 // per-marginal buffers dominating the consistency stage's allocation count.
 var blockPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// parallelFor runs fn(i) for i in [0, n), distributed round-robin over the
-// pool. fn must write only its own slots; with workers ≤ 1 it degenerates
-// to a plain loop.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for i := start; i < n; i += workers {
-				fn(i)
-			}
-		}(wk)
-	}
-	wg.Wait()
-}
-
-// parallelRanges splits [0, n) into one contiguous shard per worker.
-func parallelRanges(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // RecoveryRows materialises the explicit K×|F| recovery matrix R of
 // Section 4.3 (rows ordered like the concatenated answers, columns ordered
@@ -356,7 +270,7 @@ func lpConsistency(w *marginal.Workload, noisy []float64, inf bool) (*Result, er
 	for c, b := range support {
 		coeff[b] = fhat[c]
 	}
-	answers, err := evalAnswers(w, coeff, runtime.GOMAXPROCS(0))
+	answers, err := evalAnswers(w, coeff, par.Workers(len(noisy), 0))
 	if err != nil {
 		return nil, err
 	}

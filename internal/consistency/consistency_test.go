@@ -308,6 +308,11 @@ func TestInputValidation(t *testing.T) {
 	if _, err := L2Weighted(w, make([]float64, w.TotalCells()), []float64{-1, 1, 1}); err == nil {
 		t.Error("negative weight accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := L2Weighted(w, make([]float64, w.TotalCells()), []float64{1, v, 1}); err == nil {
+			t.Errorf("weight %v accepted", v)
+		}
+	}
 	if _, err := L1(w, make([]float64, 1)); err == nil {
 		t.Error("short input accepted by L1")
 	}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
+	"sort"
 	"time"
 
 	"repro/internal/bits"
@@ -13,6 +13,7 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/marginal"
 	"repro/internal/noise"
+	"repro/internal/par"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
 	"repro/internal/vector"
@@ -110,8 +111,10 @@ type Release struct {
 // Options tunes the engine without changing what it computes: every option
 // combination yields a bit-identical Release for the same Config.
 type Options struct {
-	// Workers bounds the measurement/recovery/consistency worker pool.
-	// 0 means runtime.GOMAXPROCS(0); 1 forces fully serial execution.
+	// Workers is an upper bound on the goroutines any one stage uses (0
+	// means runtime.GOMAXPROCS(0)); 1 forces fully serial execution. A stage
+	// forks only when each worker gets at least par.Grain rows or cells of
+	// work, so small releases run serially whatever the bound.
 	Workers int
 	// Shards bounds how many blocks the measured strategy-answer vector is
 	// partitioned into. 0 auto-shards: vectors with at least AutoShardRows
@@ -199,7 +202,7 @@ func (e *Engine) Options() Options { return e.opts }
 // single bit of the output.
 //
 // Cancellation of ctx aborts the pipeline between stages and inside the
-// measurement and recovery worker pools, so an abandoned request stops
+// measure and recover stages, so an abandoned request stops
 // consuming CPU mid-run. A cancelled run returns ctx.Err() (possibly
 // wrapped) and no release; cancellation never yields a partial Release.
 func (e *Engine) RunVector(ctx context.Context, w *marginal.Workload, x *vector.Blocked, cfg Config) (*Release, error) {
@@ -431,13 +434,13 @@ func verifyPrivacy(specs []budget.Spec, eta []float64, p noise.Params) error {
 }
 
 // Measurer is the measure stage, z = Sx + ν: exact strategy answers plus
-// substream-seeded per-group noise, fanned out over the worker pool.
+// substream-seeded per-group noise, each split across workers once its
+// work clears the grain (par.Workers).
 //
 // When the plan supports per-block answer slicing (strategy.Plan.
 // AnswerBlock) and shards > 1, the answer vector is built block by block:
-// each worker materialises only the blocks vector.Schedule assigns it, one
-// at a time, so no contiguous full-length slice ever exists and the
-// per-worker scratch is one block. Plans without AnswerBlock (the Fourier
+// each worker materialises the runs of blocks it claims one at a time, so
+// the per-worker scratch is one block. Plans without AnswerBlock (the Fourier
 // transform is global) fall back to TrueAnswers, which parallelises and
 // bounds memory internally. Either way the noise pass then perturbs the
 // blocked vector in the fixed noiseBlock partition — the shard count never
@@ -505,45 +508,26 @@ func (m Measurer) trueAnswers(plan *strategy.Plan, x *vector.Blocked, workers in
 	return a, false
 }
 
-// answerBlocks fills the blocked answer vector through plan.AnswerBlock,
-// each worker walking the blocks vector.Schedule assigns it in order.
+// answerBlocks fills the blocked answer vector through plan.AnswerBlock.
+// Each block reads the input and writes its rows, so the stage states
+// x.Len()+z.Len() as its work; above the grain every worker walks the runs
+// of blocks it claims one at a time (its scratch is one block).
 // Cancellation is honoured between blocks.
 func answerBlocks(ctx context.Context, plan *strategy.Plan, x *vector.Blocked, z *vector.Blocked, workers int) error {
 	sp := telemetry.SpanFrom(ctx)
-	sched := vector.Schedule(z.Blocks(), workers)
-	if len(sched) == 1 {
-		for _, bi := range sched[0] {
-			if err := ctx.Err(); err != nil {
-				return err
+	par.For(z.Blocks(), par.Workers(x.Len()+z.Len(), workers), func(_, lo, hi int) {
+		for bi := lo; bi < hi; bi++ {
+			if ctx.Err() != nil {
+				return
 			}
-			lo, hi := z.BlockRange(bi)
+			blo, bhi := z.BlockRange(bi)
 			bsp := sp.StartDetail("measure.block")
-			bsp.AnnotateInt("lo", int64(lo))
-			bsp.AnnotateInt("rows", int64(hi-lo))
-			plan.AnswerBlock(x, lo, hi, z.Block(bi))
+			bsp.AnnotateInt("lo", int64(blo))
+			bsp.AnnotateInt("rows", int64(bhi-blo))
+			plan.AnswerBlock(x, blo, bhi, z.Block(bi))
 			bsp.End()
 		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	for _, list := range sched {
-		wg.Add(1)
-		go func(list []int) {
-			defer wg.Done()
-			for _, bi := range list {
-				if ctx.Err() != nil {
-					return
-				}
-				lo, hi := z.BlockRange(bi)
-				bsp := sp.StartDetail("measure.block")
-				bsp.AnnotateInt("lo", int64(lo))
-				bsp.AnnotateInt("rows", int64(hi-lo))
-				plan.AnswerBlock(x, lo, hi, z.Block(bi))
-				bsp.End()
-			}
-		}(list)
-	}
-	wg.Wait()
+	})
 	return ctx.Err()
 }
 
@@ -555,7 +539,7 @@ type NoiseGroup struct {
 
 // noiseBlock subdivides groups into fixed-size row blocks so that even a
 // single large group (the identity strategy has 2^d rows in one group)
-// spreads across the pool. The size is a constant, never derived from the
+// spreads across workers. The size is a constant, never derived from the
 // worker count — block boundaries are part of the determinism contract.
 const noiseBlock = 4096
 
@@ -587,92 +571,72 @@ func PerturbContext(ctx context.Context, z []float64, groups []NoiseGroup, p noi
 // contract (noise depends only on seed, group and row).
 func PerturbVectorContext(ctx context.Context, z *vector.Blocked, groups []NoiseGroup, p noise.Params, seed int64, workers int) error {
 	type block struct {
-		off, n int
-		eta    float64
-		sub    uint64
+		at, off, n int // at: rows of the blocks before this one
+		eta        float64
+		sub        uint64
 	}
 	count := 0
 	for _, grp := range groups {
 		count += (grp.Count + noiseBlock - 1) / noiseBlock
 	}
 	blocks := make([]block, 0, count)
+	rows := 0
 	for g, grp := range groups {
 		for b := 0; b < grp.Count; b += noiseBlock {
-			n := noiseBlock
-			if grp.Count-b < n {
-				n = grp.Count - b
-			}
+			n := min(noiseBlock, grp.Count-b)
 			blocks = append(blocks, block{
-				off: grp.Start + b, n: n, eta: grp.Eta,
+				at: rows, off: grp.Start + b, n: n, eta: grp.Eta,
 				sub: uint64(g)<<32 | uint64(b/noiseBlock),
 			})
+			rows += n
 		}
 	}
+	// Above the grain a chunk of rows owns the blocks that start inside it,
+	// so a chunk never splits a block and mixed group sizes still balance.
 	// One reseedable substream Source per worker: the draws of a block are a
 	// pure function of (seed, bl.sub), so repositioning a reused Source via
-	// Reseed is bit-identical to a fresh NewSubstream per block — without the
-	// three allocations per 4096-row block that used to dominate the
-	// measurement stage's profile.
-	perturbBlock := func(src *noise.Source, bl block) {
-		src.Reseed(seed, bl.sub)
-		z.Segments(bl.off, bl.off+bl.n, func(_ int, seg []float64) {
-			for i := range seg {
-				seg[i] += p.RowNoise(src, bl.eta)
+	// Reseed is bit-identical to a fresh NewSubstream per block — without
+	// the three allocations per 4096-row block that used to dominate the
+	// measurement stage's profile. Worker 0's Source is made up front; the
+	// others' slots are empty, hence free, on the serial path.
+	workers = par.Workers(rows, workers)
+	src0 := noise.NewSubstream(seed, 0)
+	more := make([]*noise.Source, workers-1)
+	par.For(rows, workers, func(worker, lo, hi int) {
+		src := src0
+		if worker > 0 {
+			if more[worker-1] == nil {
+				more[worker-1] = noise.NewSubstream(seed, 0)
 			}
-		})
-	}
-	done := ctx.Done()
-	if workers <= 1 || len(blocks) <= 1 {
-		src := noise.NewSubstream(seed, 0)
-		for _, bl := range blocks {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			perturbBlock(src, bl)
+			src = more[worker-1]
 		}
-		return nil
-	}
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	var wg sync.WaitGroup
-	next := make(chan block)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			src := noise.NewSubstream(seed, 0)
-			for bl := range next {
-				if ctx.Err() != nil {
-					continue // drain the channel without doing work
+		first := sort.Search(len(blocks), func(i int) bool { return blocks[i].at >= lo })
+		for _, bl := range blocks[first:] {
+			if bl.at >= hi || ctx.Err() != nil {
+				return
+			}
+			src.Reseed(seed, bl.sub)
+			z.Segments(bl.off, bl.off+bl.n, func(_ int, seg []float64) {
+				for i := range seg {
+					seg[i] += p.RowNoise(src, bl.eta)
 				}
-				perturbBlock(src, bl)
-			}
-		}()
-	}
-feed:
-	for _, bl := range blocks {
-		select {
-		case next <- bl:
-		case <-done:
-			break feed
+			})
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 	return ctx.Err()
 }
 
 // Recoverer is the recover stage: noisy strategy answers (possibly
 // sharded) become concatenated marginal answers plus per-marginal cell
-// variances. When the plan supports per-marginal recovery and more than
-// one worker is available, marginals recover concurrently, each reading
-// the shards of z it needs (merged shard contributions — the blocked
-// accessors gather exactly the answer ranges a marginal touches); the
-// serial path and the parallel path are bit-identical because
-// strategy.Plan's contract requires Recover to equal the concatenation of
-// RecoverMarginal outputs (both accumulate in the same order per output
-// cell).
+// variances. Every recovery reads the answer vector and writes every
+// released cell, so the stage states z.Len()+TotalCells() as its work.
+// When the plan supports per-marginal recovery and that work clears the
+// grain, marginals recover concurrently in contiguous runs, each reading the
+// shards of z it needs (merged shard contributions — the blocked accessors
+// gather exactly the answer ranges a marginal touches); the serial path and
+// the parallel path are bit-identical because strategy.Plan's contract
+// requires Recover to equal the concatenation of RecoverMarginal outputs
+// (both accumulate in the same order per output cell).
 type Recoverer struct{}
 
 // Recover runs the stage. Cancellation is honoured between marginals: no
@@ -682,48 +646,28 @@ func (Recoverer) Recover(ctx context.Context, w *marginal.Workload, plan *strate
 		return nil, nil, err
 	}
 	sp := telemetry.SpanFrom(ctx)
-	if plan.RecoverMarginal == nil || workers <= 1 || len(w.Marginals) <= 1 {
+	nm := len(w.Marginals)
+	workers = par.Workers(z.Len()+w.TotalCells(), workers)
+	if plan.RecoverMarginal == nil || workers == 1 || nm <= 1 {
 		rsp := sp.StartDetail("recover.serial")
 		answers, cellVar, err := plan.Recover(z, groupVar)
 		rsp.End()
 		return answers, cellVar, err
 	}
-	nm := len(w.Marginals)
-	if workers > nm {
-		workers = nm
-	}
 	blocks := make([][]float64, nm)
 	cellVar := make([]float64, nm)
 	errs := make([]error, nm)
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				msp := sp.StartDetail("recover.marginal")
-				msp.AnnotateInt("marginal", int64(i))
-				blocks[i], cellVar[i], errs[i] = plan.RecoverMarginal(i, z, groupVar)
-				msp.End()
+	par.For(nm, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if ctx.Err() != nil {
+				return
 			}
-		}()
-	}
-feed:
-	for i := 0; i < nm; i++ {
-		select {
-		case next <- i:
-		case <-done:
-			break feed
+			msp := sp.StartDetail("recover.marginal")
+			msp.AnnotateInt("marginal", int64(i))
+			blocks[i], cellVar[i], errs[i] = plan.RecoverMarginal(i, z, groupVar)
+			msp.End()
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -739,12 +683,11 @@ feed:
 	return answers, cellVar, nil
 }
 
-// Consister is the Step-3 stage: the Section 3.3/4.3 projections.
-// The L2 projections — historically the pipeline's last serial stage — fan
-// their per-marginal transforms, the sharded per-coefficient weighted
-// average and the reconstruction over the worker pool
-// (consistency.L2WeightedWorkers), bit-identical at every worker count.
-// The L1/L∞ LPs remain monolithic solves.
+// Consister is the Step-3 stage: the Section 3.3/4.3 projections. Above
+// the grain the L2 projections split their per-marginal transforms and
+// reconstruction across workers (consistency.L2WeightedWorkers),
+// bit-identical at every worker count; the per-coefficient weighted average
+// and the L1/L∞ LPs stay serial.
 type Consister struct{}
 
 // Consist applies the configured projection (possibly a no-op).
@@ -767,9 +710,12 @@ func (Consister) Consist(ctx context.Context, w *marginal.Workload, answers, cel
 	case WeightedL2Consistency:
 		weights := make([]float64, len(cellVar))
 		for i, v := range cellVar {
-			if v <= 0 || math.IsInf(v, 1) {
+			switch {
+			case math.IsNaN(v):
+				return nil, nil, fmt.Errorf("engine: consistency: marginal %d has NaN cell variance", i)
+			case v <= 0 || math.IsInf(v, 1):
 				weights[i] = 0
-			} else {
+			default:
 				weights[i] = 1 / v
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/marginal"
 	"repro/internal/noise"
+	"repro/internal/par"
 	"repro/internal/strategy"
 	"repro/internal/vector"
 )
@@ -377,8 +378,50 @@ func TestPerturbAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestBelowGrainAllocsMatchSerial: below the grain a stage asked for eight
+// workers runs the serial code, so it allocates exactly what workers=1
+// does — no goroutines, no per-worker Source, no per-item channel. One row
+// (or cell) more than twice the grain would fork two workers.
+func TestBelowGrainAllocsMatchSerial(t *testing.T) {
+	const work = 2*par.Grain - 1
+	allocs := func(run func(workers int)) (serial, eight float64) {
+		run(1) // warm up lazily built state
+		return testing.AllocsPerRun(20, func() { run(1) }), testing.AllocsPerRun(20, func() { run(8) })
+	}
+	p := pureParams(1)
+	z := make([]float64, work)
+	groups := mixedGroups(work)
+	if s, e := allocs(func(workers int) { Perturb(z, groups, p, 42, workers) }); s != e {
+		t.Errorf("perturb %d rows: workers=8 allocates %v, workers=1 %v", work, e, s)
+	}
+
+	rng := rand.New(rand.NewSource(4))
+	w := marginal.AllKWay(10, 2)
+	plan := chunkPlan(w)
+	zr := randomBlocked(rng, work-w.TotalCells(), 2)
+	if s, e := allocs(func(workers int) {
+		if _, _, err := (Recoverer{}).Recover(context.Background(), w, plan, zr, nil, workers); err != nil {
+			t.Fatal(err)
+		}
+	}); s != e {
+		t.Errorf("recover work %d: workers=8 allocates %v, workers=1 %v", work, e, s)
+	}
+
+	x := randomBlocked(rng, 1000, 2)
+	za := vector.New(work-x.Len(), 4)
+	if s, e := allocs(func(workers int) {
+		if err := answerBlocks(context.Background(), plan, x, za, workers); err != nil {
+			t.Fatal(err)
+		}
+	}); s != e {
+		t.Errorf("answer blocks work %d: workers=8 allocates %v, workers=1 %v", work, e, s)
+	}
+}
+
 // BenchmarkPerturb measures the perturb stage over a 2^20-row strategy —
-// run with -benchmem: allocs/op must stay flat in the block count.
+// run with -benchmem: allocs/op must stay flat in the block count. 2^20
+// rows is far above par.Grain, so workers=4 forks four contiguous row
+// ranges; BenchmarkStageGrain sweeps the sizes around the grain.
 func BenchmarkPerturb(b *testing.B) {
 	const rows = 1 << 20
 	z := make([]float64, rows)

@@ -12,6 +12,7 @@ package marginal
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/bits"
 	"repro/internal/dataset"
@@ -64,9 +65,14 @@ func (m Marginal) Rows(d int) [][]float64 {
 }
 
 // Workload is an ordered set of marginals plus the dimension they live in.
+// Marginals must not change once the workload is in use: derived data such
+// as the Fourier support is computed once and kept.
 type Workload struct {
 	D         int
 	Marginals []Marginal
+
+	supportOnce sync.Once
+	support     []bits.Mask
 }
 
 // NewWorkload builds a workload from masks, validating against d.
@@ -113,9 +119,13 @@ func (w *Workload) TotalCells() int {
 }
 
 // FourierSupport returns F = ∪_i {β ⪯ α_i}, the Fourier coefficients the
-// workload depends on, in increasing mask order.
+// workload depends on, in increasing mask order. It is computed on the first
+// call and shared by every later one (a long-lived workload — a Releaser's —
+// pays the closure once, not once per release), so callers must not modify
+// the returned slice.
 func (w *Workload) FourierSupport() []bits.Mask {
-	return bits.UnionClosure(w.Masks())
+	w.supportOnce.Do(func() { w.support = bits.UnionClosure(w.Masks()) })
+	return w.support
 }
 
 // Eval answers every marginal exactly, concatenated in workload order.

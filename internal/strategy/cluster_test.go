@@ -71,11 +71,29 @@ func TestGreedyClusterMatchesNaiveOracle(t *testing.T) {
 	}
 }
 
+// TestGreedyClusterGrainBitIdentity: around the sweep's fork point (ℓ² at
+// twice par.Grain, so ℓ = 128 is the first size two workers split) the
+// parallel search equals the serial incremental one, which the oracle test
+// above pins to the naive search.
+func TestGreedyClusterGrainBitIdentity(t *testing.T) {
+	for _, ell := range []int{127, 128, 129, 200} {
+		rng := rand.New(rand.NewSource(int64(ell)))
+		w := randomClusterWorkload(rng, 16, ell)
+		want := greedyCluster(w, 0, 1)
+		for _, workers := range []int{2, 3, 8} {
+			got := greedyCluster(w, 0, workers)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ell=%d workers=%d: clustering diverges from serial", ell, workers)
+			}
+		}
+	}
+}
+
 // TestGreedyClusterTieBreak checks the documented contract directly: among
 // equal-scoring candidate merges the lexicographically lowest (i, j) wins.
 // Four disjoint singletons are fully symmetric — every pair scores the same
 // — so the first merge must be (0, 1), at every worker count. (ℓ here is
-// below parallelSweepMin, so the parallel reduction is exercised separately
+// below the parallel grain, so the parallel reduction is exercised separately
 // by forcing a sweep through clusterSweep stride slices.)
 func TestGreedyClusterTieBreak(t *testing.T) {
 	w := marginal.MustWorkload(4, []bits.Mask{0b0001, 0b0010, 0b0100, 0b1000})
@@ -132,7 +150,8 @@ func TestClusterTermNoOverflow(t *testing.T) {
 // BenchmarkGreedyCluster compares the retained naive oracle against the
 // incremental serial and parallel searches — the CI artifact tracking the
 // tentpole's speedup (≥10× at ℓ=128 is the acceptance bar; the asymptotic
-// gap is Θ(ℓ)).
+// gap is Θ(ℓ)). The parallel arm forks only from ℓ = 128 (ℓ² at twice
+// par.Grain); below it both arms run the serial sweep.
 func BenchmarkGreedyCluster(b *testing.B) {
 	for _, ell := range []int{16, 64, 128} {
 		rng := rand.New(rand.NewSource(int64(ell)))

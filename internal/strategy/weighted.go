@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bits"
 	"repro/internal/marginal"
@@ -37,8 +38,8 @@ func checkWeights(w *marginal.Workload, a []float64) error {
 		return fmt.Errorf("strategy: %d query weights for %d marginals", len(a), len(w.Marginals))
 	}
 	for i, v := range a {
-		if v < 0 {
-			return fmt.Errorf("strategy: negative query weight %v for marginal %d", v, i)
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("strategy: query weight %v for marginal %d is not finite and non-negative", v, i)
 		}
 	}
 	return nil

@@ -68,6 +68,12 @@ func TestPlanWeightedValidation(t *testing.T) {
 		if _, err := s.PlanWeighted(w, bad); err == nil {
 			t.Errorf("%s: negative weight accepted", s.Name())
 		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad[0] = v
+			if _, err := s.PlanWeighted(w, bad); err == nil {
+				t.Errorf("%s: query weight %v accepted", s.Name(), v)
+			}
+		}
 	}
 }
 

@@ -3,8 +3,8 @@ package transform
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/vector"
 )
 
@@ -12,12 +12,13 @@ import (
 // blocked vector whose length and block length are both powers of two. The
 // butterfly network is data-independent, so the output is bit-identical to
 // WHT on the gathered dense vector at every block and worker count — but no
-// contiguous full-length slice is ever needed: stages with span below the
-// block length run block-locally (one worker pass over memory it owns), and
-// the remaining log₂(blocks) stages pair whole blocks at equal offsets,
-// barriered between stages to preserve the serial network's ascending-span
-// order. workers ≤ 0 uses one goroutine per block (bounded by the block
-// count); 1 runs serially.
+// contiguous full-length slice is ever needed. The transform states its
+// length as its work (par.Workers): stages with span below the block length
+// run block-locally, each worker transforming whole blocks; each remaining
+// stage pairs whole blocks at equal offsets, its n/2 butterflies split
+// across the workers, with a barrier between stages to keep the serial
+// network's ascending-span order. workers ≤ 0 uses all CPUs; 1 runs
+// serially. A single block is the dense WHTWorkers.
 func WHTBlocked(b *vector.Blocked, workers int) {
 	n := b.Len()
 	if n == 0 {
@@ -31,72 +32,49 @@ func WHTBlocked(b *vector.Blocked, workers int) {
 		panic(fmt.Sprintf("transform: block length %d is not a power of two", bl))
 	}
 	nb := b.Blocks()
-	if workers <= 0 || workers > nb {
-		workers = nb
-	}
-	scale := 1 / math.Sqrt(float64(n))
 	if nb == 1 {
-		seg := b.Block(0)
-		whtButterflies(seg)
-		for i := range seg {
-			seg[i] *= scale
-		}
+		WHTWorkers(b.Block(0), workers)
 		return
 	}
+	workers = par.Workers(n, workers)
 
-	// Stage 1: the h < blockLen butterflies stay inside one block; every
-	// worker runs the full local network on the blocks it owns.
-	sched := vector.Schedule(nb, workers)
-	var wg sync.WaitGroup
-	for _, list := range sched {
-		wg.Add(1)
-		go func(list []int) {
-			defer wg.Done()
-			for _, bi := range list {
-				whtButterflies(b.Block(bi))
-			}
-		}(list)
-	}
-	wg.Wait()
+	// Stage 1: the h < blockLen butterflies stay inside one block.
+	par.For(nb, workers, func(_, lo, hi int) {
+		for bi := lo; bi < hi; bi++ {
+			whtButterflies(b.Block(bi))
+		}
+	})
 
 	// Stage 2: spans h = blockLen, 2·blockLen, …, n/2 pair whole blocks: the
 	// partner of cell j is j+h, which sits at the same offset in block
-	// bi + h/blockLen. The lower block of each pair owns the butterfly and
-	// updates both halves; a barrier between spans preserves the serial
-	// order. (Same ownership rule as the dense WHTWorkers.)
+	// bi + h/blockLen. Butterfly t of a stage is offset t mod blockLen of
+	// block pair t / blockLen, whose lower block has bit stride clear; each
+	// worker walks its range of t in runs that stay inside one block pair.
 	for h := bl; h < n; h <<= 1 {
 		stride := h / bl
-		for _, list := range sched {
-			wg.Add(1)
-			go func(list []int) {
-				defer wg.Done()
-				for _, bi := range list {
-					if bi&stride != 0 {
-						continue // upper partner; its pair's owner updates it
-					}
-					lower, upper := b.Block(bi), b.Block(bi+stride)
-					for j := range lower {
-						a, c := lower[j], upper[j]
-						lower[j], upper[j] = a+c, a-c
-					}
+		par.For(n/2, workers, func(_, lo, hi int) {
+			for t := lo; t < hi; {
+				pair, off := t/bl, t%bl
+				bi := pair/stride*2*stride + pair%stride
+				run := min(bl-off, hi-t)
+				lower := b.Block(bi)[off : off+run]
+				upper := b.Block(bi + stride)[off : off+run]
+				for j := range lower {
+					a, c := lower[j], upper[j]
+					lower[j], upper[j] = a+c, a-c
 				}
-			}(list)
-		}
-		wg.Wait()
+				t += run
+			}
+		})
 	}
 
-	// Orthonormal scaling, block-parallel.
-	for _, list := range sched {
-		wg.Add(1)
-		go func(list []int) {
-			defer wg.Done()
-			for _, bi := range list {
-				seg := b.Block(bi)
-				for i := range seg {
-					seg[i] *= scale
-				}
+	scale := 1 / math.Sqrt(float64(n))
+	par.For(nb, workers, func(_, lo, hi int) {
+		for bi := lo; bi < hi; bi++ {
+			seg := b.Block(bi)
+			for i := range seg {
+				seg[i] *= scale
 			}
-		}(list)
-	}
-	wg.Wait()
+		}
+	})
 }

@@ -15,10 +15,11 @@ package transform
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+	stdbits "math/bits"
 
 	"repro/internal/bits"
+	"repro/internal/par"
+	"repro/internal/vector"
 )
 
 // WHT applies the orthonormal Walsh–Hadamard transform to x in place.
@@ -31,8 +32,9 @@ func WHT(x []float64) { WHTWorkers(x, 0) }
 // forces the serial transform. The butterfly network is data-independent —
 // every stage performs the same (a+b, a−b) pairs in the same element order
 // no matter how they are partitioned — so the result is bit-identical at
-// every setting. Small inputs always run serially: below the parallel
-// threshold the fork/join overhead exceeds the transform itself.
+// every setting. The transform states its length as its work: below
+// par.Grain cells per worker it runs serially, above it the slice is viewed
+// as power-of-two segments (no copy) and transformed by WHTBlocked.
 func WHTWorkers(x []float64, workers int) {
 	n := len(x)
 	if n == 0 {
@@ -41,32 +43,22 @@ func WHTWorkers(x []float64, workers int) {
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("transform: length %d is not a power of two", n))
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	scale := 1 / math.Sqrt(float64(n))
-	if workers == 1 || n < whtParallelMin {
-		whtButterflies(x)
-		for i := range x {
-			x[i] *= scale
+	if p := par.Workers(n, workers); p > 1 {
+		p = 1 << (stdbits.Len(uint(p)) - 1) // the segments must tile x evenly
+		segs := make([][]float64, p)
+		for i := range segs {
+			segs[i] = x[i*n/p : (i+1)*n/p]
 		}
+		b, _ := vector.FromSlices(segs) // equal, non-empty segments never fail
+		WHTBlocked(b, p)
 		return
 	}
-	whtButterfliesParallel(x, workers)
-	parallelRanges(len(x), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] *= scale
-		}
-	})
+	whtButterflies(x)
+	scale := 1 / math.Sqrt(float64(n))
+	for i := range x {
+		x[i] *= scale
+	}
 }
-
-// whtParallelMin is the smallest transform worth parallelising, and
-// whtMinSeg the smallest per-worker segment: below these the butterflies
-// are cheaper than the goroutine fork/join they would ride on.
-const (
-	whtParallelMin = 1 << 14
-	whtMinSeg      = 1 << 12
-)
 
 // whtCacheBlock is the tile the serial butterfly network runs hot in: 2^13
 // float64 (64 KiB) stays resident in L2 while all sub-tile stages complete,
@@ -147,76 +139,6 @@ func whtButterfliesTile(x []float64) {
 			}
 		}
 	}
-}
-
-// whtButterfliesParallel splits x into P power-of-two segments. Stages with
-// h < seg stay entirely inside one segment (blocks of 2h tile it), so each
-// worker runs them locally with no synchronisation — one pass over memory
-// it owns. The remaining log₂(P) stages pair whole segments (bit log₂(h)
-// is constant inside a segment), so the segment whose base index has that
-// bit clear owns the pair and updates both halves; a barrier between
-// stages keeps the ascending-h order of the serial network. Every element
-// sees the exact serial operation sequence, which is what makes the
-// parallel transform bit-identical.
-func whtButterfliesParallel(x []float64, workers int) {
-	n := len(x)
-	p := 1
-	for p*2 <= workers && n/(p*2) >= whtMinSeg {
-		p *= 2
-	}
-	if p == 1 {
-		whtButterflies(x)
-		return
-	}
-	seg := n / p
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(lo int) {
-			defer wg.Done()
-			whtButterflies(x[lo : lo+seg])
-		}(w * seg)
-	}
-	wg.Wait()
-	for h := seg; h < n; h <<= 1 {
-		for w := 0; w < p; w++ {
-			lo := w * seg
-			if lo&h != 0 {
-				continue // upper partner; its pair's owner updates it
-			}
-			wg.Add(1)
-			go func(lo int) {
-				defer wg.Done()
-				for j := lo; j < lo+seg; j++ {
-					a, b := x[j], x[j+h]
-					x[j], x[j+h] = a+b, a-b
-				}
-			}(lo)
-		}
-		wg.Wait()
-	}
-}
-
-// parallelRanges fans an index range out over a worker pool in contiguous
-// chunks (element-wise work only: the callback must not couple indices).
-func parallelRanges(n, workers int, f func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // WHTCopy returns the transform of x without modifying it.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bits"
+	"repro/internal/par"
 )
 
 const tol = 1e-10
@@ -339,7 +340,7 @@ func TestWHTParallelBitIdentical(t *testing.T) {
 	// Sizes straddling the parallel threshold, worker counts straddling the
 	// CPU count and non-power-of-two values: every combination must be
 	// bit-identical to the serial transform.
-	for _, n := range []int{1 << 10, whtParallelMin, 1 << 16, 1 << 18} {
+	for _, n := range []int{1 << 10, par.Grain, 2 * par.Grain, 4 * par.Grain, 1 << 16, 1 << 18} {
 		ref := randomVec(rng, n)
 		serial := append([]float64(nil), ref...)
 		WHTWorkers(serial, 1)

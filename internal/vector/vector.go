@@ -10,9 +10,8 @@
 //     vector allocates and touches one block at a time, never one giant
 //     slice (the dataset store's ingest shards feed releases without ever
 //     re-densifying);
-//   - a natural unit of parallelism: blocks are disjoint cell ranges, so a
-//     worker pool can own them without synchronisation, and Schedule gives
-//     the deterministic block→worker assignment every stage shares;
+//   - a natural unit of parallelism: blocks are disjoint cell ranges, so
+//     workers can own contiguous runs of them without synchronisation;
 //   - determinism by construction: because every primitive visits cells in
 //     ascending index order, an algorithm that accumulates per output cell
 //     in visit order produces bit-identical floats at any block count —
@@ -301,27 +300,4 @@ func Sum(a, b *Blocked) (*Blocked, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Schedule assigns blocks to workers deterministically: block i goes to
-// worker i mod workers, and each worker processes its blocks in ascending
-// order. The assignment depends only on (blocks, workers) — never on
-// runtime scheduling — so every stage that fans blocks out shares one
-// reproducible plan. Workers with no blocks receive empty lists.
-func Schedule(blocks, workers int) [][]int {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > blocks {
-		workers = blocks
-	}
-	if blocks <= 0 {
-		return nil
-	}
-	out := make([][]int, workers)
-	for i := 0; i < blocks; i++ {
-		w := i % workers
-		out[w] = append(out[w], i)
-	}
-	return out
 }

@@ -174,48 +174,6 @@ func TestCloneBlockLenAndAddFrom(t *testing.T) {
 	}
 }
 
-func TestScheduleDeterministicAndComplete(t *testing.T) {
-	for _, tc := range []struct{ blocks, workers int }{
-		{8, 3}, {8, 1}, {3, 8}, {1, 1}, {16, 4},
-	} {
-		sched := Schedule(tc.blocks, tc.workers)
-		seen := make([]bool, tc.blocks)
-		for _, list := range sched {
-			prev := -1
-			for _, bi := range list {
-				if bi <= prev {
-					t.Fatalf("Schedule(%d,%d): worker list not ascending", tc.blocks, tc.workers)
-				}
-				prev = bi
-				if seen[bi] {
-					t.Fatalf("Schedule(%d,%d): block %d assigned twice", tc.blocks, tc.workers, bi)
-				}
-				seen[bi] = true
-			}
-		}
-		for bi, ok := range seen {
-			if !ok {
-				t.Fatalf("Schedule(%d,%d): block %d unassigned", tc.blocks, tc.workers, bi)
-			}
-		}
-		// Same inputs, same schedule.
-		again := Schedule(tc.blocks, tc.workers)
-		if len(again) != len(sched) {
-			t.Fatalf("Schedule not deterministic")
-		}
-		for w := range sched {
-			if len(again[w]) != len(sched[w]) {
-				t.Fatalf("Schedule not deterministic")
-			}
-			for i := range sched[w] {
-				if again[w][i] != sched[w][i] {
-					t.Fatalf("Schedule not deterministic")
-				}
-			}
-		}
-	}
-}
-
 func TestEmptyVector(t *testing.T) {
 	b := New(0, 4)
 	if b.Len() != 0 || b.Blocks() != 0 {

@@ -202,9 +202,15 @@ func WithModifyNeighbors() ReleaserOption {
 
 // WithQueryWeights weights each workload marginal's importance in the
 // Step-2 budgeting (the paper's aᵀ·Var(y) objective). The length must match
-// the workload.
+// the workload, and every weight must be finite and non-negative.
 func WithQueryWeights(weights []float64) ReleaserOption {
 	return func(r *Releaser) error {
+		for i, v := range weights {
+			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: query weight %v for marginal %d is not finite and non-negative",
+					ErrInvalidOption, v, i)
+			}
+		}
 		r.queryWeights = append([]float64(nil), weights...)
 		return nil
 	}

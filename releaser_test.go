@@ -98,6 +98,27 @@ func TestReleaseBlockedCallerVectorNotMemoised(t *testing.T) {
 	}
 }
 
+// TestNonFiniteQueryWeightsRefused: a NaN or infinite query weight is an
+// invalid option at construction for every strategy — never a release of
+// all-NaN answers or a late budgeting failure.
+func TestNonFiniteQueryWeightsRefused(t *testing.T) {
+	tab := smallTable()
+	w := AllKWayMarginals(tab.Schema, 2)
+	for _, kind := range []StrategyKind{StrategyFourier, StrategyWorkload, StrategyCluster} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			weights := make([]float64, len(w.Marginals))
+			for i := range weights {
+				weights[i] = 1
+			}
+			weights[1] = v
+			_, err := NewReleaser(tab.Schema, w, WithStrategy(kind), WithQueryWeights(weights))
+			if !errors.Is(err, ErrInvalidOption) {
+				t.Errorf("%v: query weight %v: got %v, want ErrInvalidOption", kind, v, err)
+			}
+		}
+	}
+}
+
 // TestReleaserTypedErrors: construction and admission failures carry the
 // typed sentinels so callers (and the HTTP layer) can branch on errors.Is.
 func TestReleaserTypedErrors(t *testing.T) {
