@@ -38,9 +38,18 @@ func (a Attribute) BitWidth() int {
 // attribute i occupies bits [Offset(i), Offset(i)+BitWidth(i)) of the domain
 // index, attribute 0 at the least significant position.
 type Schema struct {
-	Attrs   []Attribute
-	offsets []int
-	dim     int
+	Attrs  []Attribute
+	layout []field
+	dim    int
+	padded bool // some attribute's cardinality is not a power of two
+}
+
+// field is one attribute's place in the domain index, computed once by
+// NewSchema: its code is (idx >> shift) & mask, valid below card.
+type field struct {
+	shift uint
+	mask  int
+	card  int
 }
 
 // NewSchema validates the attributes and computes the bit layout.
@@ -49,14 +58,16 @@ func NewSchema(attrs []Attribute) (*Schema, error) {
 		return nil, fmt.Errorf("dataset: schema needs at least one attribute")
 	}
 	s := &Schema{Attrs: append([]Attribute(nil), attrs...)}
-	s.offsets = make([]int, len(attrs))
+	s.layout = make([]field, len(attrs))
 	bit := 0
 	for i, a := range attrs {
 		if a.Cardinality < 1 {
 			return nil, fmt.Errorf("dataset: attribute %q has cardinality %d", a.Name, a.Cardinality)
 		}
-		s.offsets[i] = bit
-		bit += a.BitWidth()
+		w := a.BitWidth()
+		s.layout[i] = field{shift: uint(bit), mask: 1<<uint(w) - 1, card: a.Cardinality}
+		s.padded = s.padded || a.Cardinality != 1<<uint(w)
+		bit += w
 	}
 	s.dim = bit
 	if err := bits.CheckDim(bit); err != nil {
@@ -97,13 +108,13 @@ func (s *Schema) Equal(o *Schema) bool {
 func (s *Schema) DomainSize() int { return 1 << uint(s.dim) }
 
 // Offset returns the first bit position of attribute i.
-func (s *Schema) Offset(i int) int { return s.offsets[i] }
+func (s *Schema) Offset(i int) int { return int(s.layout[i].shift) }
 
 // AttrMask returns the bitmask covering attribute i — the marginal over the
 // original column i is the marginal over this mask.
 func (s *Schema) AttrMask(i int) bits.Mask {
-	w := s.Attrs[i].BitWidth()
-	return (bits.Full(w)) << uint(s.offsets[i])
+	f := s.layout[i]
+	return bits.Mask(f.mask) << f.shift
 }
 
 // MaskOf returns the union mask of the named attribute indices: the marginal
@@ -127,7 +138,7 @@ func (s *Schema) Encode(tuple []int) (int, error) {
 			return 0, fmt.Errorf("dataset: value %d out of range for attribute %q (cardinality %d)",
 				v, s.Attrs[i].Name, s.Attrs[i].Cardinality)
 		}
-		idx |= v << uint(s.offsets[i])
+		idx |= v << s.layout[i].shift
 	}
 	return idx, nil
 }
@@ -136,21 +147,28 @@ func (s *Schema) Encode(tuple []int) (int, error) {
 // codes (beyond an attribute's cardinality) are returned as-is; IsValid
 // reports whether the index encodes a real tuple.
 func (s *Schema) Decode(idx int) []int {
-	tuple := make([]int, len(s.Attrs))
-	for i, a := range s.Attrs {
-		w := a.BitWidth()
-		tuple[i] = (idx >> uint(s.offsets[i])) & ((1 << uint(w)) - 1)
-	}
+	tuple := make([]int, len(s.layout))
+	s.DecodeInto(idx, tuple)
 	return tuple
+}
+
+// DecodeInto is Decode writing into dst, which must hold one value per
+// attribute; it allocates nothing.
+func (s *Schema) DecodeInto(idx int, dst []int) {
+	dst = dst[:len(s.layout)]
+	for i, f := range s.layout {
+		dst[i] = idx >> f.shift & f.mask
+	}
 }
 
 // IsValid reports whether the domain index encodes in-range values for every
 // attribute (padding cells of non-power-of-two cardinalities are invalid).
 func (s *Schema) IsValid(idx int) bool {
-	for i, a := range s.Attrs {
-		w := a.BitWidth()
-		v := (idx >> uint(s.offsets[i])) & ((1 << uint(w)) - 1)
-		if v >= a.Cardinality {
+	if !s.padded {
+		return true
+	}
+	for _, f := range s.layout {
+		if idx>>f.shift&f.mask >= f.card {
 			return false
 		}
 	}

@@ -89,6 +89,56 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLayoutMatchesBitWidth: Decode, DecodeInto, IsValid and AttrMask,
+// which read the layout NewSchema computed, agree on every cell of a
+// mixed-cardinality domain with the same quantities derived from BitWidth
+// and Offset.
+func TestLayoutMatchesBitWidth(t *testing.T) {
+	checkLayout(t, MustSchema([]Attribute{
+		{Name: "a", Cardinality: 9}, {Name: "b", Cardinality: 2}, {Name: "c", Cardinality: 7},
+		{Name: "d", Cardinality: 1}, {Name: "e", Cardinality: 5}, {Name: "f", Cardinality: 3},
+	}))
+	// No padding cells: every index is valid.
+	checkLayout(t, MustSchema([]Attribute{
+		{Name: "a", Cardinality: 8}, {Name: "b", Cardinality: 2}, {Name: "c", Cardinality: 16},
+	}))
+}
+
+func checkLayout(t *testing.T, s *Schema) {
+	t.Helper()
+	dst := make([]int, len(s.Attrs))
+	for idx := 0; idx < s.DomainSize(); idx++ {
+		tuple := s.Decode(idx)
+		s.DecodeInto(idx, dst)
+		valid := true
+		for i, a := range s.Attrs {
+			want := idx >> uint(s.Offset(i)) & (1<<uint(a.BitWidth()) - 1)
+			if tuple[i] != want || dst[i] != want {
+				t.Fatalf("cell %d attribute %d: Decode %d, DecodeInto %d, want %d", idx, i, tuple[i], dst[i], want)
+			}
+			valid = valid && want < a.Cardinality
+		}
+		if s.IsValid(idx) != valid {
+			t.Fatalf("cell %d: IsValid = %v, want %v", idx, !valid, valid)
+		}
+	}
+	for i, a := range s.Attrs {
+		if want := bits.Full(a.BitWidth()) << uint(s.Offset(i)); s.AttrMask(i) != want {
+			t.Fatalf("AttrMask(%d) = %v, want %v", i, s.AttrMask(i), want)
+		}
+	}
+}
+
+// TestDecodeIntoAllocFree: decoding into a caller's slice allocates
+// nothing.
+func TestDecodeIntoAllocFree(t *testing.T) {
+	s := AdultSchema()
+	dst := make([]int, len(s.Attrs))
+	if n := testing.AllocsPerRun(100, func() { s.DecodeInto(0x5a5a5a, dst) }); n != 0 {
+		t.Fatalf("DecodeInto allocates %v times", n)
+	}
+}
+
 func TestEncodeRejectsOutOfRange(t *testing.T) {
 	s := MustSchema([]Attribute{{Name: "a", Cardinality: 3}})
 	if _, err := s.Encode([]int{3}); err == nil {

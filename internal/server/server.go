@@ -836,7 +836,8 @@ func (b syntheticBody) marshal() ([]byte, error) {
 }
 
 // appendIntRows appends rows as encoding/json writes a [][]int: nil
-// slices as null.
+// slices as null. Single digits, every binary attribute and most
+// categorical codes, are written as one byte.
 func appendIntRows(buf []byte, rows [][]int) []byte {
 	if rows == nil {
 		return append(buf, "null"...)
@@ -850,12 +851,18 @@ func appendIntRows(buf []byte, rows [][]int) []byte {
 			buf = append(buf, "null"...)
 			continue
 		}
-		buf = append(buf, '[')
-		for j, v := range row {
-			if j > 0 {
-				buf = append(buf, ',')
+		if len(row) == 0 {
+			buf = append(buf, "[]"...)
+			continue
+		}
+		sep := byte('[')
+		for _, v := range row {
+			if uint(v) < 10 {
+				buf = append(buf, sep, byte('0'+v))
+			} else {
+				buf = strconv.AppendInt(append(buf, sep), int64(v), 10)
 			}
-			buf = strconv.AppendInt(buf, int64(v), 10)
+			sep = ','
 		}
 		buf = append(buf, ']')
 	}
@@ -864,6 +871,9 @@ func appendIntRows(buf []byte, rows [][]int) []byte {
 
 // intLen is the length of v in decimal.
 func intLen(v int) int {
+	if uint(v) < 10 {
+		return 1
+	}
 	n := 1
 	u := uint64(v)
 	if v < 0 {
