@@ -56,12 +56,22 @@ type Charge struct {
 
 // Accountant is a concurrency-safe privacy ledger. The zero value is not
 // usable; construct with New or NewComposed.
+//
+// The composed spend is memoized: Compose runs once per mutation (an
+// admission, a refusal's pop, a refund, a restore), not once per read, so
+// Spent, Remaining and Summary cost O(1) between charges. Compose stays
+// the only arithmetic, so a memoized read is bit-identical to composing
+// the history afresh.
 type Accountant struct {
 	mu      sync.Mutex
 	epsCap  float64
 	delCap  float64
 	comp    Composition
 	charges []Charge
+	// spentEps and spentDel hold comp.Compose(charges) while spentOK;
+	// every mutation of charges clears spentOK.
+	spentEps, spentDel float64
+	spentOK            bool
 }
 
 // New builds an accountant with the given total (ε, δ) cap and the Basic
@@ -113,7 +123,11 @@ func (a *Accountant) Spent() (epsilon, delta float64) {
 }
 
 func (a *Accountant) spentLocked() (float64, float64) {
-	return a.comp.Compose(a.charges)
+	if !a.spentOK {
+		a.spentEps, a.spentDel = a.comp.Compose(a.charges)
+		a.spentOK = true
+	}
+	return a.spentEps, a.spentDel
 }
 
 // Remaining returns the unspent budget, clamped at zero: the admission
@@ -134,9 +148,11 @@ func (a *Accountant) Charge(c Charge) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.charges = append(a.charges, c)
+	a.spentOK = false
 	eps, del := a.spentLocked()
 	if eps > a.epsCap+1e-12 || del > a.delCap+1e-15 {
 		a.charges = a.charges[:len(a.charges)-1]
+		a.spentOK = false
 		// Prior spend is recomputed with the candidate popped — only on
 		// this rare refusal path, keeping admission at one Compose. Under
 		// parallel composition (and zCDP's non-additive conversion) the
@@ -177,6 +193,7 @@ func (a *Accountant) refund(c Charge) {
 	for i := len(a.charges) - 1; i >= 0; i-- {
 		if a.charges[i] == c {
 			a.charges = append(a.charges[:i], a.charges[i+1:]...)
+			a.spentOK = false
 			return
 		}
 	}
@@ -195,6 +212,7 @@ func (a *Accountant) restore(charges []Charge) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.charges = append(a.charges, charges...)
+	a.spentOK = false
 	return nil
 }
 

@@ -7,9 +7,10 @@ import (
 
 // Composition defines how a ledger's individual charges fold into one
 // composed (ε, δ) guarantee. A Composition must be a pure function of the
-// charge sequence — the accountant calls it under its lock on every Spent
-// and on every admission check — and safe for concurrent use (stateless
-// values satisfy both trivially).
+// charge sequence — the accountant calls it under its lock once per ledger
+// mutation (every admission check, refund and restore) and memoizes the
+// result for every read until the next one — and safe for concurrent use
+// (stateless values satisfy both trivially).
 //
 // Two implementations ship with the package: Basic, the plain
 // sequential+parallel accountant, and ZCDP, which composes in zero-

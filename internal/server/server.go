@@ -1022,16 +1022,21 @@ func (ep releaseEndpoint) label(req *releaseRequest) string {
 }
 
 // serveRelease is the one serving flow of every release-shaped endpoint:
-// decode → validate → trace → releaser → rescache.Do(charge → body) →
+// decode → validate → trace → rescache.Do(releaser → charge → body) →
 // write. Validation comes first, so a malformed request is a free 400 that
 // plans nothing, registers (or evicts) no Releaser and charges nothing. A
 // result-cache hit replays the stored payload BEFORE any charge: replaying
 // the same noised output is free post-processing, paid for by the miss that
-// computed it (see internal/rescache). On a miss, everything from admission
-// on runs under the key's single-flight: a cold-key thundering herd admits
-// one leader, and its followers share the payload without charging.
-// Post-charge failures are wrapped so only the leader answers with the
-// retained-charge contract.
+// computed it (see internal/rescache). The Releaser is resolved only on a
+// miss, so a hit builds no workload and never touches the Releaser
+// registry. A workload error stays a 400 either way: whether the workload
+// resolves is a function of the request's releaserKey, which is part of the
+// result key, so a request whose workload fails never hits. On a miss,
+// everything from Releaser resolution on runs under the key's
+// single-flight: a cold-key thundering herd plans and admits one leader,
+// and its followers share the payload (or inherit a pre-charge error bare)
+// without charging. Post-charge failures are wrapped so only the leader
+// answers with the retained-charge contract.
 func (s *Server) serveRelease(w http.ResponseWriter, r *http.Request, ep releaseEndpoint) {
 	c, err := s.decodeData(w, r)
 	if err != nil {
@@ -1056,15 +1061,16 @@ func (s *Server) serveRelease(w http.ResponseWriter, r *http.Request, ep release
 		return
 	}
 	r = s.withTrace(r, ep.name, req)
-	if ep.releaser {
-		if c.rel, err = s.releaser(r.Context(), c); err != nil {
-			s.fail(w, r, err)
-			return
-		}
-	}
 	root := telemetry.TraceFrom(r.Context()).Root()
 	var wait *telemetry.Span
 	payload, outcome, err := s.results.Do(r.Context(), s.resultKey(ep.name, c), req.DatasetID, func() ([]byte, error) {
+		if ep.releaser {
+			rel, err := s.releaser(r.Context(), c)
+			if err != nil {
+				return nil, err
+			}
+			c.rel = rel
+		}
 		if err := s.charge(r, c.rel, req, ep.label(req)); err != nil {
 			return nil, err
 		}
@@ -1763,6 +1769,13 @@ func (s *Server) failFlight(w http.ResponseWriter, r *http.Request, err error, r
 // debug_timing trace is spliced the same way: per response, never into the
 // cached payload, so timing (like budget) stays live while the noised
 // bytes stay shared.
+//
+// The splice is zero-copy: only the small per-request tail (budget,
+// timing, closing brace) is built. The payload — on a hit, the result
+// cache's own slice, read but never retained or mutated — is written
+// straight from its slice up to its closing brace, then the tail.
+// Content-Length is set from the two parts, so every body, however large,
+// goes out with Content-Length framing rather than chunked.
 func (s *Server) writeSpliced(w http.ResponseWriter, r *http.Request, payload []byte) {
 	bb, err := json.Marshal(s.budgetFor(apiKeyFrom(r.Context())))
 	if err != nil {
@@ -1776,18 +1789,22 @@ func (s *Server) writeSpliced(w http.ResponseWriter, r *http.Request, payload []
 			return
 		}
 	}
-	buf := make([]byte, 0, len(payload)+len(bb)+len(tb)+24)
-	buf = append(buf, payload[:len(payload)-1]...)
-	buf = append(buf, `,"budget":`...)
-	buf = append(buf, bb...)
+	tail := make([]byte, 0, len(bb)+len(tb)+24)
+	tail = append(tail, `,"budget":`...)
+	tail = append(tail, bb...)
 	if tb != nil {
-		buf = append(buf, `,"timing":`...)
-		buf = append(buf, tb...)
+		tail = append(tail, `,"timing":`...)
+		tail = append(tail, tb...)
 	}
-	buf = append(buf, '}', '\n')
-	w.Header().Set("Content-Type", "application/json")
+	tail = append(tail, '}', '\n')
+	body := payload[:len(payload)-1]
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)+len(tail)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf)
+	if _, err := w.Write(body); err == nil {
+		_, _ = w.Write(tail)
+	}
 }
 
 // release runs the mechanism over whichever data source the request

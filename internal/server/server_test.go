@@ -438,11 +438,15 @@ func TestWorkloadVariants(t *testing.T) {
 // ingested dataset with the result cache off (the engine path minus rows
 // decode), "dataset-cached" repeats one identical dataset request — the
 // dashboard pattern the result cache exists for, required to be ≥ 10×
-// faster than dataset-uncached.
+// faster than dataset-uncached — and "synthetic-cached" repeats one
+// ~1 MB /v1/synthetic response, whose hit must cost about what the small
+// dataset-cached hit does: the cached payload is written, never copied.
 func BenchmarkServerRelease(b *testing.B) {
-	run := func(b *testing.B, s *Server, body []byte) {
+	// keepBody false drops the response body as it is written, so the 1 MB
+	// synthetic arm measures the server rather than a recorder buffering it.
+	run := func(b *testing.B, s *Server, path string, body []byte, keepBody bool) {
 		// Warm the Releaser registry, plan cache and (when on) result cache.
-		warm := httptest.NewRequest(http.MethodPost, "/v1/release", bytes.NewReader(body))
+		warm := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, warm)
 		if rec.Code != http.StatusOK {
@@ -451,8 +455,11 @@ func BenchmarkServerRelease(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest(http.MethodPost, "/v1/release", bytes.NewReader(body))
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 			rec := httptest.NewRecorder()
+			if !keepBody {
+				rec.Body = nil
+			}
 			s.ServeHTTP(rec, req)
 			if rec.Code != http.StatusOK {
 				b.Fatalf("request %d: %d", i, rec.Code)
@@ -470,26 +477,11 @@ func BenchmarkServerRelease(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run(b, s, body)
+		run(b, s, "/v1/release", body, true)
 	})
-	// The dataset variants use a 14-attribute binary domain (16384 cells):
-	// small enough to bench quickly,, big enough that the engine run — not
-	// HTTP plumbing — dominates an uncached release, which is the cost a
-	// cache hit avoids.
-	datasetSetup := func(b *testing.B, cacheSize int) (*Server, []byte) {
+	datasetSetup := func(b *testing.B, cacheSize int, overrides map[string]any) (*Server, []byte) {
 		s := newTestServer(b, Config{EpsilonCap: math.MaxFloat64, MaxWorkers: 0, ResultCacheSize: cacheSize})
-		attrs := make([]dataset.Attribute, 14)
-		for i := range attrs {
-			attrs[i] = dataset.Attribute{Name: fmt.Sprintf("a%d", i), Cardinality: 2}
-		}
-		schema := dataset.MustSchema(attrs)
-		counts := make([]float64, schema.DomainSize())
-		for i := range counts {
-			counts[i] = float64(i % 5)
-		}
-		if _, err := s.Store().PutCounts("bench", schema, counts, 1000); err != nil {
-			b.Fatal(err)
-		}
+		putBenchDataset(b, s)
 		body, err := json.Marshal(datasetBody("bench", overrides))
 		if err != nil {
 			b.Fatal(err)
@@ -497,14 +489,43 @@ func BenchmarkServerRelease(b *testing.B) {
 		return s, body
 	}
 	b.Run("dataset-uncached", func(b *testing.B) {
-		s, body := datasetSetup(b, -1)
-		run(b, s, body)
+		s, body := datasetSetup(b, -1, overrides)
+		run(b, s, "/v1/release", body, true)
 	})
 	b.Run("dataset-cached", func(b *testing.B) {
-		s, body := datasetSetup(b, 0)
-		run(b, s, body)
+		s, body := datasetSetup(b, 0, overrides)
+		run(b, s, "/v1/release", body, true)
+	})
+	b.Run("synthetic-cached", func(b *testing.B) {
+		s, body := datasetSetup(b, 0, benchSyntheticOverrides)
+		run(b, s, "/v1/synthetic", body, false)
 	})
 }
+
+// putBenchDataset ingests the benchmark dataset "bench": a 14-attribute
+// binary domain (16384 cells, 32768 rows) — small enough to bench quickly,
+// big enough that the engine run, not HTTP plumbing, dominates an uncached
+// release (the cost a cache hit avoids), and that a synthetic sample of it
+// encodes to about 1 MB.
+func putBenchDataset(tb testing.TB, s *Server) {
+	tb.Helper()
+	attrs := make([]dataset.Attribute, 14)
+	for i := range attrs {
+		attrs[i] = dataset.Attribute{Name: fmt.Sprintf("a%d", i), Cardinality: 2}
+	}
+	schema := dataset.MustSchema(attrs)
+	counts := make([]float64, schema.DomainSize())
+	for i := range counts {
+		counts[i] = float64(i % 5)
+	}
+	if _, err := s.Store().PutCounts("bench", schema, counts, 1000); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// benchSyntheticOverrides is the /v1/synthetic request over "bench" whose
+// response is about 1 MB.
+var benchSyntheticOverrides = map[string]any{"workload": map[string]any{"k": 2}, "epsilon": 1.0, "synthetic_seed": 5}
 
 // ---------------------------------------------------------------------------
 // Dataset store integration.
