@@ -84,5 +84,5 @@ func ReleaseVectorCoefficients(s *Schema, w *Workload, res *Result) ([]float64, 
 	if err != nil {
 		return nil, err
 	}
-	return synth.MaterializeVector(s.Dim(), coeffRes)
+	return synth.MaterializeVector(s.Dim(), w.FourierSupport(), coeffRes)
 }

@@ -175,7 +175,7 @@ func TestFailureInjection(t *testing.T) {
 	}
 
 	// Synth layer rejects nonsense too.
-	if _, err := synth.MaterializeVector(99, nil); err == nil {
+	if _, err := synth.MaterializeVector(99, nil, nil); err == nil {
 		t.Error("bad dimension accepted by MaterializeVector")
 	}
 	if _, err := consistency.L2(w, make([]float64, 1)); err == nil {

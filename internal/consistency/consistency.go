@@ -18,6 +18,15 @@
 // marginal. The derivation survives per-marginal weights (noise variances
 // differ across marginals but are constant within one), which keeps the
 // Gram matrix diagonal; L2Weighted implements that generalized version.
+//
+// Coefficients travel as a dense slice aligned with the workload's
+// FourierSupport, never as a map: every per-cell step indexes it through
+// the workload's Fourier column index (marginal.Workload.FourierColumns),
+// whose entry for released cell j of marginal i is the support column of
+// the β packed at j. Walking that index in order visits the marginals in
+// order and each marginal's subsets in ascending packed order — the order
+// the sums always had — so the dense form is bit-identical to hashing the
+// masks.
 package consistency
 
 import (
@@ -35,9 +44,11 @@ import (
 // Result carries the consistent marginal answers and the underlying Fourier
 // coefficients.
 type Result struct {
-	// Coefficients maps β ∈ F to f̂_β, the estimated Fourier coefficient of
-	// the hidden data vector in the orthonormal basis.
-	Coefficients map[bits.Mask]float64
+	// Coefficients holds f̂_β, the estimated Fourier coefficient of the
+	// hidden data vector in the orthonormal basis, for every β of the
+	// workload's FourierSupport: Coefficients[c] is the coefficient of
+	// FourierSupport()[c].
+	Coefficients []float64
 	// Answers is the consistent concatenated answer vector R·f̂, aligned
 	// with the workload's marginal order.
 	Answers []float64
@@ -68,10 +79,16 @@ func L2Weighted(w *marginal.Workload, noisy []float64, weight []float64) (*Resul
 //  1. per-marginal small WHTs (the T_β transforms) — independent blocks,
 //     each transform run serially inside its run;
 //  2. the per-coefficient weighted average — always one serial
-//     marginal-major sweep, so every coefficient accumulates its
-//     contributions in ascending marginal order;
+//     marginal-major sweep along the Fourier column index, so every
+//     coefficient accumulates its contributions in ascending marginal
+//     order, and within a marginal in ascending packed subset order;
 //  3. reconstruction R·f̂ — independent per-marginal inverse transforms
 //     writing disjoint slices of the answer vector.
+//
+// The coefficients come back as a slice aligned with w.FourierSupport().
+// A coefficient observed only by zero-weighted marginals has no estimate;
+// reconstructing a marginal that needs one fails with "coefficients
+// missing".
 func L2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []float64, workers int) (*Result, error) {
 	if len(noisy) != w.TotalCells() {
 		return nil, fmt.Errorf("consistency: %d noisy values for %d cells", len(noisy), w.TotalCells())
@@ -129,68 +146,70 @@ func L2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []float64, 
 	})
 
 	// Phase 2: the per-coefficient weighted average, marginal-major: each
-	// marginal's 2^k subsets are visited once, so coefficient β receives its
-	// contributions in ascending marginal order.
+	// marginal's 2^k packed subsets are visited once, in order, so
+	// coefficient β receives its contributions in ascending marginal order.
 	support := w.FourierSupport()
-	colOf := make(map[bits.Mask]int, len(support))
-	for c, b := range support {
-		colOf[b] = c
-	}
+	cols := w.FourierColumns()
 	num := make([]float64, len(support))
 	den := make([]float64, len(support))
-	for i, m := range w.Marginals {
-		tb := blocks[i]
+	for i, tb := range blocks {
 		if tb.block == nil {
 			continue
 		}
-		m.Alpha.VisitSubsets(func(beta bits.Mask) {
-			c := colOf[beta]
-			num[c] += tb.numScale * tb.block[bits.CellIndex(m.Alpha, beta)]
+		for j, c := range cols[offsets[i] : offsets[i]+len(tb.block)] {
+			num[c] += tb.numScale * tb.block[j]
 			den[c] += tb.denTerm
-		})
+		}
 		// The transform scratch is dead once folded; recycle it for the
 		// next release.
 		blockPool.Put(tb.buf)
 	}
 
-	coeff := make(map[bits.Mask]float64, len(support))
-	for c, beta := range support {
+	// A coefficient no positively weighted marginal observes keeps den = 0
+	// and num = 0, its estimate undefined; evalAnswers refuses to read it.
+	coeff := num
+	for c := range coeff {
 		if den[c] != 0 {
-			coeff[beta] = num[c] / den[c]
+			coeff[c] = num[c] / den[c]
 		}
 	}
 
-	answers, err := evalAnswers(w, coeff, workers)
+	answers, err := evalAnswers(w, coeff, den, workers)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Coefficients: coeff, Answers: answers}, nil
 }
 
-// evalAnswers reconstructs every marginal from the coefficients, splitting
-// the independent per-marginal inverse transforms into contiguous runs of
-// marginals (each writes its own disjoint slice of the concatenated
-// answers). workers is already sized by par.Workers.
-func evalAnswers(w *marginal.Workload, coeff map[bits.Mask]float64, workers int) ([]float64, error) {
+// evalAnswers reconstructs every marginal from the coefficients (aligned
+// with w.FourierSupport()), splitting the independent per-marginal inverse
+// transforms into contiguous runs of marginals (each writes its own
+// disjoint slice of the concatenated answers). A marginal reading a
+// coefficient whose observed weight is zero fails; observed == nil means
+// every coefficient is observed. workers is already sized by par.Workers.
+func evalAnswers(w *marginal.Workload, coeff, observed []float64, workers int) ([]float64, error) {
 	answers := make([]float64, w.TotalCells())
 	offsets := w.Offsets()
+	cols := w.FourierColumns()
 	errs := make([]error, len(w.Marginals))
 	par.For(len(w.Marginals), workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			m := w.Marginals[i]
-			// Guard against a workload marginal that shares no coefficients
-			// (cannot happen when coeff came from the same workload).
+			out := answers[offsets[i] : offsets[i]+m.Cells()]
+			mcols := cols[offsets[i] : offsets[i]+m.Cells()]
 			missing := false
-			m.Alpha.VisitSubsets(func(beta bits.Mask) {
-				if _, ok := coeff[beta]; !ok {
+			for j, c := range mcols {
+				if observed != nil && observed[c] == 0 {
 					missing = true
+					break
 				}
-			})
+				out[j] = coeff[c]
+			}
 			if missing {
 				errs[i] = fmt.Errorf("consistency: coefficients missing for marginal %v", m.Alpha)
 				continue
 			}
-			m.EvalFromFourierInto(w.D, coeff, answers[offsets[i]:offsets[i]+m.Cells()])
+			transform.MarginalFromCoefficients(w.D, out)
 		}
 	})
 	for _, err := range errs {
@@ -266,15 +285,11 @@ func lpConsistency(w *marginal.Workload, noisy []float64, inf bool) (*Result, er
 	if err != nil {
 		return nil, fmt.Errorf("consistency: LP failed: %w", err)
 	}
-	coeff := make(map[bits.Mask]float64, len(support))
-	for c, b := range support {
-		coeff[b] = fhat[c]
-	}
-	answers, err := evalAnswers(w, coeff, par.Workers(len(noisy), 0))
+	answers, err := evalAnswers(w, fhat, nil, par.Workers(len(noisy), 0))
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Coefficients: coeff, Answers: answers}, nil
+	return &Result{Coefficients: fhat, Answers: answers}, nil
 }
 
 // IsConsistent verifies that the concatenated answers are mutually
@@ -288,7 +303,10 @@ func IsConsistent(w *marginal.Workload, answers []float64, tol float64) bool {
 	}
 	d := w.D
 	sqrtN := math.Sqrt(float64(int64(1) << uint(d)))
-	seen := make(map[bits.Mask]float64)
+	support := w.FourierSupport()
+	cols := w.FourierColumns()
+	seen := make([]float64, len(support))
+	have := make([]bool, len(support))
 	offsets := w.Offsets()
 	for i, m := range w.Marginals {
 		k := m.Order()
@@ -302,20 +320,13 @@ func IsConsistent(w *marginal.Workload, answers []float64, tol float64) bool {
 		// From (Cα)_γ = 2^{d/2−k} Σ_β (−1)^{⟨β,γ⟩}θ_β and WHT inversion:
 		// θ_β = T_β / (2^k·2^{d/2−k}) = 2^{k/2}·block_β·2^{k−d/2}/2^k.
 		coefScale := math.Sqrt(twoK) / (twoK * (sqrtN / twoK))
-		m.Alpha.VisitSubsets(func(beta bits.Mask) {
-			theta := coefScale * block[bits.CellIndex(m.Alpha, beta)]
-			if prev, ok := seen[beta]; ok {
-				if math.Abs(prev-theta) > tol {
-					seen[beta] = math.Inf(1)
-				}
-			} else {
-				seen[beta] = theta
+		for j, c := range cols[offsets[i] : offsets[i]+cells] {
+			theta := coefScale * block[j]
+			if !have[c] {
+				seen[c], have[c] = theta, true
+			} else if math.Abs(seen[c]-theta) > tol {
+				return false
 			}
-		})
-	}
-	for _, v := range seen {
-		if math.IsInf(v, 1) {
-			return false
 		}
 	}
 	return true

@@ -59,9 +59,9 @@ func TestL2WeightedWorkersBitIdentity(t *testing.T) {
 					t.Fatalf("workload %d workers=%d: %d coefficients, want %d",
 						wi, workers, len(got.Coefficients), len(ref.Coefficients))
 				}
-				for beta, v := range ref.Coefficients {
-					if math.Float64bits(got.Coefficients[beta]) != math.Float64bits(v) {
-						t.Fatalf("workload %d workers=%d: coefficient %v differs", wi, workers, beta)
+				for c, v := range ref.Coefficients {
+					if math.Float64bits(got.Coefficients[c]) != math.Float64bits(v) {
+						t.Fatalf("workload %d workers=%d: coefficient %v differs", wi, workers, w.FourierSupport()[c])
 					}
 				}
 			}

@@ -49,6 +49,7 @@ type PlanCache struct {
 
 type cacheEntry struct {
 	key  string
+	w    *marginal.Workload // the workload plan was built for
 	plan *strategy.Plan
 	memo *answerMemo // nil until a frozen input is measured with plan
 	gone bool        // evicted or replaced: memoize drops its answers
@@ -114,10 +115,10 @@ func (c *PlanCache) get(key string) (*cacheEntry, bool) {
 	return el.Value.(*cacheEntry), true
 }
 
-func (c *PlanCache) put(key string, plan *strategy.Plan) *cacheEntry {
+func (c *PlanCache) put(key string, w *marginal.Workload, plan *strategy.Plan) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := &cacheEntry{key: key, plan: plan}
+	e := &cacheEntry{key: key, w: w, plan: plan}
 	if el, ok := c.entries[key]; ok {
 		// A fresh entry, not a new plan in the old one: a release still
 		// holding the old entry must not memoise its plan's answers here.
@@ -221,7 +222,7 @@ func (c *PlanCache) Install(recs []*strategy.PlanRecord) (int, error) {
 			Strategy:     strategy.Cluster{MaxMerges: rec.MaxMerges},
 			QueryWeights: rec.Weights,
 		})
-		c.put(key, plan)
+		c.put(key, w, plan)
 		n++
 	}
 	return n, firstErr

@@ -89,9 +89,11 @@
 //     RecoverMarginal and the work clears the grain, and calls the serial
 //     Recover otherwise.
 //   - Consistency merges. Each Fourier coefficient accumulates its
-//     contributions in ascending marginal order in one serial sweep, and
-//     the parallel phases write disjoint per-marginal outputs, so the
-//     projection is bit-identical at any worker count.
+//     contributions in ascending marginal order (within a marginal, in
+//     ascending packed subset order) in one serial sweep along the
+//     workload's Fourier column index, and the parallel phases write
+//     disjoint per-marginal outputs, so the projection is bit-identical at
+//     any worker count.
 //   - Plan purity. Cached plans are shared read-only across goroutines and
 //     runs; every built-in strategy's plan closures are pure functions of
 //     their captured inputs.
@@ -109,6 +111,14 @@
 // same cube) skip planning entirely.
 // The cache is a bounded LRU and safe for concurrent use; hits return the
 // identical plan the first run used, so caching never changes output.
+//
+// Each entry also keeps the workload its plan was built for. On a hit,
+// RunVector recovers and projects against that workload rather than the
+// caller's: the key holds the dimension and the ordered masks, so the two
+// are equal, and the cached one already carries its derived Fourier
+// support and column index (marginal.Workload.FourierColumns, 4 bytes per
+// released cell). A caller that builds an equal workload per request —
+// the /v1/cube lattice — therefore derives neither on a hit.
 //
 // Each cache entry also holds an answer memo: the exact strategy answers
 // S·x its plan computed over one input vector.

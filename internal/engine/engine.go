@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/bits"
 	"repro/internal/budget"
 	"repro/internal/consistency"
 	"repro/internal/marginal"
@@ -100,8 +99,10 @@ type Release struct {
 	// under the initial recovery (the paper's optimisation objective).
 	TotalVariance float64
 	// Coefficients holds the consistent Fourier coefficients when a
-	// consistency pass ran (nil otherwise).
-	Coefficients map[bits.Mask]float64
+	// consistency pass ran (nil otherwise), aligned with the workload's
+	// FourierSupport: Coefficients[c] is the coefficient of
+	// FourierSupport()[c].
+	Coefficients []float64
 	// Elapsed is the wall-clock cost of the full run.
 	Elapsed time.Duration
 	// StrategyName is the short experiment-table name of the strategy.
@@ -229,6 +230,14 @@ func (e *Engine) RunVector(ctx context.Context, w *marginal.Workload, x *vector.
 	if err != nil {
 		return nil, err
 	}
+	if entry != nil {
+		// The plan was built for the entry's workload, which equals w (the
+		// cache key holds D and the ordered masks) and already carries its
+		// Fourier support and column index: recover and project against it
+		// so an equal but fresh workload (a per-request lattice) derives
+		// nothing.
+		w = entry.w
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -339,7 +348,7 @@ func (p Planner) plan(ctx context.Context, w *marginal.Workload, cfg Config) (*s
 		if err != nil {
 			return nil, nil, err
 		}
-		return plan, p.Cache.put(key, plan), nil
+		return plan, p.Cache.put(key, w, plan), nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -694,7 +703,7 @@ type Consister struct{}
 // Cancellation is checked on entry; the projection itself runs to
 // completion (its pieces are too fine-grained to poll a context
 // profitably).
-func (Consister) Consist(ctx context.Context, w *marginal.Workload, answers, cellVar []float64, cfg Config, workers int) ([]float64, map[bits.Mask]float64, error) {
+func (Consister) Consist(ctx context.Context, w *marginal.Workload, answers, cellVar []float64, cfg Config, workers int) ([]float64, []float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}

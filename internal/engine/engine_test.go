@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/budget"
@@ -434,5 +435,57 @@ func BenchmarkPerturb(b *testing.B) {
 				Perturb(z, groups, p, 42, workers)
 			}
 		})
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestPlanCacheHitReusesPlannedWorkload: a plan-cache hit through a fresh
+// workload equal to the planned one (the per-request lattice of /v1/cube)
+// releases the same bits as the planned workload, and allocates no more:
+// recover and consist run against the cached workload, whose Fourier
+// support and column index already exist, so the fresh one derives
+// nothing. GC is paused so the consistency scratch pool keeps its buffers
+// between runs.
+func TestPlanCacheHitReusesPlannedWorkload(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	d := 12
+	x := vector.FromDense(testX(rng, d))
+	planned := marginal.AllKWay(d, 2)
+	eng := New(Options{Workers: 1, Cache: NewPlanCache(0)})
+	cfg := Config{
+		Strategy: strategy.Fourier{}, Budgeting: OptimalBudget,
+		Consistency: WeightedL2Consistency, Privacy: pureParams(1), Seed: 9,
+	}
+	release := func(w *marginal.Workload) *Release {
+		rel, err := eng.RunVector(context.Background(), w, x, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	want := release(planned)
+	got := release(marginal.AllKWay(d, 2))
+	sameAnswers(t, "fresh workload", got, want)
+	for c := range want.Coefficients {
+		if math.Float64bits(got.Coefficients[c]) != math.Float64bits(want.Coefficients[c]) {
+			t.Fatalf("coefficient %d = %v, want %v", c, got.Coefficients[c], want.Coefficients[c])
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops items at random under the race detector
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 10
+	fresh := make([]*marginal.Workload, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range fresh {
+		fresh[i] = marginal.AllKWay(d, 2)
+	}
+	next := 0
+	freshAllocs := testing.AllocsPerRun(runs, func() { release(fresh[next]); next++ })
+	cachedAllocs := testing.AllocsPerRun(runs, func() { release(planned) })
+	if freshAllocs > cachedAllocs {
+		t.Fatalf("a fresh equal workload allocates %v per release, the planned one %v", freshAllocs, cachedAllocs)
 	}
 }

@@ -283,8 +283,8 @@ func TestAnswerMemoByteBound(t *testing.T) {
 	c.memoMax = 1 << 10
 	x := vector.FromDense(make([]float64, 4))
 	half := make([]float64, c.memoMax/8/2+1)
-	a := c.put("a", &strategy.Plan{})
-	b := c.put("b", &strategy.Plan{})
+	a := c.put("a", nil, &strategy.Plan{})
+	b := c.put("b", nil, &strategy.Plan{})
 	c.memoize(a, x, half)
 	c.memoize(b, x, half)
 	if a.memo != nil || b.memo == nil {
@@ -294,7 +294,7 @@ func TestAnswerMemoByteBound(t *testing.T) {
 	if a.memo != nil {
 		t.Fatal("a memo larger than the bound was kept")
 	}
-	c.put("c", &strategy.Plan{}) // evicts a, the least recently used plan
+	c.put("c", nil, &strategy.Plan{}) // evicts a, the least recently used plan
 	c.memoize(a, x, []float64{1})
 	if a.memo != nil {
 		t.Fatal("an evicted entry kept a memo")

@@ -12,11 +12,11 @@ package marginal
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/bits"
 	"repro/internal/dataset"
-	"repro/internal/transform"
 	"repro/internal/vector"
 )
 
@@ -36,19 +36,6 @@ func (m Marginal) Eval(x []float64) []float64 {
 	return m.EvalVector(vector.FromDense(x))
 }
 
-// EvalFromFourier computes Cα x from Fourier coefficients θ_β = ⟨f^β, x⟩
-// via Theorem 4.1. All β ⪯ α must be present in coeff.
-func (m Marginal) EvalFromFourier(d int, coeff map[bits.Mask]float64) []float64 {
-	return transform.MarginalFromCoefficients(d, m.Alpha, coeff)
-}
-
-// EvalFromFourierInto is EvalFromFourier writing into a caller-provided
-// slice of exactly Cells() entries — the alloc-free path for per-marginal
-// answer sweeps over preallocated output buffers.
-func (m Marginal) EvalFromFourierInto(d int, coeff map[bits.Mask]float64, out []float64) {
-	transform.MarginalFromCoefficientsInto(d, m.Alpha, coeff, out)
-}
-
 // Rows materialises the explicit 2^‖α‖ × 2^d query matrix of the marginal.
 // Only for small d (tests and explicit-matrix strategies).
 func (m Marginal) Rows(d int) [][]float64 {
@@ -65,14 +52,16 @@ func (m Marginal) Rows(d int) [][]float64 {
 }
 
 // Workload is an ordered set of marginals plus the dimension they live in.
-// Marginals must not change once the workload is in use: derived data such
-// as the Fourier support is computed once and kept.
+// Marginals must not change once the workload is in use: derived data —
+// the Fourier support and its column index — is computed once, on first
+// use, and kept for the workload's lifetime.
 type Workload struct {
 	D         int
 	Marginals []Marginal
 
-	supportOnce sync.Once
+	fourierOnce sync.Once
 	support     []bits.Mask
+	columns     []int32
 }
 
 // NewWorkload builds a workload from masks, validating against d.
@@ -124,8 +113,35 @@ func (w *Workload) TotalCells() int {
 // pays the closure once, not once per release), so callers must not modify
 // the returned slice.
 func (w *Workload) FourierSupport() []bits.Mask {
-	w.supportOnce.Do(func() { w.support = bits.UnionClosure(w.Masks()) })
+	w.fourierOnce.Do(w.deriveFourier)
 	return w.support
+}
+
+// FourierColumns returns the workload's Fourier column index: one entry per
+// released cell, aligned with the concatenated answer vector. The entry at
+// Offsets()[i]+j is the FourierSupport column of the j-th β ⪯ α_i in
+// VisitSubsets order — the β whose packed cell index is j. Recovery and
+// consistency index dense per-coefficient slices through it instead of
+// hashing masks. Like the support it is computed once (4 bytes per
+// released cell, kept as long as the workload) and shared, so callers must
+// not modify it.
+func (w *Workload) FourierColumns() []int32 {
+	w.fourierOnce.Do(w.deriveFourier)
+	return w.columns
+}
+
+// deriveFourier computes the support and, by binary search in it (the
+// support is sorted), the column of every released cell.
+func (w *Workload) deriveFourier() {
+	w.support = bits.UnionClosure(w.Masks())
+	cols := make([]int32, 0, w.TotalCells())
+	for _, m := range w.Marginals {
+		m.Alpha.VisitSubsets(func(beta bits.Mask) {
+			c, _ := slices.BinarySearch(w.support, beta)
+			cols = append(cols, int32(c))
+		})
+	}
+	w.columns = cols
 }
 
 // Eval answers every marginal exactly, concatenated in workload order.

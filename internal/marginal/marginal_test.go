@@ -77,6 +77,9 @@ func TestRowsMatchEval(t *testing.T) {
 	}
 }
 
+// TestEvalFromFourierMatchesDirect: every marginal evaluated by Theorem 4.1
+// from the coefficients its Fourier column index selects equals the direct
+// marginal.
 func TestEvalFromFourierMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := 6
@@ -85,15 +88,36 @@ func TestEvalFromFourierMatchesDirect(t *testing.T) {
 		x[i] = float64(rng.Intn(5))
 	}
 	theta := transform.WHTCopy(x)
-	for _, alpha := range []bits.Mask{0b000011, 0b101010, 0b111111} {
-		m := Marginal{Alpha: alpha}
-		coeff := map[bits.Mask]float64{}
-		alpha.VisitSubsets(func(b bits.Mask) { coeff[b] = theta[b] })
-		got := m.EvalFromFourier(d, coeff)
+	w := MustWorkload(d, []bits.Mask{0b000011, 0b101010, 0b111111})
+	support, cols, offsets := w.FourierSupport(), w.FourierColumns(), w.Offsets()
+	for i, m := range w.Marginals {
+		got := make([]float64, m.Cells())
+		for j := range got {
+			got[j] = theta[support[cols[offsets[i]+j]]]
+		}
+		transform.MarginalFromCoefficients(d, got)
 		want := m.Eval(x)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-8 {
-				t.Fatalf("α=%v cell %d: %v vs %v", alpha, i, got[i], want[i])
+		for c := range want {
+			if math.Abs(got[c]-want[c]) > 1e-8 {
+				t.Fatalf("α=%v cell %d: %v vs %v", m.Alpha, c, got[c], want[c])
+			}
+		}
+	}
+}
+
+// TestFourierColumns: the column index has one entry per released cell,
+// and the entry of marginal i's packed cell j names the support column of
+// the β ⪯ α_i packed at j — duplicates and the empty marginal included.
+func TestFourierColumns(t *testing.T) {
+	w := MustWorkload(5, []bits.Mask{0b00110, 0, 0b10101, 0b00110, 0b11111})
+	support, cols, offsets := w.FourierSupport(), w.FourierColumns(), w.Offsets()
+	if len(cols) != w.TotalCells() {
+		t.Fatalf("%d columns for %d cells", len(cols), w.TotalCells())
+	}
+	for i, m := range w.Marginals {
+		for j := 0; j < m.Cells(); j++ {
+			if got, want := support[cols[offsets[i]+j]], bits.CellMask(m.Alpha, j); got != want {
+				t.Fatalf("marginal %d cell %d: column names %v, want %v", i, j, got, want)
 			}
 		}
 	}

@@ -1131,11 +1131,11 @@ func (s *Server) renderRelease(r *http.Request, c *releaseCall) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(releaseBody{
+	return releaseBody{
 		Strategy:      res.Strategy,
 		TotalVariance: res.TotalVariance,
 		Tables:        tablesJSON(res),
-	})
+	}.marshal()
 }
 
 // renderSynthetic runs /v1/synthetic: a release, then tuples sampled from
@@ -1181,19 +1181,11 @@ func (s *Server) renderCube(r *http.Request, c *releaseCall) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cuboids := make([]marginalJSON, len(cube.Lattice.Cuboids))
-	for i, cb := range cube.Lattice.Cuboids {
-		attrs := cb.Attrs
-		if attrs == nil {
-			attrs = []int{}
-		}
-		cuboids[i] = marginalJSON{Attrs: attrs, Cells: cube.Tables[i], Variance: cube.CellVariance[i]}
-	}
-	return json.Marshal(cubeBody{
+	return cubeBody{
 		MaxOrder:      req.MaxOrder,
 		TotalVariance: cube.TotalVariance,
-		Cuboids:       cuboids,
-	})
+		Cuboids:       cuboidsJSON(cube),
+	}.marshal()
 }
 
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
@@ -1948,6 +1940,19 @@ func tablesJSON(res *repro.Result) []marginalJSON {
 			attrs = []int{}
 		}
 		out[i] = marginalJSON{Attrs: attrs, Cells: t.Cells, Variance: t.Variance}
+	}
+	return out
+}
+
+// cuboidsJSON shapes a released cube's cuboids for the wire.
+func cuboidsJSON(cube *repro.CubeRelease) []marginalJSON {
+	out := make([]marginalJSON, len(cube.Lattice.Cuboids))
+	for i, cb := range cube.Lattice.Cuboids {
+		attrs := cb.Attrs
+		if attrs == nil {
+			attrs = []int{}
+		}
+		out[i] = marginalJSON{Attrs: attrs, Cells: cube.Tables[i], Variance: cube.CellVariance[i]}
 	}
 	return out
 }

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bits"
 	"repro/internal/budget"
 	"repro/internal/marginal"
 	"repro/internal/transform"
@@ -258,44 +257,51 @@ func (Fourier) Name() string { return "F" }
 
 // Plan implements Strategy.
 func (Fourier) Plan(w *marginal.Workload) (*Plan, error) {
+	return planFourier(w, nil), nil
+}
+
+// planFourier builds the Fourier plan under query weights a (nil = all
+// ones); a must already be validated.
+func planFourier(w *marginal.Workload, a []float64) *Plan {
 	support := w.FourierSupport()
+	cols := w.FourierColumns()
+	offsets := w.Offsets()
 	d := w.D
 	n := 1 << uint(d)
 	cInv := 1 / math.Sqrt(float64(n))
 
-	// Recovery weight per coefficient.
+	// Recovery weight per coefficient, w_β = Σ_{i: β⪯α_i} a_i·2^{d−‖α_i‖},
+	// accumulated marginal-major along the column index.
 	weights := make([]float64, len(support))
-	colOf := make(map[bits.Mask]int, len(support))
-	for c, b := range support {
-		colOf[b] = c
-	}
-	for _, m := range w.Marginals {
-		contrib := float64(int64(1) << uint(d-m.Order()))
-		m.Alpha.VisitSubsets(func(beta bits.Mask) {
-			weights[colOf[beta]] += contrib
-		})
+	for i, m := range w.Marginals {
+		contrib := weightAt(a, i) * float64(int64(1)<<uint(d-m.Order()))
+		for _, c := range cols[offsets[i] : offsets[i]+m.Cells()] {
+			weights[c] += contrib
+		}
 	}
 	specs := make([]budget.Spec, len(support))
 	for i := range support {
 		specs[i] = budget.Spec{Count: 1, RowWeight: weights[i], C: cInv}
 	}
-	// Theorem 4.1 reconstruction reads only the coefficients β ⪯ α_i, so
-	// each marginal builds its own subset map; MarginalFromCoefficients
-	// visits subsets in a fixed order, and the per-marginal cell variance is
-	// Var((Cα)_γ) = Σ_{β⪯α} (2^{d/2−k})²·Var(z_β) = 2^{d−2k}·Σ Var.
+	// Theorem 4.1 reconstruction reads only the coefficients β ⪯ α_i: the
+	// column index names their rows of z, packed in the marginal's cell
+	// order, and the per-marginal cell variance is
+	// Var((Cα)_γ) = Σ_{β⪯α} (2^{d/2−k})²·Var(z_β) = 2^{d−2k}·Σ Var, summed
+	// in the same packed order.
 	rm := func(i int, z *vector.Blocked, groupVar []float64) ([]float64, float64, error) {
 		if z.Len() != len(support) || len(groupVar) != len(support) {
 			return nil, 0, fmt.Errorf("strategy: fourier recover got %d answers, %d variances", z.Len(), len(groupVar))
 		}
 		m := w.Marginals[i]
-		coeff := make(map[bits.Mask]float64, 1<<uint(m.Order()))
+		cells := make([]float64, m.Cells())
 		sum := 0.0
-		m.Alpha.VisitSubsets(func(beta bits.Mask) {
-			coeff[beta] = z.At(colOf[beta])
-			sum += groupVar[colOf[beta]]
-		})
+		for j, c := range cols[offsets[i] : offsets[i]+len(cells)] {
+			cells[j] = z.At(int(c))
+			sum += groupVar[c]
+		}
+		transform.MarginalFromCoefficients(d, cells)
 		rCoefSq := math.Pow(2, float64(d-2*m.Order()))
-		return m.EvalFromFourier(d, coeff), rCoefSq * sum, nil
+		return cells, rCoefSq * sum, nil
 	}
 	return &Plan{
 		Strategy: "F",
@@ -319,5 +325,5 @@ func (Fourier) Plan(w *marginal.Workload) (*Plan, error) {
 		},
 		Recover:         recoverFromMarginals(w, rm),
 		RecoverMarginal: rm,
-	}, nil
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bits"
 	"repro/internal/marginal"
 )
 
@@ -95,29 +94,7 @@ func (s Fourier) PlanWeighted(w *marginal.Workload, a []float64) (*Plan, error) 
 	if err := checkWeights(w, a); err != nil {
 		return nil, err
 	}
-	plan, err := s.Plan(w)
-	if err != nil {
-		return nil, err
-	}
-	if a == nil {
-		return plan, nil
-	}
-	support := w.FourierSupport()
-	colOf := make(map[bits.Mask]int, len(support))
-	for c, b := range support {
-		colOf[b] = c
-	}
-	weights := make([]float64, len(support))
-	for i, m := range w.Marginals {
-		contrib := weightAt(a, i) * float64(int64(1)<<uint(w.D-m.Order()))
-		m.Alpha.VisitSubsets(func(beta bits.Mask) {
-			weights[colOf[beta]] += contrib
-		})
-	}
-	for i := range plan.Specs {
-		plan.Specs[i].RowWeight = weights[i]
-	}
-	return plan, nil
+	return planFourier(w, a), nil
 }
 
 // PlanWeighted implements WeightedPlanner: a material marginal's rows carry

@@ -26,20 +26,24 @@ import (
 )
 
 // MaterializeVector reconstructs the estimated contingency vector from
-// Fourier coefficients over a d-bit domain: x̂ = H·θ with the unreleased
-// coefficients set to zero (their least-squares estimate given no
-// observation).
-func MaterializeVector(d int, coeff map[bits.Mask]float64) ([]float64, error) {
+// Fourier coefficients over a d-bit domain: x̂ = H·θ with coeff[c] the
+// coefficient of support[c] (a workload's FourierSupport and the
+// consistency step's coefficients) and the unreleased coefficients set to
+// zero (their least-squares estimate given no observation).
+func MaterializeVector(d int, support []bits.Mask, coeff []float64) ([]float64, error) {
 	if err := bits.CheckDim(d); err != nil {
 		return nil, err
 	}
+	if len(coeff) != len(support) {
+		return nil, fmt.Errorf("synth: %d coefficients for a support of %d", len(coeff), len(support))
+	}
 	n := 1 << uint(d)
 	x := make([]float64, n)
-	for beta, v := range coeff {
+	for c, beta := range support {
 		if !bits.Full(d).Dominates(beta) {
 			return nil, fmt.Errorf("synth: coefficient %v outside dimension %d", beta, d)
 		}
-		x[beta] = v
+		x[beta] = coeff[c]
 	}
 	// The Hadamard transform is an involution: applying it to the
 	// coefficient vector returns the spatial-domain estimate.

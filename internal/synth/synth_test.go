@@ -26,11 +26,11 @@ func TestMaterializeVectorRoundTrip(t *testing.T) {
 		x[i] = float64(rng.Intn(7))
 	}
 	theta := transform.WHTCopy(x)
-	coeff := make(map[bits.Mask]float64, n)
-	for b := 0; b < n; b++ {
-		coeff[bits.Mask(b)] = theta[b]
+	support := make([]bits.Mask, n)
+	for b := range support {
+		support[b] = bits.Mask(b)
 	}
-	got, err := MaterializeVector(d, coeff)
+	got, err := MaterializeVector(d, support, theta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,12 @@ func TestMaterializeVectorPartialSupportPreservesMarginals(t *testing.T) {
 	}
 	w := marginal.AllKWay(d, 2)
 	theta := transform.WHTCopy(x)
-	coeff := make(map[bits.Mask]float64)
-	for _, b := range w.FourierSupport() {
-		coeff[b] = theta[b]
+	support := w.FourierSupport()
+	coeff := make([]float64, len(support))
+	for c, b := range support {
+		coeff[c] = theta[b]
 	}
-	xhat, err := MaterializeVector(d, coeff)
+	xhat, err := MaterializeVector(d, support, coeff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +73,14 @@ func TestMaterializeVectorPartialSupportPreservesMarginals(t *testing.T) {
 }
 
 func TestMaterializeValidation(t *testing.T) {
-	if _, err := MaterializeVector(40, nil); err == nil {
+	if _, err := MaterializeVector(40, nil, nil); err == nil {
 		t.Fatal("dimension 40 accepted")
 	}
-	if _, err := MaterializeVector(2, map[bits.Mask]float64{0b111: 1}); err == nil {
+	if _, err := MaterializeVector(2, []bits.Mask{0b111}, []float64{1}); err == nil {
 		t.Fatal("out-of-dimension coefficient accepted")
+	}
+	if _, err := MaterializeVector(2, []bits.Mask{0, 0b01}, []float64{1}); err == nil {
+		t.Fatal("coefficients not aligned with the support accepted")
 	}
 }
 
@@ -542,7 +546,7 @@ func TestSyntheticDataEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xhat, err := MaterializeVector(d, res.Coefficients)
+	xhat, err := MaterializeVector(d, w.FourierSupport(), res.Coefficients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,15 +583,16 @@ func TestSyntheticDataEndToEnd(t *testing.T) {
 
 func BenchmarkMaterializeD16(b *testing.B) {
 	w := marginal.AllKWay(16, 2)
-	coeff := make(map[bits.Mask]float64)
+	support := w.FourierSupport()
+	coeff := make([]float64, len(support))
 	rng := rand.New(rand.NewSource(6))
-	for _, m := range w.FourierSupport() {
-		coeff[m] = rng.NormFloat64() * 100
+	for c := range coeff {
+		coeff[c] = rng.NormFloat64() * 100
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MaterializeVector(16, coeff); err != nil {
+		if _, err := MaterializeVector(16, support, coeff); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -219,16 +219,16 @@ func TestRangeDecomposition(t *testing.T) {
 
 func TestMarginalFromCoefficients(t *testing.T) {
 	// Build a random x over d=5, compute marginal Cα directly and via
-	// Theorem 4.1 from Fourier coefficients.
+	// Theorem 4.1 from its packed Fourier coefficients.
 	rng := rand.New(rand.NewSource(5))
 	d := 5
 	n := 1 << d
 	x := randomVec(rng, n)
 	theta := WHTCopy(x)
 	for _, alpha := range []bits.Mask{0b00000, 0b00001, 0b01010, 0b11111, 0b10110} {
-		coeff := make(map[bits.Mask]float64)
-		alpha.VisitSubsets(func(b bits.Mask) { coeff[b] = theta[b] })
-		got := MarginalFromCoefficients(d, alpha, coeff)
+		got := make([]float64, 0, 1<<uint(alpha.Count()))
+		alpha.VisitSubsets(func(b bits.Mask) { got = append(got, theta[b]) })
+		MarginalFromCoefficients(d, got)
 		// Direct marginal.
 		want := make([]float64, 1<<uint(alpha.Count()))
 		for gamma := 0; gamma < n; gamma++ {
@@ -243,13 +243,19 @@ func TestMarginalFromCoefficients(t *testing.T) {
 	}
 }
 
-func TestMarginalFromCoefficientsMissingPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for missing coefficient")
-		}
-	}()
-	MarginalFromCoefficients(3, 0b011, map[bits.Mask]float64{0: 1})
+// TestMarginalFromCoefficientsShapePanics: a packed slice that is not the
+// 2^k cells of a marginal over at most d attributes is refused.
+func TestMarginalFromCoefficientsShapePanics(t *testing.T) {
+	for _, tc := range []struct{ d, cells int }{{3, 0}, {3, 3}, {3, 6}, {3, 16}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("d=%d, %d packed coefficients: expected a panic", tc.d, tc.cells)
+				}
+			}()
+			MarginalFromCoefficients(tc.d, make([]float64, tc.cells))
+		}()
+	}
 }
 
 func BenchmarkWHT64K(b *testing.B) {
@@ -266,12 +272,15 @@ func BenchmarkWHT64K(b *testing.B) {
 func BenchmarkMarginalFromCoefficients(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	d := 16
-	alpha := bits.Mask(0b1010101)
-	coeff := make(map[bits.Mask]float64)
-	alpha.VisitSubsets(func(m bits.Mask) { coeff[m] = rng.NormFloat64() })
+	coeff := make([]float64, 1<<4)
+	for i := range coeff {
+		coeff[i] = rng.NormFloat64()
+	}
+	packed := make([]float64, len(coeff))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = MarginalFromCoefficients(d, alpha, coeff)
+		copy(packed, coeff)
+		MarginalFromCoefficients(d, packed)
 	}
 }
 

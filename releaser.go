@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/accountant"
@@ -202,7 +203,12 @@ func WithModifyNeighbors() ReleaserOption {
 
 // WithQueryWeights weights each workload marginal's importance in the
 // Step-2 budgeting (the paper's aᵀ·Var(y) objective). The length must match
-// the workload, and every weight must be finite and non-negative.
+// the workload, and every weight must be finite and non-negative. Under
+// optimal budgeting, zero weights that leave some strategy group with no
+// weight at all (a Fourier coefficient, or a marginal of the workload
+// strategy, that only zero-weighted marginals read) are refused with
+// ErrInvalidOption — at construction, or before any charge when the
+// Releaser was built WithoutPreplan.
 func WithQueryWeights(weights []float64) ReleaserOption {
 	return func(r *Releaser) error {
 		for i, v := range weights {
@@ -288,15 +294,42 @@ func NewReleaserContext(ctx context.Context, schema *Schema, w *Workload, opts .
 		return nil, fmt.Errorf("%w: WithComposition needs WithBudgetCap or WithBudgetCaps", ErrInvalidOption)
 	}
 	if !r.noPreplan {
-		planner := engine.Planner{Cache: r.cache, Workers: r.workers}
-		if _, err := planner.Plan(ctx, w, engine.Config{
-			Strategy:     r.strategy.impl(),
-			QueryWeights: r.queryWeights,
-		}); err != nil {
+		if err := r.checkPlan(ctx); err != nil {
 			return nil, err
 		}
 	}
 	return r, nil
+}
+
+// checkPlan plans the Releaser's workload through its cache (the
+// construction-time preplan, or a cache hit) and refuses query weights
+// that leave a strategy group without row weight under optimal budgeting.
+// Corollary 3.3 gives such a group no budget, so every release would fail
+// in the engine's budgeting stage, after its admission had charged the
+// ledger. All-zero row weights are fine: budgeting then falls back to the
+// uniform allocation.
+func (r *Releaser) checkPlan(ctx context.Context) error {
+	plan, err := engine.Planner{Cache: r.cache, Workers: r.workers}.Plan(ctx, r.w, engine.Config{
+		Strategy:     r.strategy.impl(),
+		QueryWeights: r.queryWeights,
+	})
+	if err != nil || r.uniformBudget {
+		return err
+	}
+	unweighted := -1
+	funded := false
+	for g, spec := range plan.Specs {
+		if spec.RowWeight > 0 {
+			funded = true
+		} else if unweighted < 0 {
+			unweighted = g
+		}
+	}
+	if funded && unweighted >= 0 {
+		return fmt.Errorf("%w: the query weights leave strategy group %d with no weight, so optimal budgeting gives it no budget",
+			ErrInvalidOption, unweighted)
+	}
+	return nil
 }
 
 // Schema returns the schema the Releaser was constructed with (may be nil).
@@ -384,6 +417,13 @@ func (r *Releaser) ReleaseBlocked(ctx context.Context, x *BlockedVector, spec Re
 		}
 		return nil, fmt.Errorf("%w: data vector has %d entries, domain needs %d",
 			ErrDimensionMismatch, got, 1<<uint(r.w.D))
+	}
+	if r.noPreplan && slices.Contains(r.queryWeights, 0) {
+		// Construction did not plan, so refuse an unfundable weighting here,
+		// before admission charges the ledger.
+		if err := r.checkPlan(ctx); err != nil {
+			return nil, err
+		}
 	}
 	if err := r.charge(ctx, spec); err != nil {
 		return nil, err

@@ -385,3 +385,54 @@ func TestChargeCarriesSigma(t *testing.T) {
 		t.Fatalf("Laplace charge must not carry a Gaussian description, got %+v", hist[1])
 	}
 }
+
+// TestZeroQueryWeightRefusedBeforeCharge: under optimal budgeting a zero
+// query weight that leaves a strategy group with no weight (Fourier and
+// workload strategies, NLTCS Q2 with the first marginal weighted 0) would
+// fail every release in budgeting after admission had charged the ledger.
+// It is refused with ErrInvalidOption instead: at construction when the
+// Releaser preplans, before any charge otherwise — the ledger stays
+// untouched. Cluster and identity plans still fund every group under the
+// same weights, and uniform budgeting funds every group by construction,
+// so those keep releasing.
+func TestZeroQueryWeightRefusedBeforeCharge(t *testing.T) {
+	tab := SyntheticNLTCS(1, 2000)
+	w := AllKWayMarginals(tab.Schema, 2)
+	weights := make([]float64, len(w.Marginals))
+	for i := range weights {
+		weights[i] = 1
+	}
+	weights[0] = 0
+	ctx := context.Background()
+	for _, kind := range []StrategyKind{StrategyFourier, StrategyWorkload} {
+		if _, err := NewReleaser(tab.Schema, w, WithStrategy(kind), WithQueryWeights(weights), WithBudgetCap(3, 0)); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("%v: preplanned construction: got %v, want ErrInvalidOption", kind, err)
+		}
+		r, err := NewReleaser(tab.Schema, w, WithStrategy(kind), WithQueryWeights(weights), WithBudgetCap(3, 0), WithoutPreplan())
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := r.Release(ctx, tab, ReleaseSpec{Epsilon: 1, Seed: int64(i)}); !errors.Is(err, ErrInvalidOption) {
+				t.Fatalf("%v: release %d: got %v, want ErrInvalidOption", kind, i, err)
+			}
+		}
+		if eps, _ := r.Ledger().Spent(); eps != 0 || len(r.Ledger().History()) != 0 {
+			t.Fatalf("%v: refused releases spent ε = %v over %d charges", kind, eps, len(r.Ledger().History()))
+		}
+	}
+	for _, opts := range [][]ReleaserOption{
+		{WithStrategy(StrategyCluster)},
+		{WithStrategy(StrategyIdentity)},
+		{WithStrategy(StrategyFourier), WithUniformBudget()},
+		{WithStrategy(StrategyCluster), WithoutPreplan()},
+	} {
+		r, err := NewReleaser(tab.Schema, w, append(opts, WithQueryWeights(weights), WithBudgetCap(3, 0))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Release(ctx, tab, ReleaseSpec{Epsilon: 1, Seed: 1}); err != nil {
+			t.Fatalf("%v: %v", r.Strategy(), err)
+		}
+	}
+}

@@ -251,9 +251,10 @@ func Release(t *Table, w *Workload, o Options) (*Result, error) {
 	return r.Release(context.Background(), t, o.spec())
 }
 
-// consistencyOf recovers the Fourier coefficients of a release by running
-// the deterministic L2 consistency projection over its answers.
-func consistencyOf(w *Workload, res *Result) (map[bits.Mask]float64, error) {
+// consistencyOf recovers the Fourier coefficients of a release, aligned
+// with w.FourierSupport(), by running the deterministic L2 consistency
+// projection over its answers.
+func consistencyOf(w *Workload, res *Result) ([]float64, error) {
 	cres, err := consistency.L2(w, res.Answers)
 	if err != nil {
 		return nil, err
