@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/bits"
 	"repro/internal/core"
@@ -39,55 +40,53 @@ type Lattice struct {
 	Schema   *dataset.Schema
 	MaxOrder int
 	Cuboids  []Cuboid
-	// index maps an attribute mask to its cuboid position.
-	index map[bits.Mask]int
+	// index maps an attribute mask to its cuboid position. A release never
+	// reads it, so it is built on the first Find.
+	indexOnce sync.Once
+	index     map[bits.Mask]int
 }
 
 // NewLattice enumerates the cuboids of order ≤ maxOrder in level order
-// (apex first), each level in lexicographic attribute order.
+// (apex first), each level in lexicographic attribute order. Every
+// cuboid's Attrs is a capacity-limited window of one shared backing array.
 func NewLattice(s *dataset.Schema, maxOrder int) (*Lattice, error) {
 	if maxOrder < 0 || maxOrder > len(s.Attrs) {
 		return nil, fmt.Errorf("datacube: max order %d out of range [0,%d]", maxOrder, len(s.Attrs))
 	}
-	l := &Lattice{Schema: s, MaxOrder: maxOrder, index: map[bits.Mask]int{}}
 	n := len(s.Attrs)
+	cuboids, attrs := 0, 0
 	for k := 0; k <= maxOrder; k++ {
-		combos := combinations(n, k)
-		for _, c := range combos {
-			mask := s.MaskOf(c...)
-			l.index[mask] = len(l.Cuboids)
-			l.Cuboids = append(l.Cuboids, Cuboid{Attrs: c, Mask: mask})
+		c, _ := bits.BinomialInt(n, k) // n ≤ bits.MaxDim: no overflow
+		cuboids += int(c)
+		attrs += int(c) * k
+	}
+	l := &Lattice{Schema: s, MaxOrder: maxOrder, Cuboids: make([]Cuboid, 0, cuboids)}
+	backing := make([]int, 0, attrs)
+	idx := make([]int, maxOrder)
+	for k := 0; k <= maxOrder; k++ {
+		// idx[:k] walks the k-subsets of [0, n) in lexicographic order.
+		for i := range k {
+			idx[i] = i
+		}
+		for {
+			lo := len(backing)
+			backing = append(backing, idx[:k]...)
+			c := backing[lo:len(backing):len(backing)]
+			l.Cuboids = append(l.Cuboids, Cuboid{Attrs: c, Mask: s.MaskOf(c...)})
+			i := k - 1
+			for i >= 0 && idx[i] == n-k+i {
+				i--
+			}
+			if i < 0 {
+				break
+			}
+			idx[i]++
+			for j := i + 1; j < k; j++ {
+				idx[j] = idx[j-1] + 1
+			}
 		}
 	}
 	return l, nil
-}
-
-func combinations(n, k int) [][]int {
-	if k == 0 {
-		return [][]int{{}}
-	}
-	if k > n {
-		return nil
-	}
-	var out [][]int
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	for {
-		out = append(out, append([]int(nil), idx...))
-		i := k - 1
-		for i >= 0 && idx[i] == n-k+i {
-			i--
-		}
-		if i < 0 {
-			return out
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
 }
 
 // Workload returns the lattice's cuboids as a marginal workload.
@@ -101,6 +100,12 @@ func (l *Lattice) Workload() *marginal.Workload {
 
 // Find returns the cuboid index for an attribute set, or -1.
 func (l *Lattice) Find(attrs ...int) int {
+	l.indexOnce.Do(func() {
+		l.index = make(map[bits.Mask]int, len(l.Cuboids))
+		for i, c := range l.Cuboids {
+			l.index[c.Mask] = i
+		}
+	})
 	sorted := append([]int(nil), attrs...)
 	sort.Ints(sorted)
 	mask := l.Schema.MaskOf(sorted...)

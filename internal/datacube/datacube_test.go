@@ -3,6 +3,7 @@ package datacube
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -345,5 +346,65 @@ func TestCubeParallelDeterminism(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("cache stats %+v, want 1 miss then 1 hit", st)
+	}
+}
+
+// TestLatticeLevelOrderAndSharedAttrs: NewLattice lists every subset of at
+// most maxOrder attributes exactly once, level by level in lexicographic
+// order, presized to Σ C(n,k); the Attrs windows share one backing array
+// but are capacity-limited, so appending to one never reaches the next.
+func TestLatticeLevelOrderAndSharedAttrs(t *testing.T) {
+	attrs := make([]dataset.Attribute, 6)
+	for i := range attrs {
+		attrs[i] = dataset.Attribute{Name: string(rune('a' + i)), Cardinality: 2 + i%3}
+	}
+	s := dataset.MustSchema(attrs)
+	for order := 0; order <= len(attrs); order++ {
+		l, err := NewLattice(s, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]int
+		for k := 0; k <= order; k++ {
+			for m := 0; m < 1<<len(attrs); m++ {
+				var set []int
+				for a := range attrs {
+					if m>>a&1 != 0 {
+						set = append(set, a)
+					}
+				}
+				if len(set) == k {
+					want = append(want, set)
+				}
+			}
+		}
+		// Within a level, sort the subsets lexicographically.
+		less := func(a, b []int) bool {
+			for i := range a {
+				if a[i] != b[i] {
+					return a[i] < b[i]
+				}
+			}
+			return false
+		}
+		for i := 1; i < len(want); i++ {
+			for j := i; j > 0 && len(want[j]) == len(want[j-1]) && less(want[j], want[j-1]); j-- {
+				want[j], want[j-1] = want[j-1], want[j]
+			}
+		}
+		if len(l.Cuboids) != len(want) || cap(l.Cuboids) != len(want) {
+			t.Fatalf("order %d: %d cuboids (cap %d), want %d", order, len(l.Cuboids), cap(l.Cuboids), len(want))
+		}
+		for i, c := range l.Cuboids {
+			if !slices.Equal(c.Attrs, want[i]) {
+				t.Fatalf("order %d: cuboid %d = %v, want %v", order, i, c.Attrs, want[i])
+			}
+			if c.Mask != s.MaskOf(c.Attrs...) || cap(c.Attrs) != len(c.Attrs) {
+				t.Fatalf("order %d: cuboid %d mask or capacity wrong", order, i)
+			}
+			if got := l.Find(c.Attrs...); got != i {
+				t.Fatalf("order %d: Find(%v) = %d, want %d", order, c.Attrs, got, i)
+			}
+		}
 	}
 }

@@ -39,10 +39,11 @@
 // the scaling bottleneck, so both travel as vector.Blocked: contiguous
 // cell-range blocks of one uniform length instead of one giant slice.
 //
-//   - Input. x arrives blocked from the dataset store (the ingest
-//     accumulator's shards are handed over as-is — a dataset release never
-//     re-densifies) or as a zero-copy single-block view of a caller's
-//     dense slice.
+//   - Input. x arrives from the dataset store in the form it holds —
+//     the ingest accumulator's shards handed over as-is, or, for a
+//     dataset with at most one non-zero in vector.SparseRatio cells, its
+//     sorted list of non-zeros (a dataset release never re-densifies) —
+//     or as a zero-copy single-block view of a caller's dense slice.
 //   - Measure. When the plan supports per-block answer slicing
 //     (strategy.Plan.AnswerBlock), the answer vector is built block by
 //     block: each worker materialises the runs of blocks it claims one
@@ -51,7 +52,12 @@
 //     (Fourier's transform is global) parallelise inside TrueAnswers
 //     instead — the blocked Walsh–Hadamard transform runs over a blocked
 //     scratch copy. Options.Shards bounds the partition (0 auto-shards
-//     above AutoShardRows; 1 forces the monolithic path).
+//     above AutoShardRows; 1 forces the monolithic path). A sparse x
+//     costs O(non-zeros) here: the marginal kernel reads its list, and
+//     Fourier takes each coefficient from the workload marginals instead
+//     of a 2^d transform (see the integrality invariant below); identity,
+//     hierarchy and wavelet plans materialise it dense, as their answers
+//     are 2^d long anyway.
 //   - Perturb. Noise is applied over the fixed noiseBlock row grid,
 //     walking storage blocks through Segments, so the blocking never
 //     touches a substream boundary.
@@ -82,6 +88,15 @@
 //     butterfly sequence. The engine test suite pins the full matrix:
 //     strategy × consistency mode × shards {1, 3, 8} × workers ×
 //     input blockings.
+//   - Integrality. The sparse form holds positive integer counts whose
+//     total is below 2^53 (vector.NewSparse checks it), so every sum of
+//     them in any order, and every butterfly over such sums, is an exact
+//     integer. Fourier's two routes therefore agree before their one
+//     rounding step, the multiply by 1/√2^d: the 2^d transform of a dense
+//     x and the 2^k transforms of a sparse x's exact marginals (Theorem
+//     4.1) give the same coefficient bits. A dense vector carries no such
+//     promise — it may hold fractions, negatives or −0 — so it keeps the
+//     full transform.
 //   - Per-marginal recovery. strategy.Plan.RecoverMarginal must be bitwise
 //     equivalent to the corresponding block of Plan.Recover (same
 //     floating-point additions in the same per-cell order). The engine

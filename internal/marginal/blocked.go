@@ -35,14 +35,15 @@ import (
 // finds the piece in cache for every marginal after the first.
 const maxPiece = 1 << 16
 
-// A piece whose sampled cells are at most one in sparseRatio non-zero takes
-// the sparse path: its non-zero cells are gathered on the stack, gather at
-// a time, and only those are added, each at its own cell index. On the
-// exact counts of a large, sparse domain (Adult's 2^23 cells hold 0.25%
-// non-zeros) that beats adding every zero in lockstep. The choice changes
-// only the speed, never the bits.
+// A piece whose sampled cells are at most one in vector.SparseRatio
+// non-zero takes the sparse path: its non-zero cells are gathered on the
+// stack, gather at a time, and only those are added, each at its own cell
+// index. On the exact counts of a large, sparse domain (Adult's 2^23 cells
+// hold 0.25% non-zeros) that beats adding every zero in lockstep. The
+// choice changes only the speed, never the bits. A vector in the sparse
+// form (vector.NewSparse) skips the scan: its list of non-zeros feeds the
+// same path directly, so the sweep costs O(non-zeros), not O(2^d).
 const (
-	sparseRatio   = 16
 	sparseSamples = 1024
 	gather        = 256
 )
@@ -56,6 +57,17 @@ type sweep struct {
 
 // run adds x's contribution, piece by piece in ascending domain order.
 func (sw sweep) run(x *vector.Blocked) {
+	if cells, vals, ok := vector.Sparse(x); ok {
+		var gs [gather]int
+		for i := 0; i < len(cells); i += gather {
+			n := min(gather, len(cells)-i)
+			for j, c := range cells[i : i+n] {
+				gs[j] = int(c)
+			}
+			sw.cells(gs[:n], vals[i:i+n])
+		}
+		return
+	}
 	for b := 0; b < x.Blocks(); b++ {
 		blk := x.Block(b)
 		start, _ := x.BlockRange(b)
@@ -117,7 +129,7 @@ func sparse(p []float64) bool {
 		}
 		seen++
 	}
-	return n*sparseRatio <= seen
+	return n*vector.SparseRatio <= seen
 }
 
 // sparsePiece is piece for a sparse p.

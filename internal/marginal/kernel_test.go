@@ -35,7 +35,7 @@ func oracleRange(w *Workload, x *vector.Blocked, lo, hi int) []float64 {
 // kernelValues fills n cells with the awkward floats: zeros of both signs,
 // subnormals, ±1e300 (whose sums overflow to ±Inf and, mixed, to NaN),
 // small integers and ordinary reals. Only one cell in spread is drawn at
-// all, so spread > sparseRatio exercises the kernel's sparse path.
+// all, so spread > vector.SparseRatio exercises the kernel's sparse path.
 func kernelValues(rng *rand.Rand, n, spread int) []float64 {
 	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, 1e300, -1e300}
 	x := make([]float64, n)
@@ -53,6 +53,32 @@ func kernelValues(rng *rand.Rand, n, spread int) []float64 {
 		}
 	}
 	return x
+}
+
+// kernelCounts fills n cells with non-negative integer counts, one cell in
+// spread non-zero on average: the values the sparse form may hold.
+func kernelCounts(rng *rand.Rand, n, spread int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		if rng.Intn(spread) == 0 {
+			x[i] = float64(1 + rng.Intn(1000))
+		}
+	}
+	return x
+}
+
+// sparseForm returns x in the sparse form, or false when x holds a value
+// the form refuses (a fraction, a negative or a signed zero).
+func sparseForm(x []float64) (*vector.Blocked, bool) {
+	var cells []int32
+	var vals []float64
+	for i, v := range x {
+		if math.Float64bits(v) != 0 {
+			cells, vals = append(cells, int32(i)), append(vals, v)
+		}
+	}
+	sp, err := vector.NewSparse(len(x), 1<<16, cells, vals)
+	return sp, err == nil
 }
 
 // layout is x under one block layout.
@@ -78,6 +104,9 @@ func kernelLayouts(t testing.TB, x []float64) []layout {
 	out := []layout{{"dense", vector.FromDense(x)}, {"thirds", three}, {"300", odd}}
 	if len(x) > 1<<16 {
 		out = append(out, layout{"store", vector.FromDense(x).CloneBlockLen(1 << 16)})
+	}
+	if sp, ok := sparseForm(x); ok {
+		out = append(out, layout{"sparse", sp})
 	}
 	return out
 }
@@ -148,12 +177,13 @@ func checkKernel(t testing.TB, w *Workload, x []float64, rng *rand.Rand) {
 
 // TestMarginalKernelOracle: every entry point of the blocked kernel equals
 // the per-cell oracle bit for bit, for d from 1 to 20, orders 0–4 and every
-// block layout.
+// block layout, including the sparse form on count vectors.
 func TestMarginalKernelOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for d := 1; d <= 20; d++ {
-		for _, spread := range []int{1, 4 * sparseRatio} {
+		for _, spread := range []int{1, 4 * vector.SparseRatio} {
 			checkKernel(t, kernelWorkload(rng, d), kernelValues(rng, 1<<uint(d), spread), rng)
+			checkKernel(t, kernelWorkload(rng, d), kernelCounts(rng, 1<<uint(d), spread), rng)
 		}
 	}
 }
@@ -187,6 +217,16 @@ func FuzzMarginalKernel(f *testing.F) {
 		out := make([]float64, b-a)
 		w.EvalRangeVector(bv, a, b, out)
 		sameBits(t, "EvalRangeVector", out, want[a:b])
+
+		counts := kernelCounts(rng, len(x), 1+int(spread))
+		sp, ok := sparseForm(counts)
+		if !ok {
+			t.Fatal("counts refused by the sparse form")
+		}
+		want = oracleRange(w, vector.FromDense(counts), 0, w.TotalCells())
+		sameBits(t, "sparse/EvalSinglePassVector", w.EvalSinglePassVector(sp), want)
+		w.EvalRangeVector(sp, a, b, out)
+		sameBits(t, "sparse/EvalRangeVector", out, want[a:b])
 	})
 }
 

@@ -141,8 +141,9 @@
 // (label endpoint), dpcubed_stage_duration_seconds (label stage),
 // budget/cache/store gauges (dpcubed_budget_*, dpcubed_plan_cache_*,
 // dpcubed_rescache_*, dpcubed_datasets_resident,
-// dpcubed_inflight_requests) and Go runtime stats (go_goroutines,
-// go_heap_alloc_bytes, go_gc_pause_seconds_total, ...).
+// dpcubed_dataset_resident_bytes, dpcubed_inflight_requests) and Go
+// runtime stats (go_goroutines, go_heap_alloc_bytes,
+// go_gc_pause_seconds_total, ...).
 //
 // A release-shaped request may set "debug_timing": true to receive a
 // "timing" field: the release's span tree (stage durations, shard
@@ -185,6 +186,7 @@ import (
 	"repro/internal/accountant"
 	"repro/internal/rescache"
 	"repro/internal/store"
+	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
 
@@ -399,6 +401,7 @@ func (s *Server) registerCollectors() {
 	answerMisses := s.tele.Gauge("dpcubed_plan_cache_answer_misses_total", "Answer-memo lookups that recomputed the exact strategy answers.")
 	datasets := s.tele.Gauge("dpcubed_datasets_resident", "Datasets resident in the store.")
 	datasetCells := s.tele.Gauge("dpcubed_dataset_cells", "Total contingency cells across resident datasets.")
+	datasetBytes := s.tele.Gauge("dpcubed_dataset_resident_bytes", "Bytes of cell storage across resident datasets (12 per non-zero when sparse, 8 per cell when dense).")
 	inflight := s.tele.Gauge("dpcubed_inflight_requests", "Routed requests currently in a handler.")
 	var resHits, resMisses, resEntries *telemetry.Gauge
 	if s.results != nil {
@@ -422,6 +425,7 @@ func (s *Server) registerCollectors() {
 		st := s.store.Stats()
 		datasets.Set(float64(st.Datasets))
 		datasetCells.Set(float64(st.TotalCells))
+		datasetBytes.Set(float64(st.ResidentBytes))
 		inflight.Set(float64(s.inflight.Load()))
 		if s.results != nil {
 			rs := s.results.Stats()
@@ -801,6 +805,11 @@ type syntheticBody struct {
 	Strategy string  `json:"strategy"`
 	Count    int     `json:"count"`
 	Rows     [][]int `json:"rows"`
+	// With schema set, sample stands in for Rows: row i is the decoded
+	// cell sample[i], written as it is decoded, so /v1/synthetic never
+	// holds its sample as [][]int (4.7 MB for NLTCS).
+	sample []int32
+	schema *repro.Schema
 }
 
 type syntheticResponse struct {
@@ -808,21 +817,33 @@ type syntheticResponse struct {
 	Budget budgetJSON `json:"budget"`
 }
 
-// marshal returns json.Marshal(b) byte for byte, written without
-// reflection into a buffer sized up front: a sample of ~21k rows × 16
-// attributes is too many small ints for encoding/json's per-value
-// reflection and repeated buffer growth.
+// marshal returns json.Marshal(b) byte for byte (with Rows the decoded
+// sample when schema is set), written without reflection into a buffer
+// sized up front: a sample of ~21k rows × 16 attributes is too many small
+// ints for encoding/json's per-value reflection and repeated buffer
+// growth.
 func (b syntheticBody) marshal() ([]byte, error) {
 	strategy, err := json.Marshal(b.Strategy)
 	if err != nil {
 		return nil, err
 	}
 	const head, mid, tail = `{"strategy":`, `,"count":`, `,"rows":`
-	size := len(head) + len(strategy) + len(mid) + intLen(b.Count) + len(tail) + len("null}") + len(b.Rows)
-	for _, row := range b.Rows {
-		size += len("null") + len(row)
-		for _, v := range row {
-			size += intLen(v)
+	size := len(head) + len(strategy) + len(mid) + intLen(b.Count) + len(tail) + len("null}")
+	if b.schema != nil {
+		// A row is at most its brackets, commas and every attribute's
+		// widest code: exact for binary attributes.
+		row := len(",[]") + len(b.schema.Attrs) - 1
+		for _, a := range b.schema.Attrs {
+			row += intLen(1<<uint(a.BitWidth()) - 1)
+		}
+		size += len(b.sample) * row
+	} else {
+		size += len(b.Rows)
+		for _, row := range b.Rows {
+			size += len("null") + len(row)
+			for _, v := range row {
+				size += intLen(v)
+			}
 		}
 	}
 	buf := make([]byte, 0, size)
@@ -831,13 +852,16 @@ func (b syntheticBody) marshal() ([]byte, error) {
 	buf = append(buf, mid...)
 	buf = strconv.AppendInt(buf, int64(b.Count), 10)
 	buf = append(buf, tail...)
-	buf = appendIntRows(buf, b.Rows)
+	if b.schema != nil {
+		buf = appendSample(buf, b.schema, b.sample)
+	} else {
+		buf = appendIntRows(buf, b.Rows)
+	}
 	return append(buf, '}'), nil
 }
 
 // appendIntRows appends rows as encoding/json writes a [][]int: nil
-// slices as null. Single digits, every binary attribute and most
-// categorical codes, are written as one byte.
+// slices as null.
 func appendIntRows(buf []byte, rows [][]int) []byte {
 	if rows == nil {
 		return append(buf, "null"...)
@@ -847,24 +871,44 @@ func appendIntRows(buf []byte, rows [][]int) []byte {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		if row == nil {
-			buf = append(buf, "null"...)
-			continue
+		buf = appendIntRow(buf, row)
+	}
+	return append(buf, ']')
+}
+
+// appendSample appends one row per cell, decoded under s, as
+// appendIntRows writes the decoded rows.
+func appendSample(buf []byte, s *repro.Schema, cells []int32) []byte {
+	row := make([]int, len(s.Attrs))
+	buf = append(buf, '[')
+	for i, cell := range cells {
+		if i > 0 {
+			buf = append(buf, ',')
 		}
-		if len(row) == 0 {
-			buf = append(buf, "[]"...)
-			continue
+		s.DecodeInto(int(cell), row)
+		buf = appendIntRow(buf, row)
+	}
+	return append(buf, ']')
+}
+
+// appendIntRow appends row as encoding/json writes an []int: nil as null.
+// Single digits, every binary attribute and most categorical codes, are
+// written as one byte.
+func appendIntRow(buf []byte, row []int) []byte {
+	if row == nil {
+		return append(buf, "null"...)
+	}
+	if len(row) == 0 {
+		return append(buf, "[]"...)
+	}
+	sep := byte('[')
+	for _, v := range row {
+		if uint(v) < 10 {
+			buf = append(buf, sep, byte('0'+v))
+		} else {
+			buf = strconv.AppendInt(append(buf, sep), int64(v), 10)
 		}
-		sep := byte('[')
-		for _, v := range row {
-			if uint(v) < 10 {
-				buf = append(buf, sep, byte('0'+v))
-			} else {
-				buf = strconv.AppendInt(append(buf, sep), int64(v), 10)
-			}
-			sep = ','
-		}
-		buf = append(buf, ']')
+		sep = ','
 	}
 	return append(buf, ']')
 }
@@ -1141,26 +1185,30 @@ func (s *Server) renderRelease(r *http.Request, c *releaseCall) ([]byte, error) 
 // renderSynthetic runs /v1/synthetic: a release, then tuples sampled from
 // it. Sampling is seeded by synthetic_seed (part of the result key), so a
 // repeated request replays the identical sample, and it is free
-// post-processing — no further ledger spend.
+// post-processing — no further ledger spend. It is repro.SyntheticData with
+// the sample kept as cells, which the body decodes row by row.
 func (s *Server) renderSynthetic(r *http.Request, c *releaseCall) ([]byte, error) {
 	res, err := s.release(r, c)
 	if err != nil {
 		return nil, err
 	}
-	ssp := telemetry.TraceFrom(r.Context()).Root().Start("sample")
-	syn, err := c.rel.Synthetic(r.Context(), res, c.req.SyntheticSeed)
-	ssp.End()
-	if err != nil {
+	if err := r.Context().Err(); err != nil {
 		return nil, err
 	}
-	rows := syn.Rows
-	if rows == nil {
-		rows = [][]int{}
+	ssp := telemetry.TraceFrom(r.Context()).Root().Start("sample")
+	schema := c.rel.Schema()
+	x, err := repro.ReleaseVectorCoefficients(schema, c.rel.Workload(), res)
+	if err != nil {
+		ssp.End()
+		return nil, err
 	}
+	cells, _ := synth.SampleCells(schema, synth.RoundToCounts(x), c.req.SyntheticSeed)
+	ssp.End()
 	return syntheticBody{
 		Strategy: res.Strategy,
-		Count:    syn.Count(),
-		Rows:     rows,
+		Count:    len(cells),
+		sample:   cells,
+		schema:   schema,
 	}.marshal()
 }
 

@@ -62,12 +62,12 @@ func BenchmarkSynthetic(b *testing.B) {
 	b.Run("nltcs-q2/sample", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			synth.SampleTuples(nltcs.Schema, counts, 3)
+			synth.SampleCells(nltcs.Schema, counts, 3)
 		}
 	})
-	tab, _ := synth.SampleTuples(nltcs.Schema, counts, 3)
+	cells, _ := synth.SampleCells(nltcs.Schema, counts, 3)
 	b.Run("nltcs-q2/encode", func(b *testing.B) {
-		body := syntheticBody{Strategy: "F", Count: tab.Count(), Rows: tab.Rows}
+		body := syntheticBody{Strategy: "F", Count: len(cells), sample: cells, schema: nltcs.Schema}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := body.marshal(); err != nil {

@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,11 +35,15 @@ type IngestOptions struct {
 const DefaultMaxLineBytes = 1 << 20
 
 // MaxDim bounds the encoded width, in bits, of a schema that untrusted
-// input may declare. A schema of d bits makes ingest allocate 2^d int64
-// plus 2^d float64 cells before it reads a single row, so a header line of
-// a few dozen bytes could otherwise ask for gigabytes (16 GiB at
-// bits.MaxDim = 30). 24 bits — 256 MiB of cells — admits the largest
-// paper dataset (Adult, 23 bits) with room to spare.
+// input may declare. Ingest allocates nothing per cell before it reads a
+// row — it starts from a map of the distinct cells seen — but a stream
+// whose distinct cells pass one in vector.SparseRatio switches to dense
+// counters, 2^d int64 plus 2^d float64 cells, and releases over the
+// dataset may materialise 2^d-cell vectors (identity, synthetic). Without
+// a bound a few dozen bytes of header plus enough rows could ask for
+// gigabytes (16 GiB at bits.MaxDim = 30). 24 bits — 256 MiB of dense
+// cells — admits the largest paper dataset (Adult, 23 bits) with room to
+// spare.
 const MaxDim = 24
 
 // Batching constants. Batches bound in-flight memory: at most
@@ -80,36 +86,82 @@ type batch struct {
 // shift and the shards can feed transforms directly.
 const accumBlockLen = vector.DefaultBlockLen
 
-// accumulator is the sharded contingency accumulator: fixed cell-range
-// shards of int64 counters, each counter updated with a lock-free atomic
-// add (cell granularity — the shards exist for allocation and for feeding
-// vector.Blocked, not for locking). No contiguous 2^d slice is ever
-// allocated; the float conversion hands the shards to the release pipeline
-// block for block.
+// accumulator is the contingency accumulator. It starts sparse: the
+// workers' per-batch maps merge into one map of distinct cells under a
+// mutex, taken once per batch. When the distinct cells pass one in
+// vector.SparseRatio of the domain it switches, once, to fixed cell-range
+// shards of int64 counters updated with lock-free atomic adds (cell
+// granularity — the shards exist for allocation and for feeding
+// vector.Blocked, not for locking). So ingest memory is O(min(distinct
+// cells, 2^d)), no contiguous 2^d slice is ever allocated, and a sparse
+// stream never allocates its domain at all.
 type accumulator struct {
 	n      int
+	dense  atomic.Bool // set once blocks is live; merges then skip mu
+	mu     sync.Mutex
+	cells  map[int]int64 // distinct cells while sparse, under mu
 	blocks [][]int64
 }
 
 func newAccumulator(n int) *accumulator {
-	a := &accumulator{n: n}
-	for lo := 0; lo < n; lo += accumBlockLen {
-		hi := lo + accumBlockLen
-		if hi > n {
-			hi = n
-		}
-		a.blocks = append(a.blocks, make([]int64, hi-lo))
-	}
-	return a
+	return &accumulator{n: n, cells: make(map[int]int64)}
 }
 
-func (a *accumulator) add(idx int, c int64) {
-	atomic.AddInt64(&a.blocks[idx/accumBlockLen][idx%accumBlockLen], c)
+// merge folds one batch's pre-aggregated cells into the accumulator.
+// Integer addition commutes exactly, so the order of merges never shows.
+func (a *accumulator) merge(local map[int]int64) {
+	if !a.dense.Load() {
+		a.mu.Lock()
+		if !a.dense.Load() {
+			for idx, c := range local {
+				a.cells[idx] += c
+			}
+			if len(a.cells)*vector.SparseRatio > a.n {
+				a.densify()
+			}
+			a.mu.Unlock()
+			return
+		}
+		a.mu.Unlock()
+	}
+	for idx, c := range local {
+		atomic.AddInt64(&a.blocks[idx/accumBlockLen][idx%accumBlockLen], c)
+	}
+}
+
+// densify moves the distinct cells into dense counter shards. Called under
+// mu (or after the workers are done), before any atomic add can run.
+func (a *accumulator) densify() {
+	for lo := 0; lo < a.n; lo += accumBlockLen {
+		a.blocks = append(a.blocks, make([]int64, min(accumBlockLen, a.n-lo)))
+	}
+	for idx, c := range a.cells {
+		a.blocks[idx/accumBlockLen][idx%accumBlockLen] = c
+	}
+	a.cells = nil
+	a.dense.Store(true)
 }
 
 // vector converts the aggregate into the blocked float vector the engine
-// consumes, shard by shard.
+// consumes: the sparse form while the distinct cells stayed at most one in
+// vector.SparseRatio, else the dense shards, converted shard by shard.
 func (a *accumulator) vector() *vector.Blocked {
+	if !a.dense.Load() {
+		cells := make([]int32, 0, len(a.cells))
+		for idx := range a.cells {
+			cells = append(cells, int32(idx))
+		}
+		slices.Sort(cells)
+		vals := make([]float64, len(cells))
+		for i, c := range cells {
+			vals[i] = float64(a.cells[int(c)])
+		}
+		if v, err := vector.NewSparse(a.n, accumBlockLen, cells, vals); err == nil {
+			return v
+		}
+		// A total of 2^53 rows or more cannot be held sparse.
+		a.densify()
+	}
 	fblocks := make([][]float64, len(a.blocks))
 	for i, bl := range a.blocks {
 		fb := make([]float64, len(bl))
@@ -127,8 +179,8 @@ func (a *accumulator) vector() *vector.Blocked {
 }
 
 // ingestNDJSON streams the reader into an aggregated contingency vector.
-// Returns the schema from the header line, the sharded counts (2^d cells)
-// and the row count. Any error rejects the whole stream.
+// Returns the schema from the header line, the counts (2^d cells, sparse or
+// sharded as the accumulator ended) and the row count. Any error rejects the whole stream.
 func ingestNDJSON(ctx context.Context, r io.Reader, opts IngestOptions) (*dataset.Schema, *vector.Blocked, int64, error) {
 	maxLine := opts.MaxLineBytes
 	if maxLine <= 0 {
@@ -178,9 +230,7 @@ func ingestNDJSON(ctx context.Context, r io.Reader, opts IngestOptions) (*datase
 					abort(err)
 					continue
 				}
-				for idx, c := range local {
-					counts.add(idx, c)
-				}
+				counts.merge(local)
 				rows.Add(n)
 			}
 		}()
@@ -334,47 +384,98 @@ func decodeBatch(schema *dataset.Schema, b batch, local map[int]int64) (int64, e
 	return int64(len(b.lines)), nil
 }
 
-// decodeTuple parses one NDJSON row — a JSON array of non-negative integers
-// — into the reusable tuple slice, rejecting wrong arity, fractional values
-// and trailing garbage without allocating per row.
+// decodeTuple parses one NDJSON row — a JSON array of integers — into the
+// reusable tuple slice. It scans the line bytes directly and allocates
+// nothing unless it rejects the row. It accepts exactly what encoding/json
+// accepts as an array of int64s: JSON whitespace between tokens, -0, and
+// nothing else — no fraction, exponent, leading zero, '+', overflow,
+// nested value, string or literal, no missing or trailing comma and no
+// bytes after the closing bracket. Range checks are schema.Encode's.
 func decodeTuple(line []byte, tuple []int) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.UseNumber()
-	tok, err := dec.Token()
-	if err != nil {
-		return fmt.Errorf("bad row: %v", err)
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return fmt.Errorf("bad row: want a JSON array of attribute values, got %v", tok)
+	i := skipSpace(line, 0)
+	if i == len(line) || line[i] != '[' {
+		return fmt.Errorf("bad row: want a JSON array of attribute values")
 	}
 	n := 0
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return fmt.Errorf("bad row: %v", err)
+	if i = skipSpace(line, i+1); i < len(line) && line[i] == ']' {
+		i++
+	} else {
+		for {
+			v, next, ok := scanInt(line, i)
+			if !ok {
+				return fmt.Errorf("bad row: value %d is not a JSON integer", n)
+			}
+			if n >= len(tuple) {
+				return fmt.Errorf("row has more than %d values", len(tuple))
+			}
+			tuple[n] = v
+			n++
+			if i = skipSpace(line, next); i == len(line) {
+				return fmt.Errorf("bad row: unterminated array")
+			}
+			if line[i] == ']' {
+				i++
+				break
+			}
+			if line[i] != ',' {
+				return fmt.Errorf("bad row: want ',' or ']' after value %d", n-1)
+			}
+			i = skipSpace(line, i+1)
 		}
-		num, ok := tok.(json.Number)
-		if !ok {
-			return fmt.Errorf("bad row: value %d is not an integer (%v)", n, tok)
-		}
-		v, err := num.Int64()
-		if err != nil {
-			return fmt.Errorf("bad row: value %d: %v", n, err)
-		}
-		if n >= len(tuple) {
-			return fmt.Errorf("row has more than %d values", len(tuple))
-		}
-		tuple[n] = int(v)
-		n++
 	}
-	if _, err := dec.Token(); err != nil { // consume ']'
-		return fmt.Errorf("bad row: %v", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
+	if skipSpace(line, i) != len(line) {
 		return fmt.Errorf("bad row: trailing data after the array")
 	}
 	if n != len(tuple) {
 		return fmt.Errorf("row has %d values, schema has %d attributes", n, len(tuple))
 	}
 	return nil
+}
+
+// skipSpace returns the first index at or after i that is not JSON
+// whitespace.
+func skipSpace(line []byte, i int) int {
+	for i < len(line) && (line[i] == ' ' || line[i] == '\t' || line[i] == '\n' || line[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// scanInt reads a JSON number at line[i:] that is an int64: an optional
+// '-', then 0 or a digit run without a leading zero, not followed by a
+// fraction, an exponent or another digit. It returns the value and the
+// index after it.
+func scanInt(line []byte, i int) (int, int, bool) {
+	neg := i < len(line) && line[i] == '-'
+	if neg {
+		i++
+	}
+	if i == len(line) || line[i] < '0' || line[i] > '9' {
+		return 0, i, false
+	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	var mag uint64
+	if line[i] == '0' {
+		i++
+	} else {
+		for ; i < len(line) && line[i] >= '0' && line[i] <= '9'; i++ {
+			d := uint64(line[i] - '0')
+			if mag > (limit-d)/10 {
+				return 0, i, false
+			}
+			mag = mag*10 + d
+		}
+	}
+	if i < len(line) {
+		if c := line[i]; c == '.' || c == 'e' || c == 'E' || (c >= '0' && c <= '9') {
+			return 0, i, false
+		}
+	}
+	if neg {
+		return int(-mag), i, true
+	}
+	return int(mag), i, true
 }

@@ -62,12 +62,13 @@ type ledgersMeta struct {
 
 func snapName(id string) string { return id + datasetSnapExt }
 
-// encodeSnapshot assembles a complete frame in memory. Snapshot sizes are
-// bounded by the 2^d vector the process already holds, so one contiguous
-// frame buffer is fine and keeps the CRC and the atomic-rename write
-// trivial; the float payload is appended straight from the vector's shards
-// (nil for frames without a payload), so the vector itself is never
-// gathered.
+// encodeSnapshot assembles a complete frame in memory. One contiguous
+// frame buffer keeps the CRC and the atomic-rename write trivial; the float
+// payload (nil for frames without one) is appended straight from the
+// vector's shards, or for a sparse vector written as its non-zeros with
+// the zero cells between them left as the buffer's zero bytes, so the
+// vector itself is never gathered. The frame is the same either way: a
+// sparse dataset still writes 8 bytes per cell.
 func encodeSnapshot(kind byte, meta any, vec *vector.Blocked) ([]byte, error) {
 	mj, err := json.Marshal(meta)
 	if err != nil {
@@ -84,19 +85,38 @@ func encodeSnapshot(kind byte, meta any, vec *vector.Blocked) ([]byte, error) {
 	buf = append(buf, mj...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
 	if vec != nil {
-		for bi := 0; bi < vec.Blocks(); bi++ {
-			for _, v := range vec.Block(bi) {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
-		}
+		buf = appendPayload(buf, vec)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
 }
 
+// appendPayload appends vec's cells as little-endian float64 bits. buf
+// must have room for them in its capacity, which make zeroed: a sparse
+// vector writes only its non-zeros over those zero bytes.
+func appendPayload(buf []byte, vec *vector.Blocked) []byte {
+	cells, vals, ok := vector.Sparse(vec)
+	if !ok {
+		for bi := 0; bi < vec.Blocks(); bi++ {
+			for _, v := range vec.Block(bi) {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+		}
+		return buf
+	}
+	base := len(buf)
+	buf = buf[:base+8*vec.Len()]
+	for j, c := range cells {
+		binary.LittleEndian.PutUint64(buf[base+8*int(c):], math.Float64bits(vals[j]))
+	}
+	return buf
+}
+
 // decodeSnapshot validates a frame and unpacks its metadata and floats.
-// The payload is decoded into the store's sharded vector layout (nil when
-// the frame carries none), never into one giant slice.
+// The payload is decoded straight into the form the store holds (see
+// holdAs; nil when the frame carries none): a sparse frame never allocates
+// its domain, and a dense one lands in the store's sharded layout, never
+// in one giant slice.
 func decodeSnapshot(raw []byte, wantKind byte, meta any) (*vector.Blocked, error) {
 	hdr := len(snapMagic) + 2 + 4
 	if len(raw) < hdr+8+4 {
@@ -130,6 +150,14 @@ func decodeSnapshot(raw []byte, wantKind byte, meta any) (*vector.Blocked, error
 	}
 	if n == 0 {
 		return nil, nil
+	}
+	payload := raw[off : off+8*int(n)]
+	sb := sparseBuilder{n: int(n)}
+	for i := 0; i < int(n) && !sb.over; i++ {
+		sb.add(i, math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:])))
+	}
+	if sp := sb.vector(); sp != nil {
+		return sp, nil
 	}
 	vec := vector.NewBlockLen(int(n), accumBlockLen)
 	for bi := 0; bi < vec.Blocks(); bi++ {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -68,10 +67,12 @@ func (s *Store) SetChangeHook(hook func(id string)) {
 }
 
 // Dataset is one ingested relation, reduced to its aggregated contingency
-// vector — stored sharded (vector.Blocked), exactly as the ingest
-// accumulator built it, so releases feed the engine without ever gathering
-// one giant slice. Immutable after registration; replacing or appending to
-// an id registers a new Dataset, and handles over the old one stay valid.
+// vector (vector.Blocked) in the form the store picks at install (see
+// holdAs): the list of non-zero cells when at most one cell in
+// vector.SparseRatio is non-zero, dense shards otherwise. Releases feed the
+// engine from either form without ever gathering one giant slice.
+// Immutable after registration; replacing or appending to an id registers
+// a new Dataset, and handles over the old one stay valid.
 type Dataset struct {
 	id      string
 	schema  *dataset.Schema
@@ -100,8 +101,8 @@ func (h *Handle) ID() string { return h.d.id }
 func (h *Handle) Schema() *dataset.Schema { return h.d.schema }
 
 // Vector returns the aggregated contingency vector (2^d cells) in its
-// sharded form. The storage is shared by every handle over this dataset and
-// by the engine reading it: treat it as read-only. (Copying 2^d floats per
+// stored form, sparse or sharded. The storage is shared by every handle
+// over this dataset and by the engine reading it: treat it as read-only. (Copying 2^d floats per
 // release would defeat the upload-once design; the engine's measure/recover
 // stages never write to their input vector.) The vector is frozen
 // (vector.Freeze), so the engine may serve later releases over it from
@@ -115,7 +116,8 @@ func (h *Handle) Vector() *vector.Blocked { return h.d.counts }
 // through Handle.Vector (the blocked accessor), which never gathers; a
 // server that calls DenseCounts re-introduces the 8·2^d allocation the
 // blocked pipeline exists to avoid. The result is a fresh copy when the
-// dataset spans multiple shards (treat it as read-only either way).
+// dataset is sparse or spans multiple shards (treat it as read-only either
+// way).
 func DenseCounts(h *Handle) []float64 { return h.d.counts.Dense() }
 
 // Rows returns the number of ingested tuples.
@@ -146,9 +148,15 @@ type Info struct {
 	// Schema lists the attributes in declaration order.
 	Schema []dataset.Attribute `json:"schema"`
 	// Rows is the ingested tuple count; Cells is the contingency-vector
-	// length 2^d actually stored.
+	// length 2^d, whatever the store holds of it.
 	Rows  int64 `json:"rows"`
 	Cells int   `json:"cells"`
+	// StoredCells is the number of cell values the store holds: the
+	// non-zero cells of a sparse dataset, all Cells of a dense one.
+	StoredCells int `json:"stored_cells"`
+	// ResidentBytes is the memory those cells occupy: 12 bytes per
+	// non-zero when sparse, 8 per cell when dense.
+	ResidentBytes int64 `json:"resident_bytes"`
 	// Version is the install version of the resident dataset (see
 	// Handle.Version).
 	Version int64 `json:"version"`
@@ -172,6 +180,8 @@ type Stats struct {
 	TotalCells    int   `json:"total_cells"`
 	TotalRows     int64 `json:"total_rows"`
 	ActiveHandles int64 `json:"active_handles"`
+	// ResidentBytes sums every resident dataset's Info.ResidentBytes.
+	ResidentBytes int64 `json:"resident_bytes"`
 }
 
 // Open builds a Store. With cfg.Dir set, the directory is created if needed
@@ -223,30 +233,141 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// fingerprintDataset hashes the schema layout and every count cell in
-// ascending cell order (FNV-64a over the float64 bit patterns). Computed at
-// install and at snapshot load, so the value survives restarts and agrees
-// across processes holding the same data.
-func fingerprintDataset(sc *dataset.Schema, counts *vector.Blocked) uint64 {
-	h := fnv.New64a()
+// FNV-1a 64 parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv64a is an FNV-1a 64 state that can also absorb a run of zero cells in
+// O(log) time: FNV-1a of a zero byte is one multiply by the prime, so r
+// zero cells (8r zero bytes) multiply the state by prime^(8r) mod 2^64.
+type fnv64a uint64
+
+func (h *fnv64a) write(p []byte) {
+	for _, c := range p {
+		*h ^= fnv64a(c)
+		*h *= fnvPrime64
+	}
+}
+
+func (h *fnv64a) writeUint64(v uint64) {
 	var buf [8]byte
-	writeInt := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	binary.BigEndian.PutUint64(buf[:], v)
+	h.write(buf[:])
+}
+
+// zeroCells absorbs r cells whose float64 bits are all zero.
+func (h *fnv64a) zeroCells(r int) {
+	p, f := uint64(1), uint64(fnvPrime64)
+	for e := 8 * uint64(r); e > 0; e >>= 1 {
+		if e&1 != 0 {
+			p *= f
+		}
+		f *= f
 	}
-	writeInt(uint64(len(sc.Attrs)))
+	*h *= fnv64a(p)
+}
+
+// fingerprintDataset hashes the schema layout and every count cell in
+// ascending cell order (FNV-64a over the big-endian float64 bit patterns).
+// Runs of zero cells are absorbed at once, so a sparse dataset hashes in
+// O(non-zeros · log) and either form of the same cells gives the same
+// value. Computed at install and at snapshot load, so the value survives
+// restarts and agrees across processes holding the same data.
+func fingerprintDataset(sc *dataset.Schema, counts *vector.Blocked) uint64 {
+	h := fnv64a(fnvOffset64)
+	h.writeUint64(uint64(len(sc.Attrs)))
 	for _, a := range sc.Attrs {
-		writeInt(uint64(len(a.Name)))
-		h.Write([]byte(a.Name))
-		writeInt(uint64(a.Cardinality))
+		h.writeUint64(uint64(len(a.Name)))
+		h.write([]byte(a.Name))
+		h.writeUint64(uint64(a.Cardinality))
 	}
-	writeInt(uint64(counts.Len()))
-	counts.Segments(0, counts.Len(), func(_ int, seg []float64) {
+	n := counts.Len()
+	h.writeUint64(uint64(n))
+	if cells, vals, ok := vector.Sparse(counts); ok {
+		next := 0
+		for j, c := range cells {
+			h.zeroCells(int(c) - next)
+			h.writeUint64(math.Float64bits(vals[j]))
+			next = int(c) + 1
+		}
+		h.zeroCells(n - next)
+		return uint64(h)
+	}
+	run := 0
+	counts.Segments(0, n, func(_ int, seg []float64) {
 		for _, v := range seg {
-			writeInt(math.Float64bits(v))
+			if b := math.Float64bits(v); b == 0 {
+				run++
+			} else {
+				h.zeroCells(run)
+				run = 0
+				h.writeUint64(b)
+			}
 		}
 	})
-	return h.Sum64()
+	h.zeroCells(run)
+	return uint64(h)
+}
+
+// sparseBuilder collects the non-zero cells of a count vector, visited in
+// ascending order, for the sparse form; it gives up as soon as they pass
+// one in vector.SparseRatio cells.
+type sparseBuilder struct {
+	n     int
+	cells []int32
+	vals  []float64
+	over  bool
+}
+
+func (sb *sparseBuilder) add(i int, v float64) {
+	if sb.over || math.Float64bits(v) == 0 {
+		return
+	}
+	if (len(sb.cells)+1)*vector.SparseRatio > sb.n {
+		sb.over, sb.cells, sb.vals = true, nil, nil
+		return
+	}
+	sb.cells = append(sb.cells, int32(i))
+	sb.vals = append(sb.vals, v)
+}
+
+// vector returns the collected cells in the sparse form, or nil when they
+// are too many or not positive integer counts totalling below 2^53.
+func (sb *sparseBuilder) vector() *vector.Blocked {
+	if sb.over {
+		return nil
+	}
+	v, err := vector.NewSparse(sb.n, accumBlockLen, sb.cells, sb.vals)
+	if err != nil {
+		return nil
+	}
+	return v
+}
+
+// holdAs returns counts in the form the store holds: sparse iff at most
+// one cell in vector.SparseRatio is non-zero (nnz·16 ≤ cells, the marginal
+// kernel's crossover) and the values are positive integer counts totalling
+// below 2^53; dense shards otherwise. A dense vector that stays dense is
+// returned as is.
+func holdAs(counts *vector.Blocked) *vector.Blocked {
+	if cells, _, ok := vector.Sparse(counts); ok {
+		if len(cells)*vector.SparseRatio <= counts.Len() {
+			return counts
+		}
+		return counts.CloneBlockLen(accumBlockLen)
+	}
+	sb := sparseBuilder{n: counts.Len()}
+	counts.Segments(0, counts.Len(), func(off int, seg []float64) {
+		for j, v := range seg {
+			sb.add(off+j, v)
+		}
+	})
+	if sp := sb.vector(); sp != nil {
+		return sp
+	}
+	return counts
 }
 
 // QuarantinedSnapshots reports snapshot files Open refused to load (and
@@ -299,8 +420,9 @@ func (s *Store) IngestNDJSON(ctx context.Context, id string, r io.Reader, opts I
 }
 
 // PutCounts registers a pre-aggregated contingency vector directly (tests,
-// in-process embedders). The vector is copied into the store's sharded
-// layout.
+// in-process embedders). The vector is copied into the form the store
+// holds (see holdAs): counts with a fraction, a negative or a −0 stay
+// dense.
 func (s *Store) PutCounts(id string, schema *dataset.Schema, counts []float64, rows int64) (Info, error) {
 	if err := ValidateID(id); err != nil {
 		return Info{}, err
@@ -312,8 +434,15 @@ func (s *Store) PutCounts(id string, schema *dataset.Schema, counts []float64, r
 		return Info{}, fmt.Errorf("%w: counts has %d entries, domain needs %d",
 			ErrInvalidDataset, len(counts), schema.DomainSize())
 	}
-	bv := vector.NewBlockLen(len(counts), accumBlockLen)
-	bv.Scatter(counts)
+	sb := sparseBuilder{n: len(counts)}
+	for i, v := range counts {
+		sb.add(i, v)
+	}
+	bv := sb.vector()
+	if bv == nil {
+		bv = vector.NewBlockLen(len(counts), accumBlockLen)
+		bv.Scatter(counts)
+	}
 	return s.register(&Dataset{
 		id:      id,
 		schema:  schema,
@@ -353,7 +482,9 @@ func (s *Store) AppendNDJSON(ctx context.Context, id string, r io.Reader, opts I
 			return Info{}, fmt.Errorf("%w: append schema does not match dataset %q", ErrInvalidDataset, id)
 		}
 		// Datasets are immutable, so the sum over the grabbed snapshot is
-		// stable; per cell the order is resident + delta.
+		// stable; per cell the order is resident + delta. Two sparse
+		// operands merge in O(nnz + Δ); the sum then takes whichever form
+		// its density calls for, so a dataset may cross to dense.
 		merged, err := vector.Sum(old.counts, delta)
 		if err != nil {
 			return Info{}, fmt.Errorf("%w: %v", ErrInvalidDataset, err)
@@ -361,7 +492,7 @@ func (s *Store) AppendNDJSON(ctx context.Context, id string, r io.Reader, opts I
 		next := &Dataset{
 			id:      id,
 			schema:  old.schema,
-			counts:  merged,
+			counts:  holdAs(merged),
 			rows:    old.rows + rows,
 			created: time.Now().UTC(),
 		}
@@ -391,8 +522,8 @@ func (s *Store) registerIfCurrent(d *Dataset, expect *Dataset) (Info, bool, erro
 }
 
 func (s *Store) registerWhen(d *Dataset, expect *Dataset, conditional bool) (Info, bool, error) {
-	// Content hash before taking the lock: it walks every cell, and nothing
-	// it reads can change (the Dataset is not yet published). From here on
+	// Content hash before taking the lock: it walks every stored cell, and
+	// nothing it reads can change (the Dataset is not yet published). From here on
 	// the counts are immutable, which lets the engine memoise exact
 	// strategy answers over them (vector.Freeze).
 	d.fprint = fingerprintDataset(d.schema, d.counts)
@@ -549,6 +680,7 @@ func (s *Store) Stats() Stats {
 	st := Stats{Datasets: len(s.datasets)}
 	for _, d := range s.datasets {
 		st.TotalCells += d.counts.Len()
+		st.ResidentBytes += int64(vector.ResidentBytes(d.counts))
 		st.TotalRows += d.rows
 		st.ActiveHandles += d.refs.Load()
 	}
@@ -564,6 +696,8 @@ func (s *Store) infoLocked(d *Dataset) Info {
 		Schema:        append([]dataset.Attribute(nil), d.schema.Attrs...),
 		Rows:          d.rows,
 		Cells:         d.counts.Len(),
+		StoredCells:   vector.Stored(d.counts),
+		ResidentBytes: int64(vector.ResidentBytes(d.counts)),
 		Version:       d.version,
 		Fingerprint:   fmt.Sprintf("%016x", d.fprint),
 		ActiveHandles: d.refs.Load(),

@@ -311,9 +311,29 @@ func planFourier(w *marginal.Workload, a []float64) *Plan {
 		// happens inside: the scratch copy of x is itself blocked (no
 		// contiguous 2^d slice) and the butterfly stages fan out over the
 		// worker pool, bit-identical to the serial transform.
+		//
+		// A sparse x skips the 2^d transform. By Theorem 4.1 every β ⪯ α
+		// is a coefficient of the marginal Cα x, so one unscaled 2^k
+		// butterfly per exact workload marginal yields it. The sparse form
+		// holds integer counts totalling below 2^53, so the kernel's sums
+		// and both butterfly networks are exact, and each coefficient is
+		// the same integer on either route until the one multiply by cInv,
+		// the scale WHTBlocked applies: the answers are bit-identical.
 		TrueAnswers: func(x *vector.Blocked, workers int) []float64 {
 			if x.Len() != n {
 				panic(fmt.Sprintf("strategy: fourier expects %d cells, got %d", n, x.Len()))
+			}
+			if _, _, ok := vector.Sparse(x); ok {
+				out := make([]float64, len(support))
+				exact := w.EvalSinglePassVector(x)
+				for i, m := range w.Marginals {
+					cells := exact[offsets[i] : offsets[i]+m.Cells()]
+					transform.WHTUnscaled(cells)
+					for j, c := range cols[offsets[i] : offsets[i]+len(cells)] {
+						out[c] = cells[j] * cInv
+					}
+				}
+				return out
 			}
 			scratch := x.CloneBlockLen(fourierBlockLen(n))
 			transform.WHTBlocked(scratch, workers)

@@ -166,6 +166,26 @@ func kthLargest(keys []uint64, k int64) (uint64, int64) {
 // The rows share one backing array, each capped at its own length so an
 // append to one row never writes into the next.
 func SampleTuples(s *dataset.Schema, counts []int64, seed int64) (*dataset.Table, int64) {
+	cells, skipped := SampleCells(s, counts, seed)
+	if len(cells) == 0 {
+		return &dataset.Table{Schema: s}, skipped
+	}
+	a := len(s.Attrs)
+	back := make([]int, len(cells)*a)
+	rows := make([][]int, len(cells))
+	for i, idx := range cells {
+		row := back[i*a : (i+1)*a : (i+1)*a]
+		s.DecodeInto(int(idx), row)
+		rows[i] = row
+	}
+	return &dataset.Table{Schema: s, Rows: rows}, skipped
+}
+
+// SampleCells is SampleTuples before decoding: the cell of every sampled
+// tuple, in the same random order. Row i of SampleTuples is
+// s.Decode(cells[i]); a caller that only writes the rows out can decode
+// them one at a time instead of holding them all.
+func SampleCells(s *dataset.Schema, counts []int64, seed int64) ([]int32, int64) {
 	// noise.NewSource(seed) reproduces rand.New(rand.NewSource(seed))
 	// bit-for-bit, so the emitted row order is unchanged by routing the
 	// shuffle through the sanctioned Source (seedflow invariant); pinned by
@@ -183,7 +203,7 @@ func SampleTuples(s *dataset.Schema, counts []int64, seed int64) (*dataset.Table
 		n += c
 	}
 	if n == 0 {
-		return &dataset.Table{Schema: s}, skipped
+		return nil, skipped
 	}
 	// One cell index per unit, in ascending cell order: shuffling these
 	// permutes exactly as shuffling the decoded rows would.
@@ -197,15 +217,7 @@ func SampleTuples(s *dataset.Schema, counts []int64, seed int64) (*dataset.Table
 		}
 	}
 	rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
-	a := len(s.Attrs)
-	back := make([]int, len(cells)*a)
-	rows := make([][]int, len(cells))
-	for i, idx := range cells {
-		row := back[i*a : (i+1)*a : (i+1)*a]
-		s.DecodeInto(int(idx), row)
-		rows[i] = row
-	}
-	return &dataset.Table{Schema: s, Rows: rows}, skipped
+	return cells, skipped
 }
 
 // MarginalL1 computes the L1 distance between a marginal of the synthetic

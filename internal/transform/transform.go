@@ -60,6 +60,19 @@ func WHTWorkers(x []float64, workers int) {
 	}
 }
 
+// WHTUnscaled runs the Walsh–Hadamard butterfly network on x in place
+// without the orthonormal scaling: afterwards x_β = Σ_γ (−1)^⟨β,γ⟩ x_γ.
+// It is the network WHT runs before its single final multiply by
+// 1/√len(x), so on integer inputs whose absolute sum is below 2^53 (where
+// every butterfly is exact) the two differ only by that multiply.
+// len(x) must be a power of two.
+func WHTUnscaled(x []float64) {
+	if n := len(x); n&(n-1) != 0 {
+		panic(fmt.Sprintf("transform: length %d is not a power of two", n))
+	}
+	whtButterflies(x)
+}
+
 // whtCacheBlock is the tile the serial butterfly network runs hot in: 2^13
 // float64 (64 KiB) stays resident in L2 while all sub-tile stages complete,
 // so a 2^20-cell transform streams each tile from memory once instead of
