@@ -248,8 +248,8 @@ func BenchmarkAblationRecovery(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationConsistency compares the consistency modes on one noisy
-// NLTCS Q1* release.
+// BenchmarkAblationConsistency compares no consistency against the
+// closed-form L2 projection on one noisy NLTCS Q1* release.
 func BenchmarkAblationConsistency(b *testing.B) {
 	tab := dataset.SyntheticBinary(5, 10, 4000)
 	x, err := tab.Vector()
@@ -273,13 +273,6 @@ func BenchmarkAblationConsistency(b *testing.B) {
 	b.Run("L2-closed-form", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := consistency.L2(w, noisy); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("L1-lp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := consistency.L1(w, noisy); err != nil {
 				b.Fatal(err)
 			}
 		}

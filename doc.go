@@ -257,14 +257,17 @@
 // contracts and the suppression grammar.
 //
 // The internal packages follow the paper's structure: internal/strategy
-// (Step 1), internal/budget (Step 2, Section 3.1), internal/recovery and
-// internal/consistency (Step 3, Sections 3.2–3.3 and 4.3), internal/engine
-// (the staged mechanism, entered only through RunVector) with internal/core
-// holding the data-independent Preview forecast and the Table-1 bounds,
+// (Step 1), internal/budget (Step 2, Section 3.1), internal/consistency
+// (Step 3, Sections 3.3 and 4.3), internal/engine (the staged mechanism,
+// entered only through RunVector) with internal/core holding the
+// data-independent Preview forecast and the Table-1 bounds,
 // internal/vector as the sharded-vector substrate, internal/accountant
 // (the ledger under BudgetLedger), internal/server (the HTTP layer), and
-// internal/linalg, internal/lp, internal/transform, internal/noise,
-// internal/bits and internal/dataset as self-contained substrates. See
+// internal/transform, internal/noise, internal/bits and internal/dataset as
+// self-contained substrates. internal/recovery is the dense reference for
+// the GLS recovery of Section 3.2, off the serving path: it computes the
+// Section 1 worked example and is the oracle the engine's recovery and
+// consistency are tested against. See
 // EXPERIMENTS.md for the reproduction of every table and figure in the
 // paper's evaluation.
 package repro

@@ -61,7 +61,7 @@ func TestConsistencyIdempotent(t *testing.T) {
 	w := marginal.SchemaKWay(tab.Schema, 2)
 	rel, err := runDense(w, x, engine.Config{
 		Strategy: strategy.Workload{}, Budgeting: engine.OptimalBudget,
-		Consistency: engine.L2Consistency,
+		Consistency: engine.WeightedL2Consistency,
 		Privacy:     noise.Params{Type: noise.PureDP, Epsilon: 0.5, Neighbor: noise.AddRemove},
 		Seed:        2,
 	})

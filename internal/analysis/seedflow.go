@@ -35,7 +35,7 @@ var SeedFlow = &Analyzer{
 		"internal/consistency", "internal/transform", "internal/recovery",
 		"internal/core", "internal/synth", "internal/rangequery",
 		"internal/datacube", "internal/marginal", "internal/budget",
-		"internal/bits", "internal/linalg", "internal/lp", "internal/store",
+		"internal/bits", "internal/store",
 		"internal/rescache", "internal/server", "internal/accountant",
 		"internal/experiments",
 	},

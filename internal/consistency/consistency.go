@@ -1,8 +1,8 @@
 // Package consistency implements the Fourier-coefficient consistency step of
 // Sections 3.3 and 4.3: given noisy (mutually inconsistent) marginal tables,
-// it finds the consistent set of marginals closest to them in L2 (closed
-// form), or in L1/L∞ (linear programming), where "consistent" means all
-// tables are marginals of one common (unknown) data vector.
+// it finds, in closed form, the consistent set of marginals closest to them
+// in (weighted) L2, where "consistent" means all tables are marginals of one
+// common (unknown) data vector.
 //
 // The L2 program min ‖R·f̂ − ỹ‖₂ over the Fourier coefficients f̂ has a
 // remarkable structure: with R_{(i,γ),β} = 2^{d/2−‖α_i‖}·(−1)^{⟨β,γ⟩} for
@@ -17,7 +17,8 @@
 // the coefficient, computable with one small Walsh–Hadamard transform per
 // marginal. The derivation survives per-marginal weights (noise variances
 // differ across marginals but are constant within one), which keeps the
-// Gram matrix diagonal; L2Weighted implements that generalized version.
+// Gram matrix diagonal; L2WeightedWorkers implements that generalized
+// version.
 //
 // Coefficients travel as a dense slice aligned with the workload's
 // FourierSupport, never as a map: every per-cell step indexes it through
@@ -34,8 +35,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/bits"
-	"repro/internal/lp"
 	"repro/internal/marginal"
 	"repro/internal/par"
 	"repro/internal/transform"
@@ -56,19 +55,14 @@ type Result struct {
 
 // L2 computes the unweighted least-squares consistent marginals.
 func L2(w *marginal.Workload, noisy []float64) (*Result, error) {
-	return L2Weighted(w, noisy, nil)
+	return L2WeightedWorkers(w, noisy, nil, 0)
 }
 
-// L2Weighted computes weighted least-squares consistent marginals.
+// L2WeightedWorkers computes weighted least-squares consistent marginals.
 // weight[i] applies to every cell of marginal i (use 1/variance for
-// GLS-style fusion); nil means all ones.
-func L2Weighted(w *marginal.Workload, noisy []float64, weight []float64) (*Result, error) {
-	return L2WeightedWorkers(w, noisy, weight, 0)
-}
-
-// L2WeightedWorkers is L2Weighted with an explicit worker bound: 0 uses
-// all CPUs, 1 forces serial execution. weight[i] must be finite and
-// non-negative; zero excludes marginal i from the fusion.
+// GLS-style fusion); nil means all ones. weight[i] must be finite and
+// non-negative; zero excludes marginal i from the fusion. workers bounds
+// the worker pool: 0 uses all CPUs, 1 forces serial execution.
 //
 // The projection states the released cell count as its work. Below
 // par.Grain cells per worker it runs serially; above it the two
@@ -185,8 +179,8 @@ func L2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []float64, 
 // with w.FourierSupport()), splitting the independent per-marginal inverse
 // transforms into contiguous runs of marginals (each writes its own
 // disjoint slice of the concatenated answers). A marginal reading a
-// coefficient whose observed weight is zero fails; observed == nil means
-// every coefficient is observed. workers is already sized by par.Workers.
+// coefficient whose observed weight is zero fails. workers is already
+// sized by par.Workers.
 func evalAnswers(w *marginal.Workload, coeff, observed []float64, workers int) ([]float64, error) {
 	answers := make([]float64, w.TotalCells())
 	offsets := w.Offsets()
@@ -199,7 +193,7 @@ func evalAnswers(w *marginal.Workload, coeff, observed []float64, workers int) (
 			mcols := cols[offsets[i] : offsets[i]+m.Cells()]
 			missing := false
 			for j, c := range mcols {
-				if observed != nil && observed[c] == 0 {
+				if observed[c] == 0 {
 					missing = true
 					break
 				}
@@ -225,72 +219,6 @@ func evalAnswers(w *marginal.Workload, coeff, observed []float64, workers int) (
 // one release's scratch serves the next — the -benchmem audit showed these
 // per-marginal buffers dominating the consistency stage's allocation count.
 var blockPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// RecoveryRows materialises the explicit K×|F| recovery matrix R of
-// Section 4.3 (rows ordered like the concatenated answers, columns ordered
-// like support), used by the LP formulations and available for tests.
-func RecoveryRows(w *marginal.Workload, support []bits.Mask) [][]float64 {
-	colOf := make(map[bits.Mask]int, len(support))
-	for c, b := range support {
-		colOf[b] = c
-	}
-	d := w.D
-	sqrtN := math.Sqrt(float64(int64(1) << uint(d)))
-	rows := make([][]float64, 0, w.TotalCells())
-	for _, m := range w.Marginals {
-		k := m.Order()
-		rCoef := sqrtN / float64(int64(1)<<uint(k))
-		for idx := 0; idx < m.Cells(); idx++ {
-			gamma := bits.CellMask(m.Alpha, idx)
-			row := make([]float64, len(support))
-			m.Alpha.VisitSubsets(func(beta bits.Mask) {
-				col, ok := colOf[beta]
-				if !ok {
-					panic(fmt.Sprintf("consistency: support misses β=%v", beta))
-				}
-				row[col] = rCoef * beta.Sign(gamma)
-			})
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-// L1 computes the consistent marginals minimising ‖R·f̂ − ỹ‖₁ via the LP of
-// Section 4.3. Exact but cubic-ish in the workload size; prefer L2 at scale.
-func L1(w *marginal.Workload, noisy []float64) (*Result, error) {
-	return lpConsistency(w, noisy, false)
-}
-
-// LInf computes the consistent marginals minimising ‖R·f̂ − ỹ‖∞.
-func LInf(w *marginal.Workload, noisy []float64) (*Result, error) {
-	return lpConsistency(w, noisy, true)
-}
-
-func lpConsistency(w *marginal.Workload, noisy []float64, inf bool) (*Result, error) {
-	if len(noisy) != w.TotalCells() {
-		return nil, fmt.Errorf("consistency: %d noisy values for %d cells", len(noisy), w.TotalCells())
-	}
-	support := w.FourierSupport()
-	rows := RecoveryRows(w, support)
-	var (
-		fhat []float64
-		err  error
-	)
-	if inf {
-		fhat, _, err = lp.MinimizeLInf(rows, noisy)
-	} else {
-		fhat, _, err = lp.MinimizeL1(rows, noisy)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("consistency: LP failed: %w", err)
-	}
-	answers, err := evalAnswers(w, fhat, nil, par.Workers(len(noisy), 0))
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Coefficients: fhat, Answers: answers}, nil
-}
 
 // IsConsistent verifies that the concatenated answers are mutually
 // consistent: every Fourier coefficient observed by several marginals must
@@ -330,18 +258,4 @@ func IsConsistent(w *marginal.Workload, answers []float64, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// RoundNonNegativeInts clamps negative entries to zero and rounds to the
-// nearest integer — the post-processing of the concluding remarks for
-// materialised base counts. Returns a new slice.
-func RoundNonNegativeInts(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		if v < 0 {
-			v = 0
-		}
-		out[i] = math.Round(v)
-	}
-	return out
 }

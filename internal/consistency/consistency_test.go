@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/bits"
-	"repro/internal/linalg"
 	"repro/internal/marginal"
 	"repro/internal/noise"
+	"repro/internal/recovery"
 	"repro/internal/transform"
 )
 
@@ -71,8 +71,9 @@ func TestL2OutputIsConsistent(t *testing.T) {
 }
 
 func TestL2MatchesGenericLeastSquares(t *testing.T) {
-	// The closed form must agree with a brute-force LS solve of
-	// min ‖R·f − ỹ‖₂ over the explicit recovery matrix.
+	// The closed form must agree with the dense least-squares projection
+	// onto consistent marginals: the GLS recovery R = Q(QᵀQ)⁻¹Qᵀ of the
+	// strategy S = Q under unit noise.
 	rng := rand.New(rand.NewSource(4))
 	w := overlapWorkload()
 	x := randX(rng, w.D)
@@ -85,32 +86,67 @@ func TestL2MatchesGenericLeastSquares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	support := w.FourierSupport()
-	rows := RecoveryRows(w, support)
-	fhat, err := linalg.LeastSquares(linalg.FromRows(rows), noisy)
+	q := w.Rows()
+	ones := make([]float64, len(q))
+	for i := range ones {
+		ones[i] = 1
+	}
+	r, err := recovery.Matrix(q, q, ones)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c, beta := range support {
-		if math.Abs(fhat[c]-res.Coefficients[c]) > 1e-7 {
-			t.Fatalf("β=%v: closed form %v vs generic LS %v", beta, res.Coefficients[c], fhat[c])
+	for i, row := range r {
+		want := 0.0
+		for j, v := range row {
+			want += v * noisy[j]
+		}
+		if math.Abs(want-res.Answers[i]) > 1e-7 {
+			t.Fatalf("cell %d: closed form %v vs dense GLS %v", i, res.Answers[i], want)
 		}
 	}
+}
+
+// recoveryRows materialises the explicit K×|F| recovery matrix R of
+// Section 4.3: rows ordered like the concatenated answers, columns like the
+// workload's FourierSupport. Cell γ of marginal α reads every β ⪯ α with
+// weight 2^{d/2−‖α‖}·(−1)^{⟨β,γ⟩}; the column of the β packed at index p is
+// the workload's Fourier column index at that cell.
+func recoveryRows(w *marginal.Workload) [][]float64 {
+	sqrtN := math.Sqrt(float64(int64(1) << uint(w.D)))
+	support := w.FourierSupport()
+	cols := w.FourierColumns()
+	offsets := w.Offsets()
+	rows := make([][]float64, 0, w.TotalCells())
+	for i, m := range w.Marginals {
+		rCoef := sqrtN / float64(m.Cells())
+		mcols := cols[offsets[i] : offsets[i]+m.Cells()]
+		for idx := 0; idx < m.Cells(); idx++ {
+			gamma := bits.CellMask(m.Alpha, idx)
+			row := make([]float64, len(support))
+			for p, c := range mcols {
+				row[c] = rCoef * bits.CellMask(m.Alpha, p).Sign(gamma)
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows
 }
 
 func TestL2GramMatrixIsDiagonal(t *testing.T) {
 	// The structural fact the closed form rests on.
 	w := overlapWorkload()
-	support := w.FourierSupport()
-	rows := RecoveryRows(w, support)
-	r := linalg.FromRows(rows)
-	gram := r.T().Mul(r)
-	for i := 0; i < gram.Rows; i++ {
-		for j := 0; j < gram.Cols; j++ {
-			if i != j && math.Abs(gram.At(i, j)) > 1e-9 {
-				t.Fatalf("RᵀR not diagonal at (%d,%d): %v", i, j, gram.At(i, j))
+	rows := recoveryRows(w)
+	n := len(w.FourierSupport())
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			g := 0.0
+			for _, row := range rows {
+				g += row[i] * row[j]
 			}
-			if i == j && gram.At(i, j) <= 0 {
+			if i != j && math.Abs(g) > 1e-9 {
+				t.Fatalf("RᵀR not diagonal at (%d,%d): %v", i, j, g)
+			}
+			if i == j && g <= 0 {
 				t.Fatalf("RᵀR diagonal entry %d not positive", i)
 			}
 		}
@@ -122,7 +158,7 @@ func TestL2WeightedPrefersLowNoiseMarginal(t *testing.T) {
 	// answer must sit closer to the heavily weighted one.
 	w := marginal.MustWorkload(2, []bits.Mask{0b01, 0b01})
 	noisy := []float64{10, 0, 20, 0} // marginal 1 says [10,0], marginal 2 says [20,0]
-	res, err := L2Weighted(w, noisy, []float64{9, 1})
+	res, err := L2WeightedWorkers(w, noisy, []float64{9, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,58 +185,6 @@ func TestL2PreservesTotalCountAveraging(t *testing.T) {
 	t2 := res.Answers[2] + res.Answers[3]
 	if math.Abs(t1-7) > 1e-8 || math.Abs(t2-7) > 1e-8 {
 		t.Fatalf("totals %v and %v, want 7 and 7", t1, t2)
-	}
-}
-
-func TestL1AndLInfProduceConsistentOutput(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	w := marginal.MustWorkload(3, []bits.Mask{0b011, 0b110})
-	x := randX(rng, w.D)
-	noisy := w.Eval(x)
-	src := noise.NewSource(7)
-	for i := range noisy {
-		noisy[i] += src.Laplace(1)
-	}
-	for name, fn := range map[string]func(*marginal.Workload, []float64) (*Result, error){
-		"L1": L1, "LInf": LInf,
-	} {
-		res, err := fn(w, noisy)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !IsConsistent(w, res.Answers, 1e-6) {
-			t.Fatalf("%s output inconsistent", name)
-		}
-	}
-}
-
-func TestL1ObjectiveBeatsL2OnL1Metric(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	w := marginal.MustWorkload(3, []bits.Mask{0b011, 0b110, 0b101})
-	x := randX(rng, w.D)
-	noisy := w.Eval(x)
-	src := noise.NewSource(9)
-	for i := range noisy {
-		noisy[i] += src.Laplace(3)
-	}
-	l1res, err := L1(w, noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2res, err := L2(w, noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1 := func(a []float64) float64 {
-		s := 0.0
-		for i := range a {
-			s += math.Abs(a[i] - noisy[i])
-		}
-		return s
-	}
-	if l1(l1res.Answers) > l1(l2res.Answers)+1e-6 {
-		t.Fatalf("L1 program (%v) must not lose to L2 (%v) on the L1 metric",
-			l1(l1res.Answers), l1(l2res.Answers))
 	}
 }
 
@@ -283,38 +267,21 @@ func TestIsConsistentDetectsTamper(t *testing.T) {
 	}
 }
 
-func TestRoundNonNegativeInts(t *testing.T) {
-	in := []float64{-2.3, 0.4, 1.5, 7.9}
-	out := RoundNonNegativeInts(in)
-	want := []float64{0, 0, 2, 8}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("RoundNonNegativeInts = %v, want %v", out, want)
-		}
-	}
-	if in[0] != -2.3 {
-		t.Fatal("input must not be modified")
-	}
-}
-
 func TestInputValidation(t *testing.T) {
 	w := overlapWorkload()
 	if _, err := L2(w, make([]float64, 3)); err == nil {
 		t.Error("short input accepted")
 	}
-	if _, err := L2Weighted(w, make([]float64, w.TotalCells()), []float64{1}); err == nil {
+	if _, err := L2WeightedWorkers(w, make([]float64, w.TotalCells()), []float64{1}, 0); err == nil {
 		t.Error("short weights accepted")
 	}
-	if _, err := L2Weighted(w, make([]float64, w.TotalCells()), []float64{-1, 1, 1}); err == nil {
+	if _, err := L2WeightedWorkers(w, make([]float64, w.TotalCells()), []float64{-1, 1, 1}, 0); err == nil {
 		t.Error("negative weight accepted")
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := L2Weighted(w, make([]float64, w.TotalCells()), []float64{1, v, 1}); err == nil {
+		if _, err := L2WeightedWorkers(w, make([]float64, w.TotalCells()), []float64{1, v, 1}, 0); err == nil {
 			t.Errorf("weight %v accepted", v)
 		}
-	}
-	if _, err := L1(w, make([]float64, 1)); err == nil {
-		t.Error("short input accepted by L1")
 	}
 }
 

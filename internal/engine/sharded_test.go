@@ -18,16 +18,11 @@ import (
 // monolithic serial release bit for bit.
 func TestShardedBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	domain := func(d int) (*marginal.Workload, []float64) {
-		n := 1 << uint(d)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = float64(rng.Intn(20))
-		}
-		return marginal.AllKWay(d, 2), x
+	w := marginal.AllKWay(8, 2)
+	x := make([]float64, 1<<uint(w.D))
+	for i := range x {
+		x[i] = float64(rng.Intn(20))
 	}
-	w8, x8 := domain(8)
-	w6, x6 := domain(6) // the LP modes are cubic-ish; keep their domain small
 	workerCounts := []int{1, 4}
 	if g := runtime.GOMAXPROCS(0); g != 1 && g != 4 {
 		workerCounts = append(workerCounts, g)
@@ -35,13 +30,9 @@ func TestShardedBitIdentity(t *testing.T) {
 	strategies := []strategy.Strategy{
 		strategy.Fourier{}, strategy.Workload{}, strategy.Cluster{}, strategy.Identity{},
 	}
-	modes := []Consistency{NoConsistency, L2Consistency, WeightedL2Consistency, L1Consistency, LInfConsistency}
+	modes := []Consistency{NoConsistency, WeightedL2Consistency}
 	for _, s := range strategies {
 		for _, cons := range modes {
-			w, x := w8, x8
-			if cons == L1Consistency || cons == LInfConsistency {
-				w, x = w6, x6
-			}
 			n := 1 << uint(w.D)
 			cfg := Config{
 				Strategy: s, Budgeting: OptimalBudget, Consistency: cons,

@@ -33,7 +33,7 @@ func TestRunVectorTraced(t *testing.T) {
 	ctx := telemetry.ContextWithTrace(context.Background(), tr)
 	cfg := Config{
 		Strategy: strategy.Workload{}, Budgeting: OptimalBudget,
-		Consistency: L2Consistency, Privacy: pureParams(0.9), Seed: 7,
+		Consistency: WeightedL2Consistency, Privacy: pureParams(0.9), Seed: 7,
 	}
 	if _, err := New(Options{Workers: 2, Shards: 3}).RunVector(ctx, w, x, cfg); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestMeasureSpanAnswersAnnotation(t *testing.T) {
 	cache := NewPlanCache(0)
 	cfg := Config{
 		Strategy: strategy.Fourier{}, Budgeting: OptimalBudget,
-		Consistency: L2Consistency, Privacy: pureParams(0.9), Seed: 7,
+		Consistency: WeightedL2Consistency, Privacy: pureParams(0.9), Seed: 7,
 	}
 	for _, want := range []string{"computed", "memo"} {
 		tr := telemetry.NewTrace(telemetry.NewRegistry(), "test-release", false)

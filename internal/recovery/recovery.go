@@ -1,21 +1,27 @@
-// Package recovery implements Step 3 of the framework (Section 3.2): given
-// the strategy S, the noisy answers z = Sx + ν with heteroscedastic noise
-// Σ = diag(Var ν_i), and the query workload Q, it computes the generalized
-// least squares estimate
+// Package recovery is the dense reference for Step 3 of the framework
+// (Section 3.2): given the strategy S, the noisy answers z = Sx + ν with
+// heteroscedastic noise Σ = diag(Var ν_i), and the query workload Q, the
+// generalized least squares recovery is
 //
-//	x̂ = (SᵀΣ⁻¹S)⁻¹·SᵀΣ⁻¹·z,   y = Q·x̂,
+//	R = Q(SᵀΣ⁻¹S)⁻¹SᵀΣ⁻¹,   y = R·z,
 //
-// equivalently the recovery matrix R = Q(SᵀΣ⁻¹S)⁻¹SᵀΣ⁻¹ of equation (7).
-// The resulting y is consistent and per-query minimum-variance unbiased
-// (Lemma 3.5). For orthonormal strategies (Fourier, wavelet, identity) the
-// unique recovery is R = QSᵀ regardless of Σ (Observation 1).
+// the recovery matrix of equation (7). The resulting y is consistent and
+// per-query minimum-variance unbiased (Lemma 3.5). For orthonormal
+// strategies (Fourier, wavelet, identity) the unique recovery is R = QSᵀ
+// regardless of Σ (Observation 1).
+//
+// The package is off the serving path: the engine recovers through each
+// strategy's structured Plan.Recover and never forms S, Q or R. It builds
+// R explicitly from dense row slices, which is affordable only for small
+// domains, and serves two callers: experiments.IntroExample (the Section 1
+// worked example) and the GLS oracle of internal/engine, which checks every
+// plan's recovery, cell variances and the served consistency projection
+// against R for d ≤ 6.
 package recovery
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/linalg"
 )
 
 // weightsFromVariances converts per-row noise variances into GLS weights
@@ -36,25 +42,10 @@ func weightsFromVariances(variances []float64) ([]float64, error) {
 	return w, nil
 }
 
-// EstimateX computes the GLS estimate x̂ from noisy strategy answers.
-// sRows is the explicit m×N strategy, variances the per-row noise variance,
-// z the noisy answers.
-func EstimateX(sRows [][]float64, variances, z []float64) ([]float64, error) {
-	if len(sRows) != len(variances) || len(sRows) != len(z) {
-		return nil, fmt.Errorf("recovery: got %d rows, %d variances, %d answers", len(sRows), len(variances), len(z))
-	}
-	w, err := weightsFromVariances(variances)
-	if err != nil {
-		return nil, err
-	}
-	s := linalg.FromRows(sRows)
-	return linalg.WeightedLeastSquares(s, z, w)
-}
-
 // Matrix computes the explicit recovery matrix R = Q(SᵀΣ⁻¹S)⁻¹SᵀΣ⁻¹
-// (equation (7)). qRows is q×N, sRows is m×N. Rows with infinite variance
-// receive zero columns in R.
-func Matrix(qRows, sRows [][]float64, variances []float64) (*linalg.Matrix, error) {
+// (equation (7)) as q rows of m entries. qRows is q×N, sRows is m×N. Rows
+// with infinite variance receive zero columns in R.
+func Matrix(qRows, sRows [][]float64, variances []float64) ([][]float64, error) {
 	if len(sRows) != len(variances) {
 		return nil, fmt.Errorf("recovery: %d strategy rows, %d variances", len(sRows), len(variances))
 	}
@@ -62,49 +53,43 @@ func Matrix(qRows, sRows [][]float64, variances []float64) (*linalg.Matrix, erro
 	if err != nil {
 		return nil, err
 	}
-	s := linalg.FromRows(sRows)
-	q := linalg.FromRows(qRows)
-	if q.Cols != s.Cols {
-		return nil, fmt.Errorf("recovery: Q has %d columns, S has %d", q.Cols, s.Cols)
+	s := fromRows(sRows)
+	q := fromRows(qRows)
+	if q.cols != s.cols {
+		return nil, fmt.Errorf("recovery: Q has %d columns, S has %d", q.cols, s.cols)
 	}
-	n := s.Cols
+	n := s.cols
 
 	// M = SᵀWS.
-	ws := s.Clone().ScaleRows(w)
-	m := s.T().Mul(ws)
+	ws := fromRows(sRows).scaleRows(w)
+	m := s.t().mul(ws)
 	// Factor M (ridge fallback keeps rank-deficient strategies solvable; the
 	// perturbation is negligible against mechanism noise).
-	ch, err := linalg.CholeskyFactor(m)
+	ch, err := choleskyFactor(m)
 	if err != nil {
-		ridge := 1e-10 * (1 + m.MaxAbs())
+		ridge := 1e-10 * (1 + m.maxAbs())
 		for i := 0; i < n; i++ {
-			m.Data[i*n+i] += ridge
+			m.data[i*n+i] += ridge
 		}
-		if ch, err = linalg.CholeskyFactor(m); err != nil {
+		if ch, err = choleskyFactor(m); err != nil {
 			return nil, fmt.Errorf("recovery: normal matrix not factorable: %w", err)
 		}
 	}
 	// T = M⁻¹·Qᵀ  (N×q), then R = (W·S·T)ᵀ (q×m).
-	t := ch.SolveMatrix(q.T())
-	st := s.Mul(t)  // m×q
-	st.ScaleRows(w) // W·S·T
-	return st.T(), nil
-}
-
-// Apply returns y = R·z.
-func Apply(r *linalg.Matrix, z []float64) []float64 {
-	return r.MulVec(z)
+	t := ch.solveMatrix(q.t())
+	st := s.mul(t)  // m×q
+	st.scaleRows(w) // W·S·T
+	return st.t().toRows(), nil
 }
 
 // QueryVariances returns Var(y_q) = Σ_j R_qj²·σ_j² for every query, given
 // the per-strategy-row noise variances.
-func QueryVariances(r *linalg.Matrix, variances []float64) []float64 {
-	if r.Cols != len(variances) {
-		panic(fmt.Sprintf("recovery: R has %d columns, %d variances", r.Cols, len(variances)))
-	}
-	out := make([]float64, r.Rows)
-	for i := 0; i < r.Rows; i++ {
-		row := r.Row(i)
+func QueryVariances(r [][]float64, variances []float64) []float64 {
+	out := make([]float64, len(r))
+	for i, row := range r {
+		if len(row) != len(variances) {
+			panic(fmt.Sprintf("recovery: R row %d has %d entries, %d variances", i, len(row), len(variances)))
+		}
 		s := 0.0
 		for j, v := range row {
 			if v == 0 {
@@ -118,7 +103,7 @@ func QueryVariances(r *linalg.Matrix, variances []float64) []float64 {
 }
 
 // TotalVariance returns aᵀ·Var(y); a nil weight vector means a = 1.
-func TotalVariance(r *linalg.Matrix, variances, a []float64) float64 {
+func TotalVariance(r [][]float64, variances, a []float64) float64 {
 	qv := QueryVariances(r, variances)
 	total := 0.0
 	for i, v := range qv {
@@ -130,44 +115,14 @@ func TotalVariance(r *linalg.Matrix, variances, a []float64) float64 {
 	return total
 }
 
-// RecoveryWeights returns w_i = Σ_q a_q·R_qi², the per-strategy-row weights
-// that feed Step 2 (the b_i of the paper equal 2·w_i under Laplace noise).
-// A nil a means a = 1.
-func RecoveryWeights(r *linalg.Matrix, a []float64) []float64 {
-	out := make([]float64, r.Cols)
-	for q := 0; q < r.Rows; q++ {
-		row := r.Row(q)
-		aq := 1.0
-		if a != nil {
-			aq = a[q]
-		}
-		for i, v := range row {
-			if v == 0 {
-				continue
-			}
-			out[i] += aq * v * v
-		}
-	}
-	return out
-}
-
-// Orthonormal computes R = Q·Sᵀ for an orthonormal strategy (Observation 1)
-// without forming any inverse.
-func Orthonormal(qRows, sRows [][]float64) *linalg.Matrix {
-	q := linalg.FromRows(qRows)
-	s := linalg.FromRows(sRows)
-	return q.Mul(s.T())
-}
-
 // VerifyDecomposition checks Q = R·S within tol — the defining property of
 // a valid strategy/recovery pair.
-func VerifyDecomposition(qRows [][]float64, r *linalg.Matrix, sRows [][]float64, tol float64) error {
-	q := linalg.FromRows(qRows)
-	s := linalg.FromRows(sRows)
-	rs := r.Mul(s)
-	if !rs.Equal(q, tol) {
+func VerifyDecomposition(qRows, r, sRows [][]float64, tol float64) error {
+	q := fromRows(qRows)
+	rs := fromRows(r).mul(fromRows(sRows))
+	if !rs.equal(q, tol) {
 		return fmt.Errorf("recovery: R·S differs from Q by more than %v (max diff %v)",
-			tol, rs.Sub(q).MaxAbs())
+			tol, rs.sub(q).maxAbs())
 	}
 	return nil
 }

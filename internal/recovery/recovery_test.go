@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/bits"
@@ -33,30 +32,20 @@ func TestMatrixReproducesQ(t *testing.T) {
 }
 
 func TestEstimateXExactWhenNoiseFree(t *testing.T) {
-	// With z = Sx exactly, GLS recovers a vector x̂ with Qx̂ = Qx.
+	// With z = Sx exactly, the GLS estimate x̂ has Qx̂ = Qx; R·z is Qx̂.
 	w := introWorkload()
 	q := w.Rows()
 	x := []float64{1, 2, 0, 1, 0, 0, 1, 0}
 	s := q
-	z := make([]float64, len(s))
-	for i, row := range s {
-		for j, v := range row {
-			z[i] += v * x[j]
-		}
-	}
-	variances := []float64{1, 1, 1, 1, 1, 1}
-	xhat, err := EstimateX(s, variances, z)
+	z := mulVec(s, x)
+	r, err := Matrix(q, s, []float64{1, 1, 1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, row := range q {
-		want, got := 0.0, 0.0
-		for j, v := range row {
-			want += v * x[j]
-			got += v * xhat[j]
-		}
-		if math.Abs(got-want) > 1e-6 {
-			t.Fatalf("query %d: %v vs %v", i, got, want)
+	got, want := mulVec(r, z), mulVec(q, x)
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-6 {
+			t.Fatalf("query %d: %v vs %v", i, got[i], want[i])
 		}
 	}
 }
@@ -111,52 +100,50 @@ func TestIntroWorkedExampleGLS(t *testing.T) {
 }
 
 func TestQueryVariancesKnown(t *testing.T) {
-	// R = [[1, 0.5]], variances [4, 8] → Var(y) = 4 + 0.25·8 = 6.
-	r := Orthonormal([][]float64{{1, 0}, {0, 1}}, [][]float64{{1, 0}, {0, 1}})
-	r.Set(0, 0, 1)
-	r.Set(0, 1, 0.5)
-	r.Set(1, 0, 0)
-	r.Set(1, 1, 0)
-	qv := QueryVariances(r, []float64{4, 8})
+	// R = [[1, 0.5], [0, 0]], variances [4, 8] → Var(y) = [4 + 0.25·8, 0].
+	qv := QueryVariances([][]float64{{1, 0.5}, {0, 0}}, []float64{4, 8})
 	if math.Abs(qv[0]-6) > tol || qv[1] != 0 {
 		t.Fatalf("QueryVariances = %v, want [6 0]", qv)
 	}
 }
 
-func TestRecoveryWeightsMatchDefinition(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	rrows := [][]float64{
-		{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()},
-		{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()},
+// hadamard returns the full orthonormal Hadamard basis of a d-bit domain,
+// one row per Fourier coefficient.
+func hadamard(d int) [][]float64 {
+	s := make([][]float64, 1<<uint(d))
+	for a := range s {
+		s[a] = transform.HadamardRow(d, bits.Mask(a))
 	}
-	r := Orthonormal([][]float64{{1, 0, 0}, {0, 1, 0}}, [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
-	for i := range rrows {
-		for j := range rrows[i] {
-			r.Set(i, j, rrows[i][j])
-		}
+	return s
+}
+
+// qsT returns Q·Sᵀ, the Observation-1 recovery of an orthonormal S.
+func qsT(q, s [][]float64) [][]float64 {
+	out := make([][]float64, len(q))
+	for i := range q {
+		out[i] = mulVec(s, q[i])
 	}
-	a := []float64{2, 3}
-	w := RecoveryWeights(r, a)
-	for j := 0; j < 3; j++ {
-		want := 2*rrows[0][j]*rrows[0][j] + 3*rrows[1][j]*rrows[1][j]
-		if math.Abs(w[j]-want) > tol {
-			t.Fatalf("weight %d = %v, want %v", j, w[j], want)
-		}
-	}
+	return out
 }
 
 func TestOrthonormalFourierRecovery(t *testing.T) {
-	// With S = full Hadamard basis, R = QSᵀ must satisfy Q = RS.
+	// With S = full Hadamard basis, the GLS recovery satisfies Q = RS and
+	// is Observation 1's QSᵀ.
 	d := 4
-	n := 1 << d
-	s := make([][]float64, n)
-	for a := 0; a < n; a++ {
-		s[a] = transform.HadamardRow(d, bits.Mask(a))
+	s := hadamard(d)
+	q := marginal.AllKWay(d, 1).Rows()
+	variances := make([]float64, len(s))
+	for i := range variances {
+		variances[i] = 1
 	}
-	w := marginal.AllKWay(d, 1)
-	q := w.Rows()
-	r := Orthonormal(q, s)
+	r, err := Matrix(q, s, variances)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := VerifyDecomposition(q, r, s, 1e-9); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyDecomposition(q, qsT(q, s), s, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -165,13 +152,9 @@ func TestGLSMatchesOrthonormalForUniformNoise(t *testing.T) {
 	// For an orthonormal invertible S the GLS recovery equals QSᵀ whatever
 	// the noise variances (Observation 1: the recovery is unique).
 	d := 3
-	n := 1 << d
-	s := make([][]float64, n)
-	for a := 0; a < n; a++ {
-		s[a] = transform.HadamardRow(d, bits.Mask(a))
-	}
+	s := hadamard(d)
 	q := marginal.AllKWay(d, 1).Rows()
-	variances := make([]float64, n)
+	variances := make([]float64, len(s))
 	for i := range variances {
 		variances[i] = 0.5 + float64(i%3) // deliberately non-uniform
 	}
@@ -179,8 +162,7 @@ func TestGLSMatchesOrthonormalForUniformNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ortho := Orthonormal(q, s)
-	if !gls.Equal(ortho, 1e-7) {
+	if !fromRows(gls).equal(fromRows(qsT(q, s)), 1e-7) {
 		t.Fatal("GLS recovery must equal QSᵀ for invertible orthonormal S")
 	}
 }
@@ -194,8 +176,8 @@ func TestGLSDownweightsNoisyRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Optimal blend: weights ∝ 1/var → 0.9, 0.1.
-	if math.Abs(r.At(0, 0)-0.9) > 1e-9 || math.Abs(r.At(0, 1)-0.1) > 1e-9 {
-		t.Fatalf("GLS blend = [%v %v], want [0.9 0.1]", r.At(0, 0), r.At(0, 1))
+	if math.Abs(r[0][0]-0.9) > 1e-9 || math.Abs(r[0][1]-0.1) > 1e-9 {
+		t.Fatalf("GLS blend = [%v %v], want [0.9 0.1]", r[0][0], r[0][1])
 	}
 	qv := QueryVariances(r, []float64{1, 9})
 	if math.Abs(qv[0]-0.9) > 1e-9 { // 0.81·1 + 0.01·9 = 0.9
@@ -210,11 +192,11 @@ func TestInfiniteVarianceRowsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.At(0, 1) != 0 {
-		t.Fatalf("infinite-variance row must get zero recovery weight, got %v", r.At(0, 1))
+	if r[0][1] != 0 {
+		t.Fatalf("infinite-variance row must get zero recovery weight, got %v", r[0][1])
 	}
-	if math.Abs(r.At(0, 0)-1) > 1e-9 {
-		t.Fatalf("remaining row weight %v, want 1", r.At(0, 0))
+	if math.Abs(r[0][0]-1) > 1e-9 {
+		t.Fatalf("remaining row weight %v, want 1", r[0][0])
 	}
 }
 
@@ -246,7 +228,7 @@ func TestEstimateUnbiasedEmpirically(t *testing.T) {
 			}
 			z[i] += src.Gaussian(math.Sqrt(variances[i]))
 		}
-		y := Apply(r, z)
+		y := mulVec(r, z)
 		for i := range sums {
 			sums[i] += y[i]
 		}
@@ -287,7 +269,7 @@ func TestEmpiricalVarianceMatchesAnalytic(t *testing.T) {
 			}
 			z[i] += src.Gaussian(math.Sqrt(variances[i]))
 		}
-		y := Apply(r, z)
+		y := mulVec(r, z)
 		for i := range y {
 			d := y[i] - truth[i]
 			sumSq[i] += d * d
@@ -329,4 +311,15 @@ func BenchmarkGLSRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// mulVec returns m·v for a matrix given as rows.
+func mulVec(m [][]float64, v []float64) []float64 {
+	out := make([]float64, len(m))
+	for i, row := range m {
+		for j, x := range row {
+			out[i] += x * v[j]
+		}
+	}
+	return out
 }
