@@ -57,21 +57,92 @@ type Charge struct {
 // Accountant is a concurrency-safe privacy ledger. The zero value is not
 // usable; construct with New or NewComposed.
 //
-// The composed spend is memoized: Compose runs once per mutation (an
-// admission, a refusal's pop, a refund, a restore), not once per read, so
-// Spent, Remaining and Summary cost O(1) between charges. Compose stays
-// the only arithmetic, so a memoized read is bit-identical to composing
-// the history afresh.
+// Under Basic and ZCDP the ledger keeps its composed spend as running
+// sums (see sums): an admission and a read cost O(1) however long the
+// history, and a refund or a restore re-folds the history once. The sums
+// add the same terms in the same order as Compose, so Spent is
+// bit-identical to Compose(History()). Any other Composition is composed
+// afresh on every read and admission.
 type Accountant struct {
 	mu      sync.Mutex
 	epsCap  float64
 	delCap  float64
 	comp    Composition
 	charges []Charge
-	// spentEps and spentDel hold comp.Compose(charges) while spentOK;
-	// every mutation of charges clears spentOK.
-	spentEps, spentDel float64
-	spentOK            bool
+	// sums is nil for a Composition other than Basic and ZCDP.
+	sums *sums
+}
+
+// sums is a Basic or ZCDP ledger's spend folded charge by charge: each
+// charge's cost — (ε, δ) under Basic, (ρ, 0) under ZCDP — is added to
+// the whole-population sum or to its partition's, and top holds the
+// largest partition sum per component. Costs are non-negative, so a
+// partition sum never falls and top only has to be raised.
+type sums struct {
+	zcdp *ZCDP
+	// logInvDelta is ln(1/zcdp.TargetDelta), taken once.
+	logInvDelta float64
+	global      [2]float64
+	top         [2]float64
+	part        map[string][2]float64
+}
+
+func newSums(comp Composition) *sums {
+	switch c := comp.(type) {
+	case Basic:
+		return &sums{part: map[string][2]float64{}}
+	case ZCDP:
+		return &sums{zcdp: &c, logInvDelta: math.Log(1 / c.TargetDelta), part: map[string][2]float64{}}
+	}
+	return nil
+}
+
+// with returns the whole-population sum, the largest partition sum and
+// c's partition's sum as they would be with c folded in; it changes
+// nothing.
+func (s *sums) with(c Charge) (global, top, part [2]float64) {
+	cost := [2]float64{c.Epsilon, c.Delta}
+	if s.zcdp != nil {
+		cost = [2]float64{Rho(c), 0}
+	}
+	global, top = s.global, s.top
+	if c.Partition == "" {
+		global[0] += cost[0]
+		global[1] += cost[1]
+		return global, top, part
+	}
+	part = s.part[c.Partition]
+	part[0] += cost[0]
+	part[1] += cost[1]
+	top[0] = max(top[0], part[0])
+	top[1] = max(top[1], part[1])
+	return global, top, part
+}
+
+// add folds c in.
+func (s *sums) add(c Charge) {
+	var part [2]float64
+	s.global, s.top, part = s.with(c)
+	if c.Partition != "" {
+		s.part[c.Partition] = part
+	}
+}
+
+// refold rebuilds the sums from a whole history.
+func (s *sums) refold(charges []Charge) {
+	*s = sums{zcdp: s.zcdp, logInvDelta: s.logInvDelta, part: map[string][2]float64{}}
+	for _, c := range charges {
+		s.add(c)
+	}
+}
+
+// spend is the composed (ε, δ) of a whole-population sum plus the largest
+// partition sum, as Compose computes it.
+func (s *sums) spend(global, top [2]float64) (float64, float64) {
+	if s.zcdp != nil {
+		return s.zcdp.spend(global[0]+top[0], s.logInvDelta)
+	}
+	return global[0] + top[0], global[1] + top[1]
 }
 
 // New builds an accountant with the given total (ε, δ) cap and the Basic
@@ -103,7 +174,7 @@ func NewComposed(epsilonCap, deltaCap float64, comp Composition) (*Accountant, e
 				z.TargetDelta, deltaCap)
 		}
 	}
-	return &Accountant{epsCap: epsilonCap, delCap: deltaCap, comp: comp}, nil
+	return &Accountant{epsCap: epsilonCap, delCap: deltaCap, comp: comp, sums: newSums(comp)}, nil
 }
 
 // Composition returns the ledger's accounting mode.
@@ -123,11 +194,10 @@ func (a *Accountant) Spent() (epsilon, delta float64) {
 }
 
 func (a *Accountant) spentLocked() (float64, float64) {
-	if !a.spentOK {
-		a.spentEps, a.spentDel = a.comp.Compose(a.charges)
-		a.spentOK = true
+	if a.sums != nil {
+		return a.sums.spend(a.sums.global, a.sums.top)
 	}
-	return a.spentEps, a.spentDel
+	return a.comp.Compose(a.charges)
 }
 
 // Remaining returns the unspent budget, clamped at zero: the admission
@@ -147,21 +217,26 @@ func (a *Accountant) Charge(c Charge) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.charges = append(a.charges, c)
-	a.spentOK = false
-	eps, del := a.spentLocked()
+	var eps, del float64
+	if a.sums != nil {
+		global, top, _ := a.sums.with(c)
+		eps, del = a.sums.spend(global, top)
+	} else {
+		eps, del = a.comp.Compose(append(a.charges[:len(a.charges):len(a.charges)], c))
+	}
 	if eps > a.epsCap+1e-12 || del > a.delCap+1e-15 {
-		a.charges = a.charges[:len(a.charges)-1]
-		a.spentOK = false
-		// Prior spend is recomputed with the candidate popped — only on
-		// this rare refusal path, keeping admission at one Compose. Under
-		// parallel composition (and zCDP's non-additive conversion) the
-		// composed total minus the charge's own (ε, δ) is NOT the prior
-		// spend: a refused charge in a non-maximal partition would report
+		// The prior spend is the ledger's as it stands: under parallel
+		// composition (and zCDP's non-additive conversion) the composed
+		// total minus the charge's own (ε, δ) is NOT the prior spend, and
+		// a refused charge in a non-maximal partition would report
 		// garbage, possibly negative.
 		priorEps, priorDel := a.spentLocked()
 		return fmt.Errorf("%w: charge %q (ε=%v, δ=%v) would raise spend from (%v, %v) to (%v, %v), beyond cap (%v, %v)",
 			ErrBudgetExceeded, c.Label, c.Epsilon, c.Delta, priorEps, priorDel, eps, del, a.epsCap, a.delCap)
+	}
+	a.charges = append(a.charges, c)
+	if a.sums != nil {
+		a.sums.add(c)
 	}
 	return nil
 }
@@ -193,7 +268,9 @@ func (a *Accountant) refund(c Charge) {
 	for i := len(a.charges) - 1; i >= 0; i-- {
 		if a.charges[i] == c {
 			a.charges = append(a.charges[:i], a.charges[i+1:]...)
-			a.spentOK = false
+			if a.sums != nil {
+				a.sums.refold(a.charges)
+			}
 			return
 		}
 	}
@@ -212,7 +289,9 @@ func (a *Accountant) restore(charges []Charge) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.charges = append(a.charges, charges...)
-	a.spentOK = false
+	if a.sums != nil {
+		a.sums.refold(a.charges)
+	}
 	return nil
 }
 

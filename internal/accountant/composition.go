@@ -7,10 +7,11 @@ import (
 
 // Composition defines how a ledger's individual charges fold into one
 // composed (ε, δ) guarantee. A Composition must be a pure function of the
-// charge sequence — the accountant calls it under its lock once per ledger
-// mutation (every admission check, refund and restore) and memoizes the
-// result for every read until the next one — and safe for concurrent use
-// (stateless values satisfy both trivially).
+// charge sequence — for a Composition other than the two below, the
+// accountant calls it under its lock on every read and admission check —
+// and safe for concurrent use (stateless values satisfy both trivially).
+// For Basic and ZCDP the accountant keeps running sums instead, and their
+// Compose is the oracle those sums are tested against.
 //
 // Two implementations ship with the package: Basic, the plain
 // sequential+parallel accountant, and ZCDP, which composes in zero-
@@ -119,11 +120,16 @@ func (z ZCDP) Compose(charges []Charge) (float64, float64) {
 			maxRho = r
 		}
 	}
-	rho := globalRho + maxRho
+	return z.spend(globalRho+maxRho, math.Log(1/z.TargetDelta))
+}
+
+// spend converts a composed ρ to (ε, δ) at TargetDelta, given
+// logInvDelta = ln(1/TargetDelta).
+func (z ZCDP) spend(rho, logInvDelta float64) (float64, float64) {
 	if rho == 0 {
 		return 0, 0
 	}
-	return rho + 2*math.Sqrt(rho*math.Log(1/z.TargetDelta)), z.TargetDelta
+	return rho + 2*math.Sqrt(rho*logInvDelta), z.TargetDelta
 }
 
 // Rho converts one charge to its zCDP cost:

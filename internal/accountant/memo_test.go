@@ -10,8 +10,8 @@ import (
 	"testing"
 )
 
-// checkMemo asserts that a ledger's memoized Spent is bit-identical to
-// composing its history afresh — the oracle the memo must never drift from.
+// checkMemo asserts that a ledger's Spent is bit-identical to composing
+// its history afresh — the oracle the running sums must never drift from.
 func checkMemo(t *testing.T, step int, name string, l *Accountant) {
 	t.Helper()
 	eps, del := l.Spent()
@@ -120,7 +120,7 @@ func TestSpentMemoMatchesCompose(t *testing.T) {
 }
 
 // TestConcurrentSpentSeesAdmittedCharges: a Spent that starts after a
-// Charge returned must include that charge — the memo may never serve a
+// Charge returned must include that charge — the ledger may never serve a
 // spend composed before an admission it follows. Every charge is ε = 1 on
 // the whole population, so the composed spend is an exact integer count.
 func TestConcurrentSpentSeesAdmittedCharges(t *testing.T) {
@@ -169,5 +169,67 @@ func TestConcurrentSpentSeesAdmittedCharges(t *testing.T) {
 	rwg.Wait()
 	if eps, _ := a.Spent(); eps != writers*perWriter {
 		t.Fatalf("final spend %v, want %d", eps, writers*perWriter)
+	}
+}
+
+// composed wraps a Composition so the ledger sees a type it keeps no
+// running sums for and composes the history instead.
+type composed struct{ Composition }
+
+func (composed) Name() string { return "composed" }
+
+// TestRunningSumsMatchCompose is the running sums' oracle property: over
+// random sequences of charges (admitted and refused), refunds of the
+// latest charge, of older charges and of charges never recorded, and
+// restores, Spent equals Compose(History()) bit for bit after every step
+// — under Basic, ZCDP and a composition the ledger keeps no sums for.
+func TestRunningSumsMatchCompose(t *testing.T) {
+	for _, comp := range []Composition{Basic{}, ZCDP{TargetDelta: 1e-6}, composed{Basic{}}} {
+		t.Run(comp.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(25))
+			var admitted, refused, refunds, restores int
+			for trial := 0; trial < 30; trial++ {
+				a, err := NewComposed(12, 1e-3, comp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var last Charge
+				for step := 0; step < 200; step++ {
+					switch op := rng.Intn(10); {
+					case op == 0 && a.Count() > 0:
+						// Refund an older charge.
+						h := a.History()
+						a.refund(h[rng.Intn(len(h))])
+						refunds++
+					case op == 1:
+						// Refund the latest admission, as Registry.Charge does.
+						a.refund(last)
+						refunds++
+					case op == 2:
+						a.refund(randomCharge(rng, 1)) // never recorded: a no-op
+					case op == 3:
+						if err := a.restore([]Charge{randomCharge(rng, 0.1), randomCharge(rng, 0.1)}); err != nil {
+							t.Fatal(err)
+						}
+						restores++
+					default:
+						last = randomCharge(rng, 1)
+						switch err := a.Charge(last); {
+						case err == nil:
+							admitted++
+						case errors.Is(err, ErrBudgetExceeded):
+							refused++
+						default:
+							t.Fatal(err)
+						}
+					}
+					checkMemo(t, step, comp.Name(), a)
+				}
+			}
+			if admitted == 0 || refused == 0 || refunds == 0 || restores == 0 {
+				t.Fatalf("sequence missed a mutation kind: %d admitted, %d refused, %d refunds, %d restores",
+					admitted, refused, refunds, restores)
+			}
+		})
 	}
 }

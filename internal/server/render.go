@@ -13,10 +13,19 @@ import (
 // encoding/json reaches by reflection. They are written here by hand
 // instead, into one pooled buffer sized up front, and returned as an
 // exact-length copy (what json.Marshal returns, so a cached payload holds
-// no slack). The output is json.Marshal's, byte for byte, and so are the
-// errors: appendJSONFloat reproduces encoding/json's float formatting, and
-// appendJSONString hands any string that would need escaping back to
-// encoding/json.
+// no slack); the same writer writes the budget tail spliced onto every
+// response, hit or miss. The output is json.Marshal's, byte for byte, and
+// so are the errors: appendJSONFloat reproduces encoding/json's float
+// formatting, and appendJSONString hands any string that would need
+// escaping back to encoding/json.
+//
+// Printing the floats costs about as much as computing them, so
+// appendJSONFloat writes every normal float with the Schubfach
+// shortest-float kernel (schubfach.go), about twice strconv's speed.
+// jsonFloatStrconv, the strconv path it replaced, still writes zero,
+// subnormals and the non-finite errors, and is the oracle the kernel is
+// tested against byte for byte (TestJSONFloatMatchesStrconv,
+// FuzzJSONFloat).
 
 // marshal returns json.Marshal(b) byte for byte, written without
 // reflection.
@@ -55,6 +64,25 @@ func (b cubeBody) marshal() ([]byte, error) {
 // significant digits) has 25 bytes, the longest 'e' form 24.
 const floatBound = 25
 
+// budgetBound bounds the encoded length of a budgetJSON.
+const budgetBound = len(`{"epsilon_spent":,"epsilon_cap":,"delta_spent":,"delta_cap":,"releases":}`) +
+	4*floatBound + len("-9223372036854775808")
+
+// budget writes b as encoding/json writes a budgetJSON.
+func (w *bodyWriter) budget(b budgetJSON) {
+	w.raw(`{"epsilon_spent":`)
+	w.float(b.EpsilonSpent)
+	w.raw(`,"epsilon_cap":`)
+	w.float(b.EpsilonCap)
+	w.raw(`,"delta_spent":`)
+	w.float(b.DeltaSpent)
+	w.raw(`,"delta_cap":`)
+	w.float(b.DeltaCap)
+	w.raw(`,"releases":`)
+	w.buf = strconv.AppendInt(w.buf, int64(b.Releases), 10)
+	w.raw("}")
+}
+
 // tablesBound bounds the encoded length of ts.
 func tablesBound(ts []marginalJSON) int {
 	n := len("null")
@@ -68,8 +96,9 @@ func tablesBound(ts []marginalJSON) int {
 	return n
 }
 
-// bodyWriter appends one JSON body into a pooled buffer. The first error
-// sticks: later writes are wasted but harmless, and bytes reports it.
+// bodyWriter appends one JSON body into a buffer, a pooled one when
+// newBodyWriter built it. The first error sticks: later writes are wasted
+// but harmless, and bytes reports it.
 type bodyWriter struct {
 	buf    []byte
 	pooled *[]byte
@@ -165,8 +194,26 @@ func appendInts(buf []byte, vs []int) []byte {
 // 1e-6 and from 1e21 on in magnitude, where it switches to 'e' form with
 // a single-digit negative exponent written without its leading zero
 // (e-7, not e-07). NaN and ±Inf are refused with the
-// *json.UnsupportedValueError json.Marshal returns for them.
+// *json.UnsupportedValueError json.Marshal returns for them. Normal
+// floats go through the Schubfach kernel (schubfach.go); zero, subnormals,
+// NaN and ±Inf through jsonFloatStrconv.
 func appendJSONFloat(buf []byte, f float64) ([]byte, error) {
+	u := math.Float64bits(f)
+	if biased := u >> 52 & 0x7ff; biased == 0 || biased == 0x7ff {
+		return jsonFloatStrconv(buf, f)
+	}
+	if u>>63 != 0 {
+		buf = append(buf, '-')
+		u &^= 1 << 63
+	}
+	abs := math.Float64frombits(u)
+	return appendShortest(buf, u, abs < 1e-6 || abs >= 1e21), nil
+}
+
+// jsonFloatStrconv is appendJSONFloat through strconv's shortest
+// formatting: the path for zero, subnormals, NaN and ±Inf, and the oracle
+// the Schubfach kernel is tested against for every other float.
+func jsonFloatStrconv(buf []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return buf, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}

@@ -1616,16 +1616,19 @@ func validateSpec(req *releaseRequest) error {
 // share s.cache, and only one Releaser is registered.
 func (s *Server) releaser(ctx context.Context, c *releaseCall) (*repro.Releaser, error) {
 	schema, req, kind := c.schema, &c.req, c.kind
-	w, err := workloadOf(schema, req.Workload)
-	if err != nil {
-		return nil, err
-	}
 	key := releaserKey(schema, req, kind)
 	s.mu.Lock()
 	r, ok := s.releasers[key]
 	s.mu.Unlock()
 	if ok {
+		// A registered key's workload was built without error, and
+		// whether it builds is a function of the key
+		// (TestWorkloadSuccessIsAFunctionOfReleaserKey): a hit needs none.
 		return r, nil
+	}
+	w, err := workloadOf(schema, req.Workload)
+	if err != nil {
+		return nil, err
 	}
 	// No ledger is attached: admission is the server's job (s.charge), a
 	// single point that knows the caller's key — Releasers here are pure
@@ -1817,33 +1820,32 @@ func (s *Server) failFlight(w http.ResponseWriter, r *http.Request, err error, r
 // Content-Length is set from the two parts, so every body, however large,
 // goes out with Content-Length framing rather than chunked.
 func (s *Server) writeSpliced(w http.ResponseWriter, r *http.Request, payload []byte) {
-	bb, err := json.Marshal(s.budgetFor(apiKeyFrom(r.Context())))
-	if err != nil {
-		s.fail(w, r, err)
+	// The tail is small and sent once: it takes its own buffer, not one of
+	// the pooled body buffers sized for whole releases.
+	tail := bodyWriter{buf: make([]byte, 0, len(`,"budget":`)+budgetBound+len("}\n"))}
+	tail.raw(`,"budget":`)
+	tail.budget(s.budgetFor(apiKeyFrom(r.Context())))
+	if tail.err != nil {
+		s.fail(w, r, tail.err)
 		return
 	}
-	var tb []byte
 	if tr := telemetry.TraceFrom(r.Context()); tr.Detail() {
-		if tb, err = json.Marshal(tr.Tree()); err != nil {
+		tb, err := json.Marshal(tr.Tree())
+		if err != nil {
 			s.fail(w, r, err)
 			return
 		}
+		tail.raw(`,"timing":`)
+		tail.buf = append(tail.buf, tb...)
 	}
-	tail := make([]byte, 0, len(bb)+len(tb)+24)
-	tail = append(tail, `,"budget":`...)
-	tail = append(tail, bb...)
-	if tb != nil {
-		tail = append(tail, `,"timing":`...)
-		tail = append(tail, tb...)
-	}
-	tail = append(tail, '}', '\n')
+	tail.raw("}\n")
 	body := payload[:len(payload)-1]
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)+len(tail)))
+	h.Set("Content-Length", strconv.Itoa(len(body)+len(tail.buf)))
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(body); err == nil {
-		_, _ = w.Write(tail)
+		_, _ = w.Write(tail.buf)
 	}
 }
 
