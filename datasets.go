@@ -27,8 +27,8 @@ type (
 	// DatasetStoreConfig sizes a store (persistence directory, registry
 	// bound).
 	DatasetStoreConfig = store.Config
-	// IngestOptions tunes streaming ingestion (worker pool, line budget);
-	// options never change the ingested counts.
+	// IngestOptions tunes streaming ingestion (the line budget); options
+	// never change the ingested counts.
 	IngestOptions = store.IngestOptions
 )
 

@@ -103,10 +103,10 @@
 //	[3,0]
 //	...
 //
-// Each line is decoded, validated and folded into the dataset's sharded
-// aggregated contingency vector by a worker pool, then dropped — ingestion
-// memory is bounded no matter how many rows stream past, and a malformed
-// stream rejects atomically (no partial dataset). A growing relation
+// Each line is decoded, validated and counted into the dataset's
+// aggregated contingency vector by one serial scanner, then dropped —
+// ingestion memory is bounded no matter how many rows stream past, and a
+// malformed stream rejects atomically (no partial dataset). A growing relation
 // appends deltas instead of re-uploading: PUT /v1/datasets/{id}?mode=append
 // sums a new stream's aggregate into the resident one (schemas must match;
 // transactional on failure). Ingestion never charges the budget ledger:

@@ -155,9 +155,10 @@ func New(epsilonCap, deltaCap float64) (*Accountant, error) {
 // target δ exceeds the δ cap is refused: its composed δ would bounce every
 // single charge off the cap.
 func NewComposed(epsilonCap, deltaCap float64, comp Composition) (*Accountant, error) {
-	// NaN fails these comparisons: a NaN cap would admit every charge.
-	if !(epsilonCap > 0) {
-		return nil, fmt.Errorf("accountant: epsilon cap must be positive, got %v", epsilonCap)
+	// NaN fails these comparisons: a NaN cap would admit every charge. An
+	// infinite cap would be reported as +Inf, which no JSON body can carry.
+	if !(epsilonCap > 0) || math.IsInf(epsilonCap, 1) {
+		return nil, fmt.Errorf("accountant: epsilon cap must be positive and finite, got %v", epsilonCap)
 	}
 	if !(deltaCap >= 0 && deltaCap < 1) {
 		return nil, fmt.Errorf("accountant: delta cap must be in [0,1), got %v", deltaCap)

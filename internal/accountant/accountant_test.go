@@ -222,3 +222,24 @@ func TestNonFiniteChargeRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestInfiniteCapRefused: an infinite ε cap is refused at construction,
+// under either composition. An accepted one would be reported as +Inf,
+// which no JSON body can carry.
+func TestInfiniteCapRefused(t *testing.T) {
+	for _, comp := range []Composition{Basic{}, ZCDP{TargetDelta: 1e-6}} {
+		if _, err := NewComposed(math.Inf(1), 1e-3, comp); err == nil {
+			t.Errorf("%s: +Inf epsilon cap accepted", comp.Name())
+		}
+	}
+	if _, err := NewRegistry(math.Inf(1), 1e-3, Basic{}); err == nil {
+		t.Error("+Inf registry epsilon cap accepted")
+	}
+	reg, err := NewRegistry(1, 1e-3, Basic{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.SetKeyCaps("k", KeyCaps{Epsilon: math.Inf(1), Delta: -1}); err == nil {
+		t.Error("+Inf per-key epsilon cap accepted")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -106,8 +107,8 @@ func parseKeyFields(fields []string) (KeyConfig, error) {
 	}
 	if len(fields) >= 2 {
 		eps, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil || eps <= 0 {
-			return KeyConfig{}, fmt.Errorf("epsilon cap %q must be a positive number", fields[1])
+		if err != nil || !(eps > 0) || math.IsInf(eps, 1) {
+			return KeyConfig{}, fmt.Errorf("epsilon cap %q must be a positive finite number", fields[1])
 		}
 		kc.EpsilonCap = eps
 		// An ε cap without a δ cap inherits the global δ cap; a literal 0

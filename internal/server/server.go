@@ -1366,8 +1366,8 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 			repro.ErrInvalidOption, enc))
 		return
 	}
-	opts := store.IngestOptions{Workers: s.cfg.MaxWorkers}
 	var (
+		opts store.IngestOptions
 		info store.Info
 		err  error
 	)
@@ -2038,9 +2038,16 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	})
 }
 
+// writeJSON encodes v before the header goes out, so a value that cannot
+// be encoded (a non-finite float) is answered 500 with an error body
+// rather than status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: "encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	w.Write(append(body, '\n'))
 }

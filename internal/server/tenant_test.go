@@ -441,3 +441,39 @@ carol 0.5
 		t.Error("unknown composition accepted")
 	}
 }
+
+// TestInfiniteCapRefused: an infinite ε cap, global or per key, is refused
+// when the server is configured. Accepted, every release was charged and
+// then answered 500, because its budget tail could not encode +Inf.
+func TestInfiniteCapRefused(t *testing.T) {
+	for _, bad := range []string{"k inf", "k +Inf 1e-6", "k NaN"} {
+		if _, err := ParseAPIKeys(strings.NewReader(bad)); err == nil {
+			t.Errorf("api key file %q accepted", bad)
+		}
+	}
+	if _, err := ParseAPIKeysEnv("k:inf"); err == nil {
+		t.Error("api key entry k:inf accepted")
+	}
+	if _, err := New(Config{EpsilonCap: math.Inf(1)}); err == nil {
+		t.Error("+Inf global epsilon cap accepted")
+	}
+	if _, err := New(Config{EpsilonCap: 1, APIKeys: []KeyConfig{{Key: "k", EpsilonCap: math.Inf(1), DeltaCap: -1}}}); err == nil {
+		t.Error("+Inf per-key epsilon cap accepted")
+	}
+}
+
+// TestWriteJSONEncodeFailure: a response value that cannot be encoded is
+// answered 500 with an error body, not its own status with an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, budgetJSON{EpsilonCap: math.Inf(1)})
+	var body errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError || body.Error == "" {
+		t.Fatalf("status %d, body %q (%v): want 500 with an error", rec.Code, rec.Body, err)
+	}
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, healthResponse{Status: "ok"})
+	if rec.Code != http.StatusCreated || rec.Body.String() != "{\"status\":\"ok\"}\n" {
+		t.Fatalf("status %d, body %q", rec.Code, rec.Body)
+	}
+}

@@ -4,9 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/vector"
 )
 
 // TestAppendSumsAggregates: mode=append delta ingestion sums the new
@@ -107,7 +112,7 @@ func TestAppendHandlesSurviveAndConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.AppendNDJSON(ctx, "d", strings.NewReader(testHeader+"\n[1,1,1]\n"), IngestOptions{Workers: 1})
+			_, errs[i] = s.AppendNDJSON(ctx, "d", strings.NewReader(testHeader+"\n[1,1,1]\n"), IngestOptions{})
 		}(i)
 	}
 	wg.Wait()
@@ -174,5 +179,131 @@ func TestAppendPersistsSnapshot(t *testing.T) {
 	}
 	if info, _ := s2.Describe("d"); info.Rows != 42 {
 		t.Fatalf("restarted rows = %d, want 42", info.Rows)
+	}
+}
+
+// appendFixture is a dense NLTCS dataset (2^16 cells, about 11,600 of
+// them non-zero) and a 1,000-row NDJSON batch to append to it.
+func appendFixture(t testing.TB) (*Store, string) {
+	t.Helper()
+	s := memStore(t)
+	if _, err := s.IngestNDJSON(context.Background(), "nltcs", strings.NewReader(tableBody(dataset.SyntheticNLTCS(1, dataset.NLTCSTupleCount))), IngestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := s.Describe("nltcs"); info.StoredCells != info.Cells {
+		t.Fatalf("NLTCS held sparse: %+v", info)
+	}
+	return s, tableBody(dataset.SyntheticNLTCS(2, 1000))
+}
+
+// TestAppendAllocsBounded: a 1,000-row append onto a dense 2^16-cell
+// dataset allocates at most 768 KiB: the 512 KiB copy of the resident
+// counts, the 64 KiB reader and the batch's own cells. The line limit is
+// not allocated up front.
+func TestAppendAllocsBounded(t *testing.T) {
+	s, batch := appendFixture(t)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := s.AppendNDJSON(context.Background(), "nltcs", strings.NewReader(batch), IngestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 768<<10 {
+		t.Fatalf("an append allocates %d KiB, want at most 768 KiB", per>>10)
+	}
+}
+
+// BenchmarkAppendNDJSON appends a 1,000-row batch to a dense 2^16-cell
+// dataset: ingest of the batch, the sum, the form decision and the seal.
+func BenchmarkAppendNDJSON(b *testing.B) {
+	s, batch := appendFixture(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(batch)))
+	b.ResetTimer()
+	for range b.N {
+		if _, err := s.AppendNDJSON(context.Background(), "nltcs", strings.NewReader(batch), IngestOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestAppendFormMatchesHoldAs is the oracle for the O(Δ) density
+// decision: on random resident/delta pairs, appendForm holds the sum in
+// exactly the form, and with exactly the cells, that holdAs's full walk
+// picks. Residents sit on both sides of the cells/16 crossover and are put
+// with −0, fractional and negative cells, which keep them dense; half the
+// deltas cancel every such cell, so a dense resident's sum may go sparse,
+// which an over-counted non-zero total would miss. Some residents carry
+// totals at 2^53, and deltas come sparse and dense.
+func TestAppendFormMatchesHoldAs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	s := memStore(t)
+	forms := map[[2]bool]int{}
+	for trial := range 600 {
+		d := 12
+		if trial%8 == 0 {
+			d = 17 // more than one block
+		}
+		sc := dataset.MustSchema([]dataset.Attribute{{Name: "a", Cardinality: 1 << (d - 6)}, {Name: "b", Cardinality: 64}})
+		n := sc.DomainSize()
+		x := make([]float64, n)
+		for range n/16 - 12 + rng.Intn(16) {
+			x[rng.Intn(n)] = float64(1 + rng.Intn(5))
+		}
+		odd := []float64{math.Copysign(0, -1), -3, -1, 0.5}
+		for range rng.Intn(6) {
+			x[rng.Intn(n)] = odd[rng.Intn(len(odd)-trial%2)]
+		}
+		if trial%16 == 1 {
+			x[rng.Intn(n)] = 1<<53 - 2
+		}
+		if _, err := s.PutCounts("r", sc, x, 1); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		old := s.datasets["r"]
+		s.mu.Unlock()
+
+		acc := newAccumulator(n)
+		for range rng.Intn(24) {
+			acc.add(rng.Intn(n))
+		}
+		if trial%2 == 1 {
+			// Cancel every negative cell and lift every −0 cell.
+			for c, v := range x {
+				if math.Signbit(v) {
+					for range max(1, int(-v)) {
+						acc.add(c)
+					}
+				}
+			}
+		}
+		if trial%5 == 0 {
+			acc.densify()
+		}
+		delta := acc.vector()
+		merged, err := vector.Sum(old.counts, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := holdAs(merged)
+		got := appendForm(old, delta, merged)
+		_, _, ms := vector.Sparse(merged)
+		_, _, ws := vector.Sparse(want)
+		forms[[2]bool{ms, ws}]++
+		if !sameCounts(got, want) {
+			_, _, gs := vector.Sparse(got)
+			t.Fatalf("trial %d: appendForm held sparse=%v, holdAs sparse=%v (or cells differ)", trial, gs, ws)
+		}
+	}
+	// Every transition must have been exercised, dense sums going sparse
+	// above all.
+	for _, f := range [][2]bool{{false, false}, {false, true}, {true, true}, {true, false}} {
+		if forms[f] == 0 {
+			t.Fatalf("no trial summed to sparse=%v and was held sparse=%v: %v", f[0], f[1], forms)
+		}
 	}
 }

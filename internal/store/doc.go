@@ -15,19 +15,18 @@
 //	[3,0]
 //	...
 //
-// Each line is scanned (without encoding/json: a byte scanner that accepts
-// exactly the JSON arrays of integers), validated against the schema and
-// folded into the contingency-count accumulator, then dropped — memory is
-// bounded by the worker pool's in-flight batches plus the counts, never by
-// the number of rows. Decoding and validation fan out over a worker pool;
-// each worker pre-aggregates its batch locally (repeated tuples collapse
-// early) and merges it into one map of distinct cells, switching once to
-// dense counter shards with lock-free atomic adds when the distinct cells
-// pass one in vector.SparseRatio of the 2^d domain. So ingest memory is
-// O(min(distinct cells, 2^d)), and nothing of size 2^d is allocated before
-// a row is read. Integer addition commutes exactly, so the ingested vector
-// is bit-identical to dataset.Table.Vector over the same rows at any worker
-// count.
+// One serial loop reads the stream through a 64 KiB buffer; a longer line
+// is assembled in a buffer that grows with it up to the line limit. A row
+// of the strict form [v,v,…] (no whitespace, sign or leading zero) is
+// scanned straight into its cell index from the schema's bit layout. Any
+// other line goes through a byte scanner that accepts exactly the JSON
+// arrays of integers and then Schema.Encode's range checks, so what is
+// accepted, and every error, is theirs. Each cell is counted into a map of
+// distinct cells, which switches once to dense counter blocks when they
+// pass one in vector.SparseRatio of the 2^d domain. So memory is one
+// buffer plus O(min(distinct cells, 2^d)) counts, never the number of
+// rows, and the vector is bit-identical to dataset.Table.Vector over the
+// same rows. (A pool of decode workers was 2.3× slower on 2 vCPU.)
 //
 // # Storage forms
 //
@@ -40,9 +39,11 @@
 // cross to dense), and Info reports StoredCells and ResidentBytes. Adult
 // (20,950 non-zeros in 2^23 cells) takes 251 KB sparse against 64 MiB
 // dense; NLTCS (18% non-zero) stays dense. The form never changes a bit of
-// a release, a fingerprint or a snapshot: the fingerprint absorbs each run
-// of zero cells in one step (FNV-1a of a zero byte is a multiply by the
-// prime), and the snapshot frame below still carries every cell.
+// a release or a fingerprint: the fingerprint absorbs each run of zero
+// cells in one step (FNV-1a of a zero byte is a multiply by the prime).
+// The fingerprint walk also counts the non-zero cells, so an append onto a
+// dense dataset knows the sum's count from the batch's cells alone and
+// walks the domain for the form only when the sum may go sparse.
 //
 // Ingestion is transactional: any malformed line, out-of-range value,
 // oversized line or truncated trailing line rejects the whole stream and
@@ -67,12 +68,19 @@
 //	offset  size       field
 //	0       8          magic "DPCBSNP1"
 //	8       1          format version (1)
-//	9       1          kind (1 = dataset, 2 = plan set)
+//	9       1          kind (1 = dataset, 2 = plan set, 3 = ledgers,
+//	                   4 = sparse dataset)
 //	10      4          metadata length M (uint32 LE)
 //	14      M          metadata (JSON)
 //	14+M    8          float count F (uint64 LE)
 //	22+M    8·F        float64 payload (IEEE-754 bits, LE)
 //	…       4          CRC-32 (IEEE) of every preceding byte
+//
+// A dataset held sparse is written as kind 4, whose F is the cell count
+// and whose payload is its K non-zero cells in ascending order, 12·K
+// bytes of (cell uint32 LE, count float64 bits LE) pairs. Adult's frame is
+// about 250 KB instead of 64 MiB. Kind 1 frames, dense or written before
+// kind 4 existed, still load, into whichever form their cells call for.
 //
 // Snapshots are written to a temporary file and renamed into place, so a
 // crash mid-write never leaves a half-written snapshot under the final

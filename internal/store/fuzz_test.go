@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // FuzzIngestNDJSON feeds arbitrary bytes to both NDJSON decoders. The
-// properties: no panic; a rejected ingest registers nothing; a rejected
+// properties: no panic; the serial loop accepts exactly what the
+// worker-pool oracle accepts, with the same schema, row count and counts
+// bit for bit; a rejected ingest registers nothing; a rejected
 // append leaves the resident dataset's Info (rows, fingerprint, version)
 // unchanged; an accepted append onto a sparse dataset (2 of 32 cells, the
 // crossover) equals one upload of both streams, whichever form either
@@ -30,7 +35,8 @@ func FuzzIngestNDJSON(f *testing.F) {
 	sparseResident := testHeader + "\n[0,0,0]\n[0,0,0]\n"
 	f.Fuzz(func(t *testing.T, body []byte) {
 		ctx := context.Background()
-		opts := IngestOptions{Workers: 2}
+		opts := IngestOptions{}
+		checkAgainstPool(t, body, 2, opts)
 		s, err := Open(Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -78,6 +84,47 @@ func FuzzIngestNDJSON(f *testing.F) {
 		}
 		if appended.Rows != combined.Rows || appended.Fingerprint != combined.Fingerprint || appended.StoredCells != combined.StoredCells {
 			t.Fatalf("append gave %+v, one upload %+v", appended, combined)
+		}
+	})
+}
+
+// scanSchemas are the layouts FuzzScanRow checks the fast path under: a
+// binary one, padded Adult (cardinalities that are not powers of two), a
+// single attribute and a 24-bit one whose values reach eight digits.
+var scanSchemas = []*dataset.Schema{
+	dataset.MustSchema([]dataset.Attribute{{Name: "a", Cardinality: 2}, {Name: "b", Cardinality: 2}, {Name: "c", Cardinality: 2}}),
+	dataset.AdultSchema(),
+	dataset.MustSchema([]dataset.Attribute{{Name: "only", Cardinality: 5}}),
+	dataset.MustSchema([]dataset.Attribute{{Name: "wide", Cardinality: 1 << 20}, {Name: "rest", Cardinality: 11}}),
+}
+
+// FuzzScanRow: whenever the strict-form fast path accepts a line,
+// decodeTuple plus Schema.Encode accept it too, with the same cell; and a
+// row they accept that is already in strict form (printed back as
+// [v,v,…]) is one the fast path accepts.
+func FuzzScanRow(f *testing.F) {
+	for _, line := range decodeCases {
+		f.Add([]byte(line), uint8(0))
+	}
+	for _, line := range []string{"[0]", "[4]", "[5]", "[1048575,10]", "[1048576,0]", "[39,8,15,6,4,1,40,1]", "[99999999999999999999]"} {
+		for k := range scanSchemas {
+			f.Add([]byte(line), uint8(k))
+		}
+	}
+	f.Fuzz(func(t *testing.T, line []byte, pick uint8) {
+		schema := scanSchemas[int(pick)%len(scanSchemas)]
+		fast, ok := scanRow(line, schema)
+		tuple := make([]int, len(schema.Attrs))
+		err := decodeTuple(line, tuple)
+		slow := 0
+		if err == nil {
+			slow, err = schema.Encode(tuple)
+		}
+		if ok && (err != nil || slow != fast) {
+			t.Fatalf("%q: fast path read cell %d, decodeTuple+Encode %d (%v)", line, fast, slow, err)
+		}
+		if err == nil && !ok && string(line) == strings.ReplaceAll(fmt.Sprint(tuple), " ", ",") {
+			t.Fatalf("%q: strict-form row refused by the fast path", line)
 		}
 	})
 }

@@ -8,22 +8,15 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/vector"
 )
 
 // IngestOptions tunes the streaming decoder. The zero value is ready to
-// use. Options never change the ingested counts — the aggregate is
-// bit-identical at any worker count and line budget.
+// use. Options never change the ingested counts.
 type IngestOptions struct {
-	// Workers bounds the decode/validate worker pool. 0 = all CPUs;
-	// 1 forces serial ingestion.
-	Workers int
 	// MaxLineBytes bounds a single NDJSON line (0 = DefaultMaxLineBytes).
 	// A longer line rejects the stream — one hostile row must not balloon
 	// the daemon's memory.
@@ -34,27 +27,21 @@ type IngestOptions struct {
 // a tuple of 64 attributes is well under a kilobyte.
 const DefaultMaxLineBytes = 1 << 20
 
+// readBufBytes sizes the ingest reader. A line longer than it is assembled
+// in a buffer that grows with the line, up to the line limit, so a stream
+// of short rows never pays for MaxLineBytes.
+const readBufBytes = 64 << 10
+
 // MaxDim bounds the encoded width, in bits, of a schema that untrusted
 // input may declare. Ingest allocates nothing per cell before it reads a
 // row — it starts from a map of the distinct cells seen — but a stream
 // whose distinct cells pass one in vector.SparseRatio switches to dense
-// counters, 2^d int64 plus 2^d float64 cells, and releases over the
-// dataset may materialise 2^d-cell vectors (identity, synthetic). Without
-// a bound a few dozen bytes of header plus enough rows could ask for
-// gigabytes (16 GiB at bits.MaxDim = 30). 24 bits — 256 MiB of dense
-// cells — admits the largest paper dataset (Adult, 23 bits) with room to
-// spare.
+// counters, 2^d float64 cells, and releases over the dataset may
+// materialise 2^d-cell vectors (identity, synthetic). Without a bound a
+// few dozen bytes of header plus enough rows could ask for gigabytes
+// (8 GiB at bits.MaxDim = 30). 24 bits — 128 MiB of dense cells — admits
+// the largest paper dataset (Adult, 23 bits) with room to spare.
 const MaxDim = 24
-
-// Batching constants. Batches bound in-flight memory: at most
-// workers+batchQueue batches of ≤ batchBytes (plus one line that may
-// individually reach MaxLineBytes) are buffered at any moment, regardless
-// of how many rows the stream carries.
-const (
-	batchRows  = 256
-	batchBytes = 64 << 10
-	batchQueue = 4
-)
 
 // CheckDim refuses a schema wider than MaxDim bits. Every decoder of
 // untrusted schemas calls it before allocating the schema's domain.
@@ -73,80 +60,56 @@ type ingestHeader struct {
 	} `json:"schema"`
 }
 
-// batch is a copied slice of raw lines plus their 1-based line numbers
-// (for error reporting; blank lines are skipped, so numbers may jump).
-type batch struct {
-	buf   []byte  // concatenated line bytes
-	offs  []int32 // row i is buf[offs[i]:offs[i+1]]
-	lines []int64 // row i came from input line lines[i]
-}
-
-// accumBlockLen is the cell count of one ingest-accumulator shard (and of
-// every stored dataset vector): a power of two, so the cell→shard map is a
-// shift and the shards can feed transforms directly.
+// accumBlockLen is the cell count of one dense accumulator block (and of
+// every stored dataset vector): a power of two, so the cell→block map is a
+// shift and the blocks can feed transforms directly.
 const accumBlockLen = vector.DefaultBlockLen
 
-// accumulator is the contingency accumulator. It starts sparse: the
-// workers' per-batch maps merge into one map of distinct cells under a
-// mutex, taken once per batch. When the distinct cells pass one in
-// vector.SparseRatio of the domain it switches, once, to fixed cell-range
-// shards of int64 counters updated with lock-free atomic adds (cell
-// granularity — the shards exist for allocation and for feeding
-// vector.Blocked, not for locking). So ingest memory is O(min(distinct
-// cells, 2^d)), no contiguous 2^d slice is ever allocated, and a sparse
-// stream never allocates its domain at all.
+// accumulator is the contingency accumulator. It starts sparse, as a map
+// of the distinct cells seen. When they pass one in vector.SparseRatio of
+// the domain it switches, once, to dense float64 counters in fixed
+// cell-range blocks. So ingest memory is O(min(distinct cells, 2^d)), no
+// contiguous 2^d slice is ever allocated, and a sparse stream never
+// allocates its domain at all. Every count is an integer below 2^53, so a
+// float64 counter holds it exactly.
 type accumulator struct {
 	n      int
-	dense  atomic.Bool // set once blocks is live; merges then skip mu
-	mu     sync.Mutex
-	cells  map[int]int64 // distinct cells while sparse, under mu
-	blocks [][]int64
+	cells  map[int]int64 // distinct cells while sparse
+	blocks [][]float64   // dense counters once cells is nil
 }
 
 func newAccumulator(n int) *accumulator {
 	return &accumulator{n: n, cells: make(map[int]int64)}
 }
 
-// merge folds one batch's pre-aggregated cells into the accumulator.
-// Integer addition commutes exactly, so the order of merges never shows.
-func (a *accumulator) merge(local map[int]int64) {
-	if !a.dense.Load() {
-		a.mu.Lock()
-		if !a.dense.Load() {
-			for idx, c := range local {
-				a.cells[idx] += c
-			}
-			if len(a.cells)*vector.SparseRatio > a.n {
-				a.densify()
-			}
-			a.mu.Unlock()
-			return
-		}
-		a.mu.Unlock()
+// add counts one row in cell idx.
+func (a *accumulator) add(idx int) {
+	if a.cells == nil {
+		a.blocks[idx/accumBlockLen][idx%accumBlockLen]++
+		return
 	}
-	for idx, c := range local {
-		atomic.AddInt64(&a.blocks[idx/accumBlockLen][idx%accumBlockLen], c)
+	a.cells[idx]++
+	if len(a.cells)*vector.SparseRatio > a.n {
+		a.densify()
 	}
 }
 
-// densify moves the distinct cells into dense counter shards. Called under
-// mu (or after the workers are done), before any atomic add can run.
+// densify moves the distinct cells into dense counter blocks.
 func (a *accumulator) densify() {
 	for lo := 0; lo < a.n; lo += accumBlockLen {
-		a.blocks = append(a.blocks, make([]int64, min(accumBlockLen, a.n-lo)))
+		a.blocks = append(a.blocks, make([]float64, min(accumBlockLen, a.n-lo)))
 	}
 	for idx, c := range a.cells {
-		a.blocks[idx/accumBlockLen][idx%accumBlockLen] = c
+		a.blocks[idx/accumBlockLen][idx%accumBlockLen] = float64(c)
 	}
 	a.cells = nil
-	a.dense.Store(true)
 }
 
 // vector converts the aggregate into the blocked float vector the engine
 // consumes: the sparse form while the distinct cells stayed at most one in
-// vector.SparseRatio, else the dense shards, converted shard by shard.
+// vector.SparseRatio, else the dense blocks themselves.
 func (a *accumulator) vector() *vector.Blocked {
-	if !a.dense.Load() {
+	if a.cells != nil {
 		cells := make([]int32, 0, len(a.cells))
 		for idx := range a.cells {
 			cells = append(cells, int32(idx))
@@ -162,111 +125,152 @@ func (a *accumulator) vector() *vector.Blocked {
 		// A total of 2^53 rows or more cannot be held sparse.
 		a.densify()
 	}
-	fblocks := make([][]float64, len(a.blocks))
-	for i, bl := range a.blocks {
-		fb := make([]float64, len(bl))
-		for j, c := range bl {
-			fb[j] = float64(c)
-		}
-		fblocks[i] = fb
-	}
-	bv, err := vector.FromSlices(fblocks)
+	bv, err := vector.FromSlices(a.blocks)
 	if err != nil {
-		// The shards are uniform by construction.
+		// The blocks are uniform by construction.
 		panic(err)
 	}
 	return bv
 }
 
+// scanRow is the fast path for the rows producers send: the strict form
+// [v,v,…] — no whitespace, sign or leading zero, one in-range value per
+// attribute — scanned straight into the cell index from the schema's bit
+// layout. It accepts a subset of what decodeTuple plus Schema.Encode
+// accept, with the same cell; every other line, and so every error
+// message, goes through them.
+func scanRow(line []byte, schema *dataset.Schema) (int, bool) {
+	if len(line) < 2 || line[0] != '[' || line[len(line)-1] != ']' {
+		return 0, false
+	}
+	// line ends in ']', so a digit run always stops inside the line.
+	i, idx := 1, 0
+	for a, attr := range schema.Attrs {
+		if a > 0 {
+			if line[i] != ',' {
+				return 0, false
+			}
+			i++
+		}
+		start, v := i, 0
+		for ; i < len(line); i++ {
+			d := line[i] - '0'
+			if d > 9 {
+				break
+			}
+			if v = v*10 + int(d); v >= attr.Cardinality {
+				return 0, false
+			}
+		}
+		if i == start || (line[start] == '0' && i-start > 1) {
+			return 0, false
+		}
+		idx |= v << schema.Offset(a)
+	}
+	return idx, i == len(line)-1
+}
+
 // ingestNDJSON streams the reader into an aggregated contingency vector.
 // Returns the schema from the header line, the counts (2^d cells, sparse or
-// sharded as the accumulator ended) and the row count. Any error rejects the whole stream.
+// dense as the accumulator ended) and the row count. Any error rejects the
+// whole stream; a done context takes precedence over any other error.
 func ingestNDJSON(ctx context.Context, r io.Reader, opts IngestOptions) (*dataset.Schema, *vector.Blocked, int64, error) {
-	maxLine := opts.MaxLineBytes
-	if maxLine <= 0 {
-		maxLine = DefaultMaxLineBytes
+	lr := &lineReader{br: bufio.NewReaderSize(r, readBufBytes), maxLine: opts.MaxLineBytes}
+	if lr.maxLine <= 0 {
+		lr.maxLine = DefaultMaxLineBytes
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	br := bufio.NewReaderSize(r, bufferFor(maxLine))
-	lineNo := int64(0)
-	schema, err := readHeader(br, &lineNo, maxLine)
+	schema, err := readHeader(lr)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-
-	// Workers pre-aggregate each batch in a local map first, so repeated
-	// tuples (the common case in low-cardinality relations) cost one atomic
-	// add per distinct cell per batch, not one per row.
 	counts := newAccumulator(schema.DomainSize())
-	var rows atomic.Int64
-
-	work := make(chan batch, batchQueue)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		failed   atomic.Bool
-	)
-	abort := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		failed.Store(true)
-	}
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make(map[int]int64, batchRows)
-			for b := range work {
-				if failed.Load() || ctx.Err() != nil {
-					continue // drain without decoding
-				}
-				clear(local)
-				n, err := decodeBatch(schema, b, local)
-				if err != nil {
-					abort(err)
-					continue
-				}
-				counts.merge(local)
-				rows.Add(n)
+	tuple := make([]int, len(schema.Attrs))
+	var rows int64
+	for err == nil {
+		// The context is polled every 1,024 lines: often enough to stop a
+		// cancelled upload promptly, rarely enough to cost nothing.
+		if lr.lineNo%1024 == 0 && ctx.Err() != nil {
+			break
+		}
+		var line []byte
+		if line, err = lr.next(); err != nil || len(line) == 0 {
+			continue
+		}
+		idx, ok := scanRow(line, schema)
+		if !ok {
+			if err = decodeTuple(line, tuple); err == nil {
+				idx, err = schema.Encode(tuple)
 			}
-		}()
+			if err != nil {
+				err = fmt.Errorf("%w: line %d: %v", ErrInvalidDataset, lr.lineNo, err)
+				continue
+			}
+		}
+		counts.add(idx)
+		rows++
 	}
-
-	feedErr := feedBatches(ctx, br, &lineNo, maxLine, work, &failed)
-	close(work)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, nil, 0, cerr
+	}
+	if err != io.EOF {
 		return nil, nil, 0, err
 	}
-	if firstErr != nil {
-		return nil, nil, 0, firstErr
-	}
-	if feedErr != nil {
-		return nil, nil, 0, feedErr
-	}
-	return schema, counts.vector(), rows.Load(), nil
+	return schema, counts.vector(), rows, nil
 }
 
-// bufferFor sizes the bufio.Reader so ReadSlice's buffer-full condition is
-// exactly the line-length bound (plus the delimiter byte).
-func bufferFor(maxLine int) int {
-	n := maxLine + 1
-	if n < 64 {
-		n = 64
+// lineReader yields a stream's lines through a readBufBytes reader,
+// counting them from 1.
+type lineReader struct {
+	br      *bufio.Reader
+	maxLine int
+	lineNo  int64  // lines returned so far
+	long    []byte // assembles a line longer than br's buffer
+}
+
+// next returns the next line, trimmed of its delimiter and surrounding
+// whitespace. The slice is valid until the next call. io.EOF means the
+// stream is cleanly exhausted; a final line without a trailing newline is
+// returned like any other. A line of more than maxLine bytes, not
+// counting its newline, rejects the stream.
+func (lr *lineReader) next() ([]byte, error) {
+	line, err := lr.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		lr.long = append(lr.long[:0], line...)
+		for err == bufio.ErrBufferFull && len(lr.long) <= lr.maxLine {
+			line, err = lr.br.ReadSlice('\n')
+			lr.long = append(lr.long, line...)
+		}
+		line = lr.long
 	}
-	return n
+	switch err {
+	case nil, bufio.ErrBufferFull:
+	case io.EOF:
+		if len(line) == 0 {
+			return nil, io.EOF
+		}
+		// Final line without trailing newline: legal NDJSON tail. If the
+		// producer was cut off mid-row the JSON is incomplete and the
+		// decoder rejects it — truncation cannot slip through.
+	default:
+		return nil, fmt.Errorf("%w: line %d: %v", ErrInvalidDataset, lr.lineNo+1, err)
+	}
+	body := len(line)
+	if body > 0 && line[body-1] == '\n' {
+		body--
+	}
+	if body > lr.maxLine {
+		return nil, fmt.Errorf("%w: line %d exceeds the %d-byte line limit", ErrInvalidDataset, lr.lineNo+1, lr.maxLine)
+	}
+	lr.lineNo++
+	return bytes.TrimSpace(line), nil
 }
 
 // readHeader consumes lines until the first non-blank one and parses it as
 // the schema header. An empty body (no header at all) is rejected: there is
 // nothing to register.
-func readHeader(br *bufio.Reader, lineNo *int64, maxLine int) (*dataset.Schema, error) {
+func readHeader(lr *lineReader) (*dataset.Schema, error) {
 	for {
-		line, err := readLine(br, lineNo, maxLine)
+		line, err := lr.next()
 		if err == io.EOF {
 			return nil, fmt.Errorf("%w: empty body (want a schema header line)", ErrInvalidDataset)
 		}
@@ -280,10 +284,10 @@ func readHeader(br *bufio.Reader, lineNo *int64, maxLine int) (*dataset.Schema, 
 		dec := json.NewDecoder(bytes.NewReader(line))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&hdr); err != nil {
-			return nil, fmt.Errorf("%w: line %d: bad schema header: %v", ErrInvalidDataset, *lineNo, err)
+			return nil, fmt.Errorf("%w: line %d: bad schema header: %v", ErrInvalidDataset, lr.lineNo, err)
 		}
 		if len(hdr.Schema) == 0 {
-			return nil, fmt.Errorf("%w: line %d: schema header names no attributes", ErrInvalidDataset, *lineNo)
+			return nil, fmt.Errorf("%w: line %d: schema header names no attributes", ErrInvalidDataset, lr.lineNo)
 		}
 		attrs := make([]dataset.Attribute, len(hdr.Schema))
 		for i, a := range hdr.Schema {
@@ -291,97 +295,13 @@ func readHeader(br *bufio.Reader, lineNo *int64, maxLine int) (*dataset.Schema, 
 		}
 		schema, err := dataset.NewSchema(attrs)
 		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrInvalidDataset, *lineNo, err)
+			return nil, fmt.Errorf("%w: line %d: %v", ErrInvalidDataset, lr.lineNo, err)
 		}
 		if err := CheckDim(schema); err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrInvalidDataset, *lineNo, err)
+			return nil, fmt.Errorf("%w: line %d: %v", ErrInvalidDataset, lr.lineNo, err)
 		}
 		return schema, nil
 	}
-}
-
-// readLine returns the next line, trimmed of its delimiter and surrounding
-// whitespace, with the reused reader buffer still backing it (callers copy
-// before the next read). io.EOF means the stream is cleanly exhausted; a
-// final line without a trailing newline is returned like any other.
-func readLine(br *bufio.Reader, lineNo *int64, maxLine int) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	switch err {
-	case nil:
-	case bufio.ErrBufferFull:
-		return nil, fmt.Errorf("%w: line %d exceeds the %d-byte line limit", ErrInvalidDataset, *lineNo+1, maxLine)
-	case io.EOF:
-		if len(line) == 0 {
-			return nil, io.EOF
-		}
-		// Final line without trailing newline: legal NDJSON tail. If the
-		// producer was cut off mid-row the JSON is incomplete and the
-		// decoder rejects it below — truncation cannot slip through.
-	default:
-		return nil, fmt.Errorf("%w: line %d: %v", ErrInvalidDataset, *lineNo+1, err)
-	}
-	*lineNo++
-	return bytes.TrimSpace(line), nil
-}
-
-// feedBatches reads lines into bounded batches and hands them to the pool,
-// stopping early when a worker failed or the context is done.
-func feedBatches(ctx context.Context, br *bufio.Reader, lineNo *int64, maxLine int, work chan<- batch, failed *atomic.Bool) error {
-	cur := batch{offs: []int32{0}}
-	flush := func() bool {
-		if len(cur.lines) == 0 {
-			return true
-		}
-		select {
-		case work <- cur:
-		case <-ctx.Done():
-			return false
-		}
-		cur = batch{offs: []int32{0}}
-		return true
-	}
-	for {
-		if failed.Load() || ctx.Err() != nil {
-			return nil // the caller reports the worker/context error
-		}
-		line, err := readLine(br, lineNo, maxLine)
-		if err == io.EOF {
-			flush()
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if len(line) == 0 {
-			continue
-		}
-		cur.buf = append(cur.buf, line...)
-		cur.offs = append(cur.offs, int32(len(cur.buf)))
-		cur.lines = append(cur.lines, *lineNo)
-		if len(cur.lines) >= batchRows || len(cur.buf) >= batchBytes {
-			if !flush() {
-				return nil
-			}
-		}
-	}
-}
-
-// decodeBatch parses and validates every line of a batch, folding encoded
-// cell indices into the local accumulator. Returns the row count.
-func decodeBatch(schema *dataset.Schema, b batch, local map[int]int64) (int64, error) {
-	tuple := make([]int, len(schema.Attrs))
-	for i := range b.lines {
-		line := b.buf[b.offs[i]:b.offs[i+1]]
-		if err := decodeTuple(line, tuple); err != nil {
-			return 0, fmt.Errorf("%w: line %d: %v", ErrInvalidDataset, b.lines[i], err)
-		}
-		idx, err := schema.Encode(tuple)
-		if err != nil {
-			return 0, fmt.Errorf("%w: line %d: %v", ErrInvalidDataset, b.lines[i], err)
-		}
-		local[idx]++
-	}
-	return int64(len(b.lines)), nil
 }
 
 // decodeTuple parses one NDJSON row — a JSON array of integers — into the

@@ -54,10 +54,10 @@ func memStore(t testing.TB) *Store {
 	return s
 }
 
-// TestIngestMatchesTableVector: the streamed, sharded aggregate must be
-// bit-identical to dataset.Table.Vector over the same rows, at every
-// worker count — the property the bit-identical-release acceptance
-// criterion rests on.
+// TestIngestMatchesTableVector: the streamed aggregate must be
+// bit-identical to dataset.Table.Vector over the same rows, and to the
+// worker-pool oracle at every worker count — the property the
+// bit-identical-release acceptance criterion rests on.
 func TestIngestMatchesTableVector(t *testing.T) {
 	schema := testSchema(t)
 	rng := rand.New(rand.NewSource(3))
@@ -69,27 +69,27 @@ func TestIngestMatchesTableVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := memStore(t)
+	info, err := s.IngestNDJSON(context.Background(), "d", strings.NewReader(ndjsonBody(rows)), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Rows != int64(len(rows)) || info.Cells != schema.DomainSize() {
+		t.Fatalf("info %+v", info)
+	}
+	h, err := s.Get("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := DenseCounts(h)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cell %d: ingested %v, Vector %v", i, got[i], want[i])
+		}
+	}
+	h.Close()
 	for _, workers := range []int{1, 2, 4, 9} {
-		s := memStore(t)
-		info, err := s.IngestNDJSON(context.Background(), "d", strings.NewReader(ndjsonBody(rows)),
-			IngestOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if info.Rows != int64(len(rows)) || info.Cells != schema.DomainSize() {
-			t.Fatalf("workers=%d: info %+v", workers, info)
-		}
-		h, err := s.Get("d")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := DenseCounts(h)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: cell %d: ingested %v, Vector %v", workers, i, got[i], want[i])
-			}
-		}
-		h.Close()
+		checkAgainstPool(t, []byte(ndjsonBody(rows)), workers, IngestOptions{})
 	}
 }
 
@@ -213,7 +213,7 @@ func TestConcurrentPutDeleteRelease(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				switch g {
 				case 0:
-					if _, err := s.IngestNDJSON(context.Background(), "d", strings.NewReader(body), IngestOptions{Workers: 2}); err != nil {
+					if _, err := s.IngestNDJSON(context.Background(), "d", strings.NewReader(body), IngestOptions{}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -261,6 +261,42 @@ func BenchmarkIngestNDJSON(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.IngestNDJSON(context.Background(), "bench", strings.NewReader(body), IngestOptions{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestIngestLineBudget pins the line limit: a line of exactly
+// MaxLineBytes bytes (its newline not counted) is accepted and one byte
+// more is refused, at the default limit and at limits on both sides of
+// the reader's buffer, whether the line ends in "\n", "\r\n" or the end of
+// the stream — as the worker-pool oracle decides. A valid row padded to
+// 200 KiB is accepted under the default limit.
+func TestIngestLineBudget(t *testing.T) {
+	padded := "[0," + strings.Repeat(" ", 200<<10) + "1,2]"
+	s := memStore(t)
+	info, err := s.IngestNDJSON(context.Background(), "d", strings.NewReader(testHeader+"\n"+padded+"\n[0,1,2]\n"), IngestOptions{})
+	if err != nil || info.Rows != 2 || info.StoredCells != 1 {
+		t.Fatalf("padded row: %+v, %v", info, err)
+	}
+	for _, limit := range []int{256, readBufBytes - 1, readBufBytes, readBufBytes + 1, 200 << 10, DefaultMaxLineBytes} {
+		opts := IngestOptions{MaxLineBytes: limit}
+		if limit == DefaultMaxLineBytes {
+			opts = IngestOptions{}
+		}
+		for _, size := range []int{limit - 1, limit, limit + 1} {
+			for _, end := range []string{"\n", "\r\n", ""} {
+				// The line's bytes are the row, its padding and any "\r".
+				row := "[2,1,3]" + strings.Repeat(" ", size-len("[2,1,3]")-strings.Count(end, "\r"))
+				body := testHeader + "\n[0,0,0]\n" + row + end
+				_, _, rows, err := ingestNDJSON(context.Background(), strings.NewReader(body), opts)
+				if accept := size <= limit; (err == nil) != accept || (accept && rows != 2) {
+					t.Fatalf("limit %d, %d-byte line ending %q: %d rows, error %v", limit, size, end, rows, err)
+				}
+				if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("line 3 exceeds the %d-byte line limit", limit)) {
+					t.Fatalf("limit %d: error %v", limit, err)
+				}
+				checkAgainstPool(t, []byte(body), 2, opts)
+			}
 		}
 	}
 }

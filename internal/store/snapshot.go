@@ -18,8 +18,9 @@ import (
 )
 
 // Snapshot codec — one frame per file; see the package documentation for
-// the layout. Both dataset snapshots (kindDataset: schema + counts) and
-// plan-set snapshots (kindPlans: rebuildable strategy.PlanRecords) share
+// the layout. Dataset snapshots (kindDataset: schema + every cell;
+// kindSparseDataset: schema + the non-zero cells), plan-set snapshots
+// (kindPlans: rebuildable strategy.PlanRecords) and ledger snapshots share
 // it: metadata travels as JSON, bulk float payloads as raw IEEE-754 bits,
 // and a trailing CRC-32 rejects torn or corrupted files loudly.
 
@@ -27,9 +28,10 @@ const (
 	snapMagic   = "DPCBSNP1"
 	snapVersion = 1
 
-	kindDataset byte = 1
-	kindPlans   byte = 2
-	kindLedgers byte = 3
+	kindDataset       byte = 1
+	kindPlans         byte = 2
+	kindLedgers       byte = 3
+	kindSparseDataset byte = 4
 
 	datasetSnapExt  = ".dpds"
 	plansSnapName   = "plans.dpps"
@@ -63,60 +65,67 @@ type ledgersMeta struct {
 func snapName(id string) string { return id + datasetSnapExt }
 
 // encodeSnapshot assembles a complete frame in memory. One contiguous
-// frame buffer keeps the CRC and the atomic-rename write trivial; the float
-// payload (nil for frames without one) is appended straight from the
-// vector's shards, or for a sparse vector written as its non-zeros with
-// the zero cells between them left as the buffer's zero bytes, so the
-// vector itself is never gathered. The frame is the same either way: a
-// sparse dataset still writes 8 bytes per cell.
+// frame buffer keeps the CRC and the atomic-rename write trivial. The
+// payload (none for frames without a vector) is written straight from the
+// vector, which is never gathered. Under kindSparseDataset it is the
+// vector's non-zero cells, 12 bytes each; under any other kind it is every
+// cell, 8 bytes each, whatever form the vector is held in.
 func encodeSnapshot(kind byte, meta any, vec *vector.Blocked) ([]byte, error) {
 	mj, err := json.Marshal(meta)
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding snapshot metadata: %w", err)
 	}
-	n := 0
+	var (
+		n, payload int
+		cells      []int32
+		vals       []float64
+		sparse     bool
+	)
 	if vec != nil {
-		n = vec.Len()
+		n, payload = vec.Len(), 8*vec.Len()
+		cells, vals, sparse = vector.Sparse(vec)
 	}
-	buf := make([]byte, 0, len(snapMagic)+2+4+len(mj)+8+8*n+4)
+	if kind == kindSparseDataset {
+		if !sparse {
+			return nil, fmt.Errorf("store: sparse snapshot of a dense vector")
+		}
+		payload = 12 * len(cells)
+	}
+	buf := make([]byte, 0, len(snapMagic)+2+4+len(mj)+8+payload+4)
 	buf = append(buf, snapMagic...)
 	buf = append(buf, snapVersion, kind)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(mj)))
 	buf = append(buf, mj...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
-	if vec != nil {
+	switch {
+	case kind == kindSparseDataset:
+		for j, c := range cells {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(vals[j]))
+		}
+	case vec != nil:
 		buf = appendPayload(buf, vec)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
 }
 
-// appendPayload appends vec's cells as little-endian float64 bits. buf
-// must have room for them in its capacity, which make zeroed: a sparse
-// vector writes only its non-zeros over those zero bytes.
+// appendPayload appends vec's cells, in ascending order, as little-endian
+// float64 bits, whatever form vec is held in.
 func appendPayload(buf []byte, vec *vector.Blocked) []byte {
-	cells, vals, ok := vector.Sparse(vec)
-	if !ok {
-		for bi := 0; bi < vec.Blocks(); bi++ {
-			for _, v := range vec.Block(bi) {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
+	vec.Segments(0, vec.Len(), func(_ int, seg []float64) {
+		for _, v := range seg {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
-		return buf
-	}
-	base := len(buf)
-	buf = buf[:base+8*vec.Len()]
-	for j, c := range cells {
-		binary.LittleEndian.PutUint64(buf[base+8*int(c):], math.Float64bits(vals[j]))
-	}
+	})
 	return buf
 }
 
 // decodeSnapshot validates a frame and unpacks its metadata and floats.
-// The payload is decoded straight into the form the store holds (see
-// holdAs; nil when the frame carries none): a sparse frame never allocates
-// its domain, and a dense one lands in the store's sharded layout, never
-// in one giant slice.
+// A dataset frame of either kind is accepted where kindDataset is wanted.
+// The payload is decoded into the form the store holds (see holdAs; nil
+// when the frame carries none), never into one giant slice; a sparse frame
+// never allocates its domain.
 func decodeSnapshot(raw []byte, wantKind byte, meta any) (*vector.Blocked, error) {
 	hdr := len(snapMagic) + 2 + 4
 	if len(raw) < hdr+8+4 {
@@ -128,8 +137,9 @@ func decodeSnapshot(raw []byte, wantKind byte, meta any) (*vector.Blocked, error
 	if v := raw[len(snapMagic)]; v != snapVersion {
 		return nil, fmt.Errorf("store: snapshot version %d not supported (want %d)", v, snapVersion)
 	}
-	if k := raw[len(snapMagic)+1]; k != wantKind {
-		return nil, fmt.Errorf("store: snapshot kind %d, want %d", k, wantKind)
+	kind := raw[len(snapMagic)+1]
+	if kind != wantKind && !(kind == kindSparseDataset && wantKind == kindDataset) {
+		return nil, fmt.Errorf("store: snapshot kind %d, want %d", kind, wantKind)
 	}
 	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
@@ -144,30 +154,49 @@ func decodeSnapshot(raw []byte, wantKind byte, meta any) (*vector.Blocked, error
 	}
 	off := hdr + metaLen
 	n := binary.LittleEndian.Uint64(raw[off : off+8])
-	off += 8
-	if uint64(len(body)-off) != 8*n {
-		return nil, fmt.Errorf("store: snapshot declares %d floats, carries %d bytes", n, len(body)-off)
+	payload := body[off+8:]
+	if kind == kindSparseDataset {
+		return decodeSparsePayload(n, payload)
+	}
+	if uint64(len(payload)) != 8*n {
+		return nil, fmt.Errorf("store: snapshot declares %d floats, carries %d bytes", n, len(payload))
 	}
 	if n == 0 {
 		return nil, nil
-	}
-	payload := raw[off : off+8*int(n)]
-	sb := sparseBuilder{n: int(n)}
-	for i := 0; i < int(n) && !sb.over; i++ {
-		sb.add(i, math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:])))
-	}
-	if sp := sb.vector(); sp != nil {
-		return sp, nil
 	}
 	vec := vector.NewBlockLen(int(n), accumBlockLen)
 	for bi := 0; bi < vec.Blocks(); bi++ {
 		bl := vec.Block(bi)
 		for i := range bl {
-			bl[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
-			off += 8
+			bl[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload))
+			payload = payload[8:]
 		}
 	}
-	return vec, nil
+	return holdAs(vec), nil
+}
+
+// decodeSparsePayload reads a kindSparseDataset payload of n cells: its
+// non-zero cells as (uint32 cell, float64 bits) pairs, ascending. The
+// pairs must form a valid sparse count vector (vector.NewSparse), which
+// is then held in the store's form.
+func decodeSparsePayload(n uint64, payload []byte) (*vector.Blocked, error) {
+	if len(payload)%12 != 0 {
+		return nil, fmt.Errorf("store: sparse snapshot carries %d bytes, not whole (cell, count) pairs", len(payload))
+	}
+	cells := make([]int32, len(payload)/12)
+	vals := make([]float64, len(cells))
+	for j := range cells {
+		cells[j] = int32(binary.LittleEndian.Uint32(payload[12*j:]))
+		vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(payload[12*j+4:]))
+	}
+	// NewSparse refuses a length outside [0, 2^31] (int(n) of a larger n
+	// is too), and cells out of range or order: a uint32 cell past 2^31
+	// reads as a negative int32.
+	sp, err := vector.NewSparse(int(n), accumBlockLen, cells, vals)
+	if err != nil {
+		return nil, fmt.Errorf("store: sparse snapshot: %w", err)
+	}
+	return holdAs(sp), nil
 }
 
 // writeSnapshotFile writes a frame to a fresh temporary file in dir and
@@ -202,7 +231,11 @@ func writeDatasetSnapshotTmp(dir string, d *Dataset) (string, error) {
 		Rows:    d.rows,
 		Created: d.created,
 	}
-	return writeSnapshotFile(dir, kindDataset, meta, d.counts)
+	kind := kindDataset
+	if _, _, sparse := vector.Sparse(d.counts); sparse {
+		kind = kindSparseDataset
+	}
+	return writeSnapshotFile(dir, kind, meta, d.counts)
 }
 
 // loadDatasetSnapshot reads and validates one dataset snapshot.
@@ -220,6 +253,9 @@ func loadDatasetSnapshot(path string) (*Dataset, error) {
 		return nil, fmt.Errorf("store: %s: %w", filepath.Base(path), err)
 	}
 	schema, err := dataset.NewSchema(meta.Schema)
+	if err == nil {
+		err = CheckDim(schema)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", filepath.Base(path), err)
 	}

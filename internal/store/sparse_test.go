@@ -21,6 +21,12 @@ import (
 	"repro/internal/vector"
 )
 
+// fingerprintDataset is fingerprintCount's hash alone.
+func fingerprintDataset(sc *dataset.Schema, counts *vector.Blocked) uint64 {
+	fp, _ := fingerprintCount(sc, counts)
+	return fp
+}
+
 // fingerprintOracle is the dense loop fingerprintDataset replaced: hash/fnv
 // over every cell's big-endian bits, zero cells included.
 func fingerprintOracle(sc *dataset.Schema, counts *vector.Blocked) uint64 {
@@ -251,10 +257,11 @@ func tableBody(tab *dataset.Table) string {
 	return b.String()
 }
 
-// TestIngestFormMatchesTableVector: at every worker count, a stream whose
-// distinct cells stay within cells/16 ingests sparse and one that passes
-// it mid-stream (workers merging on both sides of the switch) ingests
-// dense, both bit-identical to dataset.Table.Vector.
+// TestIngestFormMatchesTableVector: a stream whose distinct cells stay
+// within cells/16 ingests sparse and one that passes it mid-stream ingests
+// dense, both bit-identical to dataset.Table.Vector and to the worker-pool
+// oracle at every worker count (its workers merging on both sides of the
+// switch).
 func TestIngestFormMatchesTableVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	wide := dataset.MustSchema([]dataset.Attribute{
@@ -277,23 +284,24 @@ func TestIngestFormMatchesTableVector(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := tableBody(tc.tab)
+		s := memStore(t)
+		info, err := s.IngestNDJSON(context.Background(), "d", strings.NewReader(body), IngestOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sparse := info.StoredCells < info.Cells; sparse != tc.sparse {
+			t.Fatalf("%s: held %d of %d cells, want sparse=%v", tc.name, info.StoredCells, info.Cells, tc.sparse)
+		}
+		h, _ := s.Get("d")
+		got := DenseCounts(h)
+		h.Close()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: cell %d = %v, Vector %v", tc.name, i, got[i], want[i])
+			}
+		}
 		for _, workers := range []int{1, 2, 4, 9} {
-			s := memStore(t)
-			info, err := s.IngestNDJSON(context.Background(), "d", strings.NewReader(body), IngestOptions{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
-			if sparse := info.StoredCells < info.Cells; sparse != tc.sparse {
-				t.Fatalf("%s workers=%d: held %d of %d cells, want sparse=%v", tc.name, workers, info.StoredCells, info.Cells, tc.sparse)
-			}
-			h, _ := s.Get("d")
-			got := DenseCounts(h)
-			h.Close()
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s workers=%d: cell %d = %v, Vector %v", tc.name, workers, i, got[i], want[i])
-				}
-			}
+			checkAgainstPool(t, []byte(body), workers, IngestOptions{})
 		}
 	}
 }

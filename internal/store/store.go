@@ -81,6 +81,7 @@ type Dataset struct {
 	created time.Time
 	version int64  // store-global monotonic, assigned at install
 	fprint  uint64 // content fingerprint, stable across processes
+	nnz     int    // cells whose bit pattern is non-zero, counted by seal
 
 	refs     atomic.Int64 // active handles
 	lastUsed int64        // store.useSeq at last Get/ingest (under store.mu)
@@ -226,8 +227,7 @@ func Open(cfg Config) (*Store, error) {
 		}
 		s.verSeq++
 		d.version = s.verSeq
-		d.fprint = fingerprintDataset(d.schema, d.counts)
-		vector.Freeze(d.counts)
+		d.seal()
 		s.datasets[d.id] = d
 	}
 	return s, nil
@@ -269,13 +269,23 @@ func (h *fnv64a) zeroCells(r int) {
 	*h *= fnv64a(p)
 }
 
-// fingerprintDataset hashes the schema layout and every count cell in
-// ascending cell order (FNV-64a over the big-endian float64 bit patterns).
+// seal computes the dataset's fingerprint and non-zero count, then freezes
+// its counts. It runs once, at install or snapshot load, before the dataset
+// is published. From then on the counts are immutable, which lets the
+// engine memoise exact strategy answers over them (vector.Freeze).
+func (d *Dataset) seal() {
+	d.fprint, d.nnz = fingerprintCount(d.schema, d.counts)
+	vector.Freeze(d.counts)
+}
+
+// fingerprintCount hashes the schema layout and every count cell in
+// ascending cell order (FNV-64a over the big-endian float64 bit patterns),
+// and counts the cells whose bit pattern is non-zero on the same walk.
 // Runs of zero cells are absorbed at once, so a sparse dataset hashes in
 // O(non-zeros · log) and either form of the same cells gives the same
 // value. Computed at install and at snapshot load, so the value survives
 // restarts and agrees across processes holding the same data.
-func fingerprintDataset(sc *dataset.Schema, counts *vector.Blocked) uint64 {
+func fingerprintCount(sc *dataset.Schema, counts *vector.Blocked) (uint64, int) {
 	h := fnv64a(fnvOffset64)
 	h.writeUint64(uint64(len(sc.Attrs)))
 	for _, a := range sc.Attrs {
@@ -293,9 +303,9 @@ func fingerprintDataset(sc *dataset.Schema, counts *vector.Blocked) uint64 {
 			next = int(c) + 1
 		}
 		h.zeroCells(n - next)
-		return uint64(h)
+		return uint64(h), len(cells)
 	}
-	run := 0
+	run, nnz := 0, 0
 	counts.Segments(0, n, func(_ int, seg []float64) {
 		for _, v := range seg {
 			if b := math.Float64bits(v); b == 0 {
@@ -303,12 +313,13 @@ func fingerprintDataset(sc *dataset.Schema, counts *vector.Blocked) uint64 {
 			} else {
 				h.zeroCells(run)
 				run = 0
+				nnz++
 				h.writeUint64(b)
 			}
 		}
 	})
 	h.zeroCells(run)
-	return uint64(h)
+	return uint64(h), nnz
 }
 
 // sparseBuilder collects the non-zero cells of a count vector, visited in
@@ -349,8 +360,8 @@ func (sb *sparseBuilder) vector() *vector.Blocked {
 // holdAs returns counts in the form the store holds: sparse iff at most
 // one cell in vector.SparseRatio is non-zero (nnz·16 ≤ cells, the marginal
 // kernel's crossover) and the values are positive integer counts totalling
-// below 2^53; dense shards otherwise. A dense vector that stays dense is
-// returned as is.
+// below 2^53; dense blocks otherwise. A dense vector that stays dense is
+// returned as is. On a dense vector it walks every cell.
 func holdAs(counts *vector.Blocked) *vector.Blocked {
 	if cells, _, ok := vector.Sparse(counts); ok {
 		if len(cells)*vector.SparseRatio <= counts.Len() {
@@ -434,14 +445,9 @@ func (s *Store) PutCounts(id string, schema *dataset.Schema, counts []float64, r
 		return Info{}, fmt.Errorf("%w: counts has %d entries, domain needs %d",
 			ErrInvalidDataset, len(counts), schema.DomainSize())
 	}
-	sb := sparseBuilder{n: len(counts)}
-	for i, v := range counts {
-		sb.add(i, v)
-	}
-	bv := sb.vector()
-	if bv == nil {
-		bv = vector.NewBlockLen(len(counts), accumBlockLen)
-		bv.Scatter(counts)
+	bv := holdAs(vector.FromDense(counts))
+	if _, _, sparse := vector.Sparse(bv); !sparse {
+		bv = bv.CloneBlockLen(accumBlockLen)
 	}
 	return s.register(&Dataset{
 		id:      id,
@@ -492,16 +498,41 @@ func (s *Store) AppendNDJSON(ctx context.Context, id string, r io.Reader, opts I
 		next := &Dataset{
 			id:      id,
 			schema:  old.schema,
-			counts:  holdAs(merged),
+			counts:  appendForm(old, delta, merged),
 			rows:    old.rows + rows,
 			created: time.Now().UTC(),
 		}
-		info, installed, err := s.registerIfCurrent(next, old)
+		info, installed, err := s.registerWhen(next, old, true)
 		if err != nil || installed {
 			return info, err
 		}
 		// A racing replace/append won; recompute against the new resident.
 	}
+}
+
+// appendForm returns merged = old + delta in the form holdAs(merged)
+// returns. A sparse delta changes only its own cells, so a dense sum's
+// non-zero count is the resident's (counted by seal) corrected at those
+// cells, in O(Δ) lookups; past cells/SparseRatio the sum stays dense and
+// holdAs's walk of the domain is skipped. Every other case takes it.
+func appendForm(old *Dataset, delta, merged *vector.Blocked) *vector.Blocked {
+	dcells, _, sparseDelta := vector.Sparse(delta)
+	if _, _, sparseSum := vector.Sparse(merged); sparseSum || !sparseDelta {
+		return holdAs(merged)
+	}
+	nnz := old.nnz
+	for _, c := range dcells {
+		if math.Float64bits(old.counts.At(int(c))) != 0 {
+			nnz--
+		}
+		if math.Float64bits(merged.At(int(c))) != 0 {
+			nnz++
+		}
+	}
+	if nnz*vector.SparseRatio > merged.Len() {
+		return merged
+	}
+	return holdAs(merged)
 }
 
 // register persists the snapshot (outside the lock — file IO must not block
@@ -513,21 +544,15 @@ func (s *Store) register(d *Dataset) (Info, error) {
 	return info, err
 }
 
-// registerIfCurrent is register gated on the registry still holding expect
-// under d's id — the install step of an optimistic append. Reports whether
-// the install happened; a false return with nil error means the caller lost
-// a race and should recompute.
-func (s *Store) registerIfCurrent(d *Dataset, expect *Dataset) (Info, bool, error) {
-	return s.registerWhen(d, expect, true)
-}
-
+// registerWhen is register, gated when conditional on the registry still
+// holding expect under d's id — the install step of an optimistic append.
+// Reports whether the install happened; a false return with nil error
+// means the caller lost a race and should recompute.
 func (s *Store) registerWhen(d *Dataset, expect *Dataset, conditional bool) (Info, bool, error) {
-	// Content hash before taking the lock: it walks every stored cell, and
-	// nothing it reads can change (the Dataset is not yet published). From here on
-	// the counts are immutable, which lets the engine memoise exact
-	// strategy answers over them (vector.Freeze).
-	d.fprint = fingerprintDataset(d.schema, d.counts)
-	vector.Freeze(d.counts)
+	// Seal before taking the lock: the fingerprint walks every stored
+	// cell, and nothing it reads can change (the Dataset is not yet
+	// published).
+	d.seal()
 	var tmp string
 	if s.cfg.Dir != "" {
 		var err error
