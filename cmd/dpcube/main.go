@@ -55,7 +55,6 @@ func main() {
 		uniform   = flag.Bool("uniform", false, "use uniform budgeting instead of the optimal non-uniform allocation")
 		seed      = flag.Int64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "release-engine worker pool size; 0 = all CPUs, 1 = serial (output is identical at any setting)")
-		shards    = flag.Int("shards", 0, "measure-stage shard count; 0 = auto-shard above the engine threshold, 1 = monolithic (output is identical at any setting)")
 		format    = flag.String("format", "table", "output format: table|csv")
 		preview   = flag.Bool("preview", false, "print the analytic error forecast per strategy and exit without spending any privacy budget")
 		ingest    = flag.String("ingest", "", "ingest mode: stream this CSV/NDJSON file to a dpcubed daemon and exit")
@@ -122,7 +121,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opts := []repro.ReleaserOption{repro.WithStrategy(kind), repro.WithWorkers(*workers), repro.WithShards(*shards)}
+	opts := []repro.ReleaserOption{repro.WithStrategy(kind), repro.WithWorkers(*workers)}
 	if *uniform {
 		opts = append(opts, repro.WithUniformBudget())
 	}

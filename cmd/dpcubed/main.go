@@ -97,8 +97,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		epsCap     = flag.Float64("epsilon-cap", 10, "total privacy budget ε the process may ever spend")
 		deltaCap   = flag.Float64("delta-cap", 1e-3, "total δ the process may ever spend (0 admits only pure-DP requests)")
-		maxWorkers = flag.Int("max-workers", 0, "per-request engine worker bound (0 = all CPUs)")
-		maxShards  = flag.Int("max-shards", 0, "per-request measure-stage shard bound (0 = engine auto-sharding)")
+		maxWorkers = flag.Int("max-workers", 0, "engine worker bound for every release (0 = all CPUs)")
 		cacheSize  = flag.Int("cache-size", 0, "shared plan cache entries (0 = default)")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 		storeDir   = flag.String("store-dir", "", "dataset snapshot directory; empty keeps datasets in memory only")
@@ -129,7 +128,6 @@ func main() {
 		EpsilonCap:  *epsCap,
 		DeltaCap:    *deltaCap,
 		MaxWorkers:  *maxWorkers,
-		MaxShards:   *maxShards,
 		CacheSize:   *cacheSize,
 		StoreDir:    *storeDir,
 		MaxDatasets: *maxData,

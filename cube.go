@@ -52,7 +52,6 @@ func (o Options) cubeOptions() datacube.Options {
 		Seed:          o.Seed,
 		Strategy:      o.Strategy.impl(),
 		Workers:       o.Workers,
-		Shards:        o.Shards,
 		Cache:         o.Cache,
 	}
 }

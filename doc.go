@@ -153,12 +153,13 @@
 // with the exact bytes of the run that computed it, skipping the engine
 // entirely. A hit does NOT recharge the budget ledger. The justification
 // is the engine's determinism contract: a release is a pure function of
-// (dataset version, workload, strategy, ε, δ, seed, shards, consistency),
-// all of which are in the cache key, so replaying the cached payload
+// (dataset version, workload, strategy, budgeting, consistency, ε, δ,
+// seed), all of which are in the cache key, so replaying the cached payload
 // reveals exactly the already-released noisy output — free
 // post-processing under DP, identical to the client replaying its own
-// copy of the response. Worker counts are deliberately NOT in the key
-// (the engine is bit-identical at every parallelism), inline-rows
+// copy of the response. The worker bound is a server setting, not a
+// request field, and stays out of the key (the engine is bit-identical at
+// every parallelism); inline-rows
 // requests are never cached (no version to key on), and any dataset
 // mutation — replace, append, delete — invalidates that dataset's
 // entries through a store change hook, with the version in the key as a
@@ -221,17 +222,17 @@
 // answers; Recover reconstructs the marginals; Consist projects them onto a
 // mutually consistent set.
 //
-// The pipeline's big vectors — the 2^d contingency vector and the strategy
-// answers — travel as blocked (sharded) vectors, contiguous cell-range
-// blocks instead of one giant slice (internal/vector; BlockedVector and
-// Releaser.ReleaseBlocked are the public face). A dataset-store aggregate
-// feeds releases in its sharded form without ever being gathered; the
-// measure stage materialises answers one block per worker (WithShards /
-// ReleaseSpec.Shards bound the partition, auto-sharded above the engine's
-// threshold); and the consistency projection — historically the last
-// serial stage — fans its per-marginal transforms, per-coefficient
-// weighted average and reconstruction over the same pool. Worker counts,
-// shard counts and input blockings never change a single bit of a release:
+// The 2^d contingency vector travels as a blocked vector, contiguous
+// cell-range blocks instead of one giant slice (internal/vector;
+// BlockedVector and Releaser.ReleaseBlocked are the public face). A
+// dataset-store aggregate feeds releases in the form the store holds it,
+// dense blocks or a sparse list of non-zeros, without ever being gathered.
+// The measure stage returns the strategy answers z = S·x + ν as one dense
+// slice, which recovery reads directly: each strategy computes S·x across
+// the worker pool, and the noise pass splits z into fixed row blocks. The
+// consistency projection fans its per-marginal transforms, per-coefficient
+// weighted average and reconstruction over the same pool. Worker counts
+// and input blockings never change a single bit of a release:
 // noise is drawn from per-group seed substreams and every accumulation
 // order is blocking-independent, so a release is a pure function of
 // (data, workload, spec) and the same Seed is bit-reproducible at any

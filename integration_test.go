@@ -28,8 +28,7 @@ func TestAllStrategiesConvergeToTruth(t *testing.T) {
 	w := marginal.SchemaKWayStar(tab.Schema, 1)
 	truth := w.Eval(x)
 	for _, s := range []strategy.Strategy{
-		strategy.Identity{}, strategy.Workload{}, strategy.Fourier{},
-		strategy.Cluster{}, strategy.HierarchyMarginal{},
+		strategy.Identity{}, strategy.Workload{}, strategy.Fourier{}, strategy.Cluster{},
 	} {
 		for _, b := range []engine.Budgeting{engine.UniformBudget, engine.OptimalBudget} {
 			rel, err := runDense(w, x, engine.Config{

@@ -44,7 +44,10 @@ type Charge struct {
 	// Partition names the disjoint population slice the release touched;
 	// charges with the same non-empty Partition compose sequentially with
 	// each other but in parallel across partitions. An empty Partition
-	// means the whole population.
+	// means the whole population. Nothing here checks that partitions are
+	// disjoint or that a release read only its own: the caller, a curator
+	// who split the data, guarantees both. The daemon never sets the field,
+	// so every charge it books is whole-population.
 	Partition string `json:"partition,omitempty"`
 	// Sigma, when positive, additionally describes the charge as a Gaussian
 	// mechanism with noise σ = Sigma and L2 sensitivity Sensitivity

@@ -355,10 +355,6 @@ func TestQueryWeightsFlowThroughRun(t *testing.T) {
 	if _, err := run(w, x, engine.Config{Strategy: strategy.Workload{}, Privacy: pureParams(1), QueryWeights: []float64{1}}); err == nil {
 		t.Fatal("short query weights accepted")
 	}
-	// Strategies without WeightedPlanner are rejected cleanly.
-	if _, err := run(w, x, engine.Config{Strategy: strategy.HierarchyMarginal{}, Privacy: pureParams(1), QueryWeights: []float64{1, 1}}); err == nil {
-		t.Fatal("unweightable strategy accepted query weights")
-	}
 }
 
 func TestPreviewMatchesRunAccounting(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/engine"
 	"repro/internal/marginal"
-	"repro/internal/strategy"
 )
 
 // Forecast is the analytic error profile of a mechanism configuration,
@@ -36,19 +35,7 @@ func Preview(w *marginal.Workload, cfg engine.Config) (*Forecast, error) {
 	if err := cfg.Privacy.Validate(); err != nil {
 		return nil, err
 	}
-	var (
-		plan *strategy.Plan
-		err  error
-	)
-	if cfg.QueryWeights != nil {
-		wp, ok := cfg.Strategy.(strategy.WeightedPlanner)
-		if !ok {
-			return nil, fmt.Errorf("core: strategy %s does not support query weights", cfg.Strategy.Name())
-		}
-		plan, err = wp.PlanWeighted(w, cfg.QueryWeights)
-	} else {
-		plan, err = cfg.Strategy.Plan(w)
-	}
+	plan, err := cfg.Strategy.PlanWeighted(w, cfg.QueryWeights)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +52,7 @@ func Preview(w *marginal.Workload, cfg engine.Config) (*Forecast, error) {
 	// The variance accounting needs only zeros as data: Recover's cellVar
 	// output is data-independent for every strategy here.
 	zeros := make([]float64, plan.Rows())
-	_, cellVar, err := plan.RecoverDense(zeros, groupVar)
+	_, cellVar, err := plan.Recover(zeros, groupVar)
 	if err != nil {
 		return nil, err
 	}

@@ -164,9 +164,6 @@ type Options struct {
 	// Workers bounds the engine's worker pool (0 = all CPUs); the released
 	// cube is bit-identical at every setting.
 	Workers int
-	// Shards bounds the measure stage's answer partitioning (see
-	// engine.Options.Shards); bit-identical at every setting.
-	Shards int
 	// Cache optionally reuses the lattice workload's strategy plan across
 	// repeated cube releases over the same schema.
 	Cache *engine.PlanCache
@@ -185,7 +182,7 @@ type Released struct {
 }
 
 // Release privately materialises every cuboid of order ≤ maxOrder from the
-// relation's contingency vector x. x is sharded (a dataset-store
+// relation's contingency vector x. x is blocked (a dataset-store
 // aggregate) or a zero-copy vector.FromDense view of a dense slice; the
 // release is bit-identical over the same cells whatever the blocking, and
 // cancellation of ctx aborts the staged engine mid-run.
@@ -214,7 +211,7 @@ func Release(ctx context.Context, s *dataset.Schema, x *vector.Blocked, maxOrder
 	if strat == nil {
 		strat = strategy.Fourier{}
 	}
-	eng := engine.New(engine.Options{Workers: o.Workers, Shards: o.Shards, Cache: o.Cache})
+	eng := engine.New(engine.Options{Workers: o.Workers, Cache: o.Cache})
 	rel, err := eng.RunVector(ctx, w, x, engine.Config{
 		Strategy:    strat,
 		Budgeting:   budgeting,

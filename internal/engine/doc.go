@@ -6,9 +6,8 @@
 //	           strategy matrix description for the workload.
 //	Allocate — Step 2: closed-form uniform or optimal non-uniform per-group
 //	           noise budgets, plus the Proposition 3.1 privacy re-check.
-//	Measure  — noisy strategy answers z = Sx + ν, computed and perturbed
-//	           block by block.
-//	Recover  — initial per-marginal recovery from the (sharded) answers.
+//	Measure  — noisy strategy answers z = Sx + ν, one dense slice.
+//	Recover  — initial per-marginal recovery from the answers.
 //	Consist  — Step 3: the optional consistency projection: per-marginal
 //	           transforms, the per-coefficient weighted average and the
 //	           reconstruction.
@@ -29,41 +28,32 @@
 // -max-workers) is only an upper bound. The grain is the measured
 // crossover on a 2-vCPU box: a small workload (Fourier Q2 over NLTCS: 137
 // noise rows, 120 marginals, 480 cells) is perturbed, recovered and
-// projected serially, while identity recovery over 2^16 cells, the sharded
-// answer pass, the large WHTs and big projections fork.
+// projected serially, while identity's answer copy and recovery over 2^16
+// cells, the large WHTs and big projections fork.
 //
-// # The blocked-vector pipeline
+// # The blocked input and the dense answers
 //
-// Huge domains (d ≥ 20) make the two full-length vectors the pipeline
-// moves — the 2^d contingency vector x and the strategy-answer vector z —
-// the scaling bottleneck, so both travel as vector.Blocked: contiguous
-// cell-range blocks of one uniform length instead of one giant slice.
+// Huge domains (d ≥ 20) make the 2^d contingency vector x the scaling
+// bottleneck, so it travels as a vector.Blocked: contiguous cell-range
+// blocks of one uniform length instead of one giant slice. The strategy
+// answers z are one []float64 from measure to recovery.
 //
 //   - Input. x arrives from the dataset store in the form it holds —
-//     the ingest accumulator's shards handed over as-is, or, for a
+//     the ingest accumulator's blocks handed over as-is, or, for a
 //     dataset with at most one non-zero in vector.SparseRatio cells, its
 //     sorted list of non-zeros (a dataset release never re-densifies) —
 //     or as a zero-copy single-block view of a caller's dense slice.
-//   - Measure. When the plan supports per-block answer slicing
-//     (strategy.Plan.AnswerBlock), the answer vector is built block by
-//     block: each worker materialises the runs of blocks it claims one
-//     block at a time, and no contiguous full-length slice ever exists.
-//     Plans whose answers cannot be sliced
-//     (Fourier's transform is global) parallelise inside TrueAnswers
-//     instead — the blocked Walsh–Hadamard transform runs over a blocked
-//     scratch copy. Options.Shards bounds the partition (0 auto-shards
-//     above AutoShardRows; 1 forces the monolithic path). A sparse x
-//     costs O(non-zeros) here: the marginal kernel reads its list, and
-//     Fourier takes each coefficient from the workload marginals instead
-//     of a 2^d transform (see the integrality invariant below); identity,
-//     hierarchy and wavelet plans materialise it dense, as their answers
+//   - Measure. Each strategy's TrueAnswers computes S·x from the blocked
+//     x and parallelises inside: identity copies cell ranges across
+//     workers, the marginal kernel sums each block into every marginal,
+//     and Fourier runs the blocked Walsh–Hadamard transform over a blocked
+//     scratch copy. A sparse x costs O(non-zeros) here: the marginal
+//     kernel reads its list, and Fourier takes each coefficient from the
+//     workload marginals instead of a 2^d transform (see the integrality
+//     invariant below); identity materialises it dense, as its answers
 //     are 2^d long anyway.
-//   - Perturb. Noise is applied over the fixed noiseBlock row grid,
-//     walking storage blocks through Segments, so the blocking never
-//     touches a substream boundary.
-//   - Recover. Per-marginal recovery reads the shards it needs through the
-//     blocked accessors (random access is one division; ranges gather
-//     without copying when they sit inside one block).
+//   - Perturb. Noise is applied over the fixed noiseBlock row grid of z.
+//   - Recover. Per-marginal recovery slices the rows of z it needs.
 //   - Consist. Above the grain the weighted-L2 projection splits its
 //     per-marginal small WHTs and the per-marginal reconstruction across
 //     workers; the per-coefficient weighted average is one serial sweep
@@ -72,22 +62,22 @@
 // # Determinism contract
 //
 // A release is a pure function of (workload, data cells, Config). The
-// worker count, the shard count, the blocking of x, the plan cache, and
-// goroutine scheduling never change a single bit of the output:
+// worker count, the blocking of x, the plan cache, and goroutine
+// scheduling never change a single bit of the output:
 //
 //   - Noise substreams. The noise added to row r of strategy group g is
 //     drawn from a PRNG substream derived by hashing (master seed, g,
 //     ⌊r/noiseBlock⌋) — see noise.NewSubstream. No draw depends on any
 //     other group's stream, so groups (and fixed-size blocks within a
 //     group) can be perturbed concurrently in any order, and the same seed
-//     yields a bit-identical release at any worker or shard count.
-//   - Per-block answers. strategy.Plan.AnswerBlock must tile TrueAnswers
-//     bit-identically. Every built-in strategy honours it by accumulating
-//     each output cell over ascending domain indices — an order no
-//     blocking can change — and the blocked WHT performs the exact serial
-//     butterfly sequence. The engine test suite pins the full matrix:
-//     strategy × consistency mode × shards {1, 3, 8} × workers ×
-//     input blockings.
+//     yields a bit-identical release at any worker count.
+//   - Blocked answers. strategy.Plan.TrueAnswers must give the same bits
+//     at every worker count and input blocking. Every built-in strategy
+//     honours it by accumulating each output cell over ascending domain
+//     indices — an order no blocking can change — and the blocked WHT
+//     performs the exact serial butterfly sequence. The engine test suite
+//     pins the full matrix: strategy × consistency mode × workers × input
+//     blockings.
 //   - Integrality. The sparse form holds positive integer counts whose
 //     total is below 2^53 (vector.NewSparse checks it), so every sum of
 //     them in any order, and every butterfly over such sums, is an exact
@@ -147,8 +137,7 @@
 //     unchanged snapshot copies the memo into a fresh answer vector and
 //     then perturbs, recovers and projects exactly as a recomputed one —
 //     bit-identical output, fresh noise, the same charge. Plans with at
-//     least as many rows as x has cells (identity) and the sharded
-//     AnswerBlock path are not memoised.
+//     least as many rows as x has cells (identity) are not memoised.
 //   - Invalidation by identity. Appending to or replacing a dataset
 //     installs a new vector, whose releases simply miss. The weak key never
 //     keeps a superseded snapshot alive, and each entry holds one memo, so

@@ -75,8 +75,7 @@ type Config struct {
 	Seed        int64
 	// QueryWeights optionally sets the paper's general objective aᵀ·Var(y)
 	// (Section 2): QueryWeights[i] is the importance of marginal i in the
-	// Step-2 budgeting. nil means a = 1. Requires a strategy implementing
-	// strategy.WeightedPlanner (all built-in marginal strategies do).
+	// Step-2 budgeting. nil means a = 1.
 	QueryWeights []float64
 }
 
@@ -114,68 +113,15 @@ type Options struct {
 	// forks only when each worker gets at least par.Grain rows or cells of
 	// work, so small releases run serially whatever the bound.
 	Workers int
-	// Shards bounds how many blocks the measured strategy-answer vector is
-	// partitioned into. 0 auto-shards: vectors with at least AutoShardRows
-	// rows split into one block per worker (more only when a block would
-	// otherwise exceed MaxShardBlockRows — the per-worker memory bound),
-	// smaller ones stay monolithic. 1 forces the monolithic path. Like
-	// Workers, the setting never changes a single bit of the release —
-	// blocks are fixed cell ranges and every per-cell accumulation order is
-	// blocking-independent. Note that for strategies whose AnswerBlock
-	// scans the input per block (Workload, Cluster), explicit shard counts
-	// far above the worker count buy nothing and cost extra input sweeps;
-	// the auto policy avoids that by construction.
-	Shards int
 	// Cache, when non-nil, memoises Step-1 plans across runs (see PlanCache).
 	Cache *PlanCache
 }
-
-// AutoShardRows is the strategy-answer length at which Options.Shards == 0
-// starts sharding the measure stage: 2^17 rows (1 MiB of float64) is where
-// the blocked bookkeeping becomes free against the per-row work.
-const AutoShardRows = 1 << 17
-
-// MaxShardBlockRows caps an auto-sharded block at 2^20 rows (8 MiB of
-// float64) — the per-worker memory bound the measure stage promises.
-const MaxShardBlockRows = 1 << 20
 
 func (o Options) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// shardsFor resolves the shard count for a strategy-answer vector of the
-// given length, measured by the given worker pool. The auto policy picks
-// one block per worker — more shards than workers add no parallelism and,
-// for plans whose AnswerBlock scans the input per block, cost one extra
-// input sweep each — growing the count only when a block would otherwise
-// exceed the MaxShardBlockRows memory bound.
-func (o Options) shardsFor(rows, workers int) int {
-	switch {
-	case rows <= 0:
-		return 1
-	case o.Shards == 1:
-		return 1
-	case o.Shards > 1:
-		if o.Shards > rows {
-			return rows
-		}
-		return o.Shards
-	default:
-		if rows < AutoShardRows {
-			return 1
-		}
-		shards := workers
-		if minBlocks := (rows + MaxShardBlockRows - 1) / MaxShardBlockRows; shards < minBlocks {
-			shards = minBlocks
-		}
-		if shards > rows {
-			shards = rows
-		}
-		return shards
-	}
 }
 
 // Engine executes the staged release pipeline.
@@ -192,12 +138,12 @@ func New(opts Options) *Engine {
 func (e *Engine) Options() Options { return e.opts }
 
 // RunVector executes the mechanism on contingency vector x for the workload
-// — the engine's one entry point. The dataset store's sharded aggregate
+// — the engine's one entry point. The dataset store's blocked aggregate
 // feeds the pipeline here without ever being gathered into one dense slice;
 // callers holding a dense slice pass vector.FromDense(x), a zero-copy view.
 // The release is a pure function of (w, cells of x, cfg): the blocking of
-// x, the worker count, the shard count and the plan cache never change a
-// single bit of the output.
+// x, the worker count and the plan cache never change a single bit of the
+// output.
 //
 // Cancellation of ctx aborts the pipeline between stages and inside the
 // measure and recover stages, so an abandoned request stops
@@ -246,15 +192,13 @@ func (e *Engine) RunVector(ctx context.Context, w *marginal.Workload, x *vector.
 	}
 	groupVar := budget.SpecVariances(alloc.Eta, cfg.Privacy)
 
-	shards := e.opts.shardsFor(plan.Rows(), workers)
 	sp = tr.Root().StartStage("measure")
 	mctx := ctx
 	if sp != nil {
-		sp.AnnotateInt("shards", int64(shards))
 		sp.AnnotateInt("workers", int64(workers))
 		mctx = telemetry.ContextWithSpan(ctx, sp)
 	}
-	z, err := Measurer{cache: e.opts.Cache, entry: entry}.Measure(mctx, plan, x, alloc.Eta, cfg, workers, shards)
+	z, err := Measurer{cache: e.opts.Cache, entry: entry}.Measure(mctx, plan, x, alloc.Eta, cfg, workers)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -371,13 +315,8 @@ func (p Planner) planOnce(ctx context.Context, w *marginal.Workload, cfg Config)
 	case strategy.ParallelPlanner:
 		ssp.AnnotateInt("workers", int64(workers))
 		plan, err = s.PlanParallel(w, cfg.QueryWeights, workers)
-	case strategy.WeightedPlanner:
-		plan, err = s.PlanWeighted(w, cfg.QueryWeights)
 	default:
-		if cfg.QueryWeights != nil {
-			return nil, fmt.Errorf("engine: strategy %s does not support query weights", cfg.Strategy.Name())
-		}
-		plan, err = cfg.Strategy.Plan(w)
+		plan, err = s.PlanWeighted(w, cfg.QueryWeights)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: planning strategy %s: %w", cfg.Strategy.Name(), err)
@@ -441,45 +380,29 @@ func verifyPrivacy(specs []budget.Spec, eta []float64, p noise.Params) error {
 
 // Measurer is the measure stage, z = Sx + ν: exact strategy answers plus
 // substream-seeded per-group noise, each split across workers once its
-// work clears the grain (par.Workers).
+// work clears the grain (par.Workers). The answers are one dense slice:
+// every strategy's TrueAnswers parallelises and bounds its scratch
+// internally, and the noise pass perturbs it in the fixed noiseBlock row
+// grid, so the release is bit-identical at every worker count.
 //
-// When the plan supports per-block answer slicing (strategy.Plan.
-// AnswerBlock) and shards > 1, the answer vector is built block by block:
-// each worker materialises the runs of blocks it claims one at a time, so
-// the per-worker scratch is one block. Plans without AnswerBlock (the Fourier
-// transform is global) fall back to TrueAnswers, which parallelises and
-// bounds memory internally. Either way the noise pass then perturbs the
-// blocked vector in the fixed noiseBlock partition — the shard count never
-// touches a substream boundary, so the release is bit-identical at every
-// (workers, shards) setting.
-//
-// On the TrueAnswers path the exact answers S·x of a frozen input come from
-// the plan's answer memo when it holds them (see PlanCache): the copy is
-// bit-identical to recomputing, and the noise pass is unchanged, so a memo
-// hit changes nothing but the time Measure takes.
+// The exact answers S·x of a frozen input come from the plan's answer memo
+// when it holds them (see PlanCache): the copy is bit-identical to
+// recomputing, and the noise pass is unchanged, so a memo hit changes
+// nothing but the time Measure takes.
 type Measurer struct {
 	cache *PlanCache
 	entry *cacheEntry // plan's cache entry; nil without a cache
 }
 
-// Measure computes the noisy strategy answers as a blocked vector.
-func (m Measurer) Measure(ctx context.Context, plan *strategy.Plan, x *vector.Blocked, eta []float64, cfg Config, workers, shards int) (*vector.Blocked, error) {
+// Measure computes the noisy strategy answers.
+func (m Measurer) Measure(ctx context.Context, plan *strategy.Plan, x *vector.Blocked, eta []float64, cfg Config, workers int) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var z *vector.Blocked
+	z, hit := m.trueAnswers(plan, x, workers)
 	source := "computed"
-	if shards > 1 && plan.AnswerBlock != nil {
-		z = vector.New(plan.Rows(), shards)
-		if err := answerBlocks(ctx, plan, x, z, workers); err != nil {
-			return nil, err
-		}
-	} else {
-		a, hit := m.trueAnswers(plan, x, workers)
-		if hit {
-			source = "memo"
-		}
-		z = vector.FromDense(a)
+	if hit {
+		source = "memo"
 	}
 	telemetry.SpanFrom(ctx).Annotate("answers", source)
 	groups := make([]NoiseGroup, len(plan.Specs))
@@ -490,7 +413,7 @@ func (m Measurer) Measure(ctx context.Context, plan *strategy.Plan, x *vector.Bl
 	}
 	psp := telemetry.SpanFrom(ctx).StartDetail("perturb")
 	psp.AnnotateInt("groups", int64(len(groups)))
-	err := PerturbVectorContext(ctx, z, groups, cfg.Privacy, cfg.Seed, workers)
+	err := PerturbContext(ctx, z, groups, cfg.Privacy, cfg.Seed, workers)
 	psp.End()
 	if err != nil {
 		return nil, err
@@ -514,29 +437,6 @@ func (m Measurer) trueAnswers(plan *strategy.Plan, x *vector.Blocked, workers in
 	return a, false
 }
 
-// answerBlocks fills the blocked answer vector through plan.AnswerBlock.
-// Each block reads the input and writes its rows, so the stage states
-// x.Len()+z.Len() as its work; above the grain every worker walks the runs
-// of blocks it claims one at a time (its scratch is one block).
-// Cancellation is honoured between blocks.
-func answerBlocks(ctx context.Context, plan *strategy.Plan, x *vector.Blocked, z *vector.Blocked, workers int) error {
-	sp := telemetry.SpanFrom(ctx)
-	par.For(z.Blocks(), par.Workers(x.Len()+z.Len(), workers), func(_, lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			if ctx.Err() != nil {
-				return
-			}
-			blo, bhi := z.BlockRange(bi)
-			bsp := sp.StartDetail("measure.block")
-			bsp.AnnotateInt("lo", int64(blo))
-			bsp.AnnotateInt("rows", int64(bhi-blo))
-			plan.AnswerBlock(x, blo, bhi, z.Block(bi))
-			bsp.End()
-		}
-	})
-	return ctx.Err()
-}
-
 // NoiseGroup describes one contiguous run of strategy rows sharing a budget.
 type NoiseGroup struct {
 	Start, Count int
@@ -553,10 +453,10 @@ const noiseBlock = 4096
 // position g in groups reads the substream derived from (seed, g,
 // ⌊r/noiseBlock⌋), so the value depends only on (seed, g, r) — never on the
 // worker count, scheduling, or the sizes of other groups. A caller that
-// perturbs only a subset of groups (a shard) reproduces the full release's
-// noise exactly by keeping each group at its original position index —
-// zero-Count placeholders hold the positions of groups a shard doesn't own.
-// Groups must cover disjoint ranges of z.
+// perturbs only a subset of groups reproduces the full release's noise
+// exactly by keeping each group at its original position index — zero-Count
+// placeholders hold the positions of groups it leaves out. Groups must cover
+// disjoint ranges of z.
 func Perturb(z []float64, groups []NoiseGroup, p noise.Params, seed int64, workers int) {
 	// context.Background() is never cancelled, so the error is impossible.
 	_ = PerturbContext(context.Background(), z, groups, p, seed, workers)
@@ -567,15 +467,6 @@ func Perturb(z []float64, groups []NoiseGroup, p noise.Params, seed int64, worke
 // noiseBlock rows) and ctx.Err() is returned. On cancellation z is left
 // partially perturbed and must be discarded.
 func PerturbContext(ctx context.Context, z []float64, groups []NoiseGroup, p noise.Params, seed int64, workers int) error {
-	return PerturbVectorContext(ctx, vector.FromDense(z), groups, p, seed, workers)
-}
-
-// PerturbVectorContext is PerturbContext over a blocked answer vector: the
-// substream partition is the fixed noiseBlock row grid, which a noise block
-// walks across storage-block boundaries through Segments, so the vector's
-// blocking is invisible to the draws — one more axis of the determinism
-// contract (noise depends only on seed, group and row).
-func PerturbVectorContext(ctx context.Context, z *vector.Blocked, groups []NoiseGroup, p noise.Params, seed int64, workers int) error {
 	type block struct {
 		at, off, n int // at: rows of the blocks before this one
 		eta        float64
@@ -622,38 +513,36 @@ func PerturbVectorContext(ctx context.Context, z *vector.Blocked, groups []Noise
 				return
 			}
 			src.Reseed(seed, bl.sub)
-			z.Segments(bl.off, bl.off+bl.n, func(_ int, seg []float64) {
-				for i := range seg {
-					seg[i] += p.RowNoise(src, bl.eta)
-				}
-			})
+			seg := z[bl.off : bl.off+bl.n]
+			for i := range seg {
+				seg[i] += p.RowNoise(src, bl.eta)
+			}
 		}
 	})
 	return ctx.Err()
 }
 
-// Recoverer is the recover stage: noisy strategy answers (possibly
-// sharded) become concatenated marginal answers plus per-marginal cell
-// variances. Every recovery reads the answer vector and writes every
-// released cell, so the stage states z.Len()+TotalCells() as its work.
-// When the plan supports per-marginal recovery and that work clears the
-// grain, marginals recover concurrently in contiguous runs, each reading the
-// shards of z it needs (merged shard contributions — the blocked accessors
-// gather exactly the answer ranges a marginal touches); the serial path and
-// the parallel path are bit-identical because strategy.Plan's contract
-// requires Recover to equal the concatenation of RecoverMarginal outputs
-// (both accumulate in the same order per output cell).
+// Recoverer is the recover stage: noisy strategy answers become
+// concatenated marginal answers plus per-marginal cell variances. Every
+// recovery reads the answer vector and writes every released cell, so the
+// stage states len(z)+TotalCells() as its work. When the plan supports
+// per-marginal recovery and that work clears the grain, marginals recover
+// concurrently in contiguous runs, each reading the rows of z it needs; the
+// serial path and the parallel path are bit-identical because
+// strategy.Plan's contract requires Recover to equal the concatenation of
+// RecoverMarginal outputs (both accumulate in the same order per output
+// cell).
 type Recoverer struct{}
 
 // Recover runs the stage. Cancellation is honoured between marginals: no
 // new per-marginal recovery starts after ctx is done.
-func (Recoverer) Recover(ctx context.Context, w *marginal.Workload, plan *strategy.Plan, z *vector.Blocked, groupVar []float64, workers int) ([]float64, []float64, error) {
+func (Recoverer) Recover(ctx context.Context, w *marginal.Workload, plan *strategy.Plan, z []float64, groupVar []float64, workers int) ([]float64, []float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	sp := telemetry.SpanFrom(ctx)
 	nm := len(w.Marginals)
-	workers = par.Workers(z.Len()+w.TotalCells(), workers)
+	workers = par.Workers(len(z)+w.TotalCells(), workers)
 	if plan.RecoverMarginal == nil || workers == 1 || nm <= 1 {
 		rsp := sp.StartDetail("recover.serial")
 		answers, cellVar, err := plan.Recover(z, groupVar)

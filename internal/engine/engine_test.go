@@ -233,7 +233,7 @@ func TestDefaultStagesMatchMonolith(t *testing.T) {
 		groups[g] = NoiseGroup{Start: offsets[g], Count: spec.Count, Eta: alloc.Eta[g]}
 	}
 	Perturb(z, groups, p, cfg.Seed, 1)
-	answers, _, err := plan.RecoverDense(z, groupVar)
+	answers, _, err := plan.Recover(z, groupVar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestBelowGrainAllocsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	w := marginal.AllKWay(10, 2)
 	plan := chunkPlan(w)
-	zr := randomBlocked(rng, work-w.TotalCells(), 2)
+	zr := randomAnswers(rng, work-w.TotalCells())
 	if s, e := allocs(func(workers int) {
 		if _, _, err := (Recoverer{}).Recover(context.Background(), w, plan, zr, nil, workers); err != nil {
 			t.Fatal(err)
@@ -408,14 +408,14 @@ func TestBelowGrainAllocsMatchSerial(t *testing.T) {
 		t.Errorf("recover work %d: workers=8 allocates %v, workers=1 %v", work, e, s)
 	}
 
-	x := randomBlocked(rng, 1000, 2)
-	za := vector.New(work-x.Len(), 4)
-	if s, e := allocs(func(workers int) {
-		if err := answerBlocks(context.Background(), plan, x, za, workers); err != nil {
-			t.Fatal(err)
-		}
-	}); s != e {
-		t.Errorf("answer blocks work %d: workers=8 allocates %v, workers=1 %v", work, e, s)
+	// Identity's answer copy splits by cells: 2^13 cells stay serial.
+	id, err := strategy.Identity{}.Plan(marginal.AllKWay(13, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := vector.FromDense(randomAnswers(rng, 1<<13))
+	if s, e := allocs(func(workers int) { id.TrueAnswers(x, workers) }); s != e {
+		t.Errorf("identity answers %d cells: workers=8 allocates %v, workers=1 %v", x.Len(), e, s)
 	}
 }
 

@@ -60,7 +60,7 @@ type denseRelease struct {
 	// rowVar is Σ: the noise variance of every strategy row, expanded from
 	// the per-group variances of the engine's Allocate stage.
 	rowVar  []float64
-	rPlan   [][]float64 // K × m: the plan's recovery, column j = RecoverDense(e_j)
+	rPlan   [][]float64 // K × m: the plan's recovery, column j = Recover(e_j)
 	cellVar []float64   // the per-marginal cell variance the plan reports
 	served  [][]float64 // K × m: the weighted-L2 projection of rPlan
 }
@@ -100,7 +100,7 @@ func buildDense(t *testing.T, w *marginal.Workload, cfg engine.Config) *denseRel
 	z := make([]float64, m)
 	for j := range z {
 		z[j] = 1
-		answers, cellVar, err := plan.RecoverDense(z, groupVar)
+		answers, cellVar, err := plan.Recover(z, groupVar)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/marginal"
 	"repro/internal/par"
 	"repro/internal/strategy"
-	"repro/internal/vector"
 )
 
 // grainSizes straddles both decisions par.Workers makes: the grain itself
@@ -90,29 +89,24 @@ func TestPerturbGrainBitIdentity(t *testing.T) {
 	}
 }
 
-// chunkPlan is a synthetic plan whose recovery and per-block answers are
-// cheap, order-sensitive functions of their inputs, so a stage's work size
-// can be set to any value around the grain.
+// chunkPlan is a synthetic plan whose recovery is a cheap, order-sensitive
+// function of the answers, so the recover stage's work size can be set to
+// any value around the grain.
 func chunkPlan(w *marginal.Workload) *strategy.Plan {
 	offsets := w.Offsets()
-	rm := func(i int, z *vector.Blocked, _ []float64) ([]float64, float64, error) {
+	rm := func(i int, z []float64, _ []float64) ([]float64, float64, error) {
 		m := w.Marginals[i]
 		out := make([]float64, m.Cells())
 		for c := range out {
-			for r := offsets[i] + c; r < z.Len(); r += w.TotalCells() {
-				out[c] = out[c]*0.5 + z.At(r)
+			for r := offsets[i] + c; r < len(z); r += w.TotalCells() {
+				out[c] = out[c]*0.5 + z[r]
 			}
 		}
 		return out, float64(i), nil
 	}
 	return &strategy.Plan{
 		Strategy: "chunk",
-		AnswerBlock: func(x *vector.Blocked, lo, hi int, out []float64) {
-			for r := lo; r < hi; r++ {
-				out[r-lo] = x.At(r%x.Len())*1.5 + float64(r)
-			}
-		},
-		Recover: func(z *vector.Blocked, groupVar []float64) ([]float64, []float64, error) {
+		Recover: func(z []float64, groupVar []float64) ([]float64, []float64, error) {
 			var answers []float64
 			cellVar := make([]float64, len(w.Marginals))
 			for i := range w.Marginals {
@@ -129,21 +123,21 @@ func chunkPlan(w *marginal.Workload) *strategy.Plan {
 	}
 }
 
-func randomBlocked(rng *rand.Rand, n, blocks int) *vector.Blocked {
-	z := vector.New(n, blocks)
-	for i := 0; i < n; i++ {
-		z.Set(i, rng.NormFloat64())
+func randomAnswers(rng *rand.Rand, n int) []float64 {
+	z := make([]float64, n)
+	for i := range z {
+		z[i] = rng.NormFloat64()
 	}
 	return z
 }
 
 // TestRecoverGrainBitIdentity: parallel recovery equals serial recovery bit
-// for bit at work sizes z.Len()+TotalCells() around the grain, for a
+// for bit at work sizes len(z)+TotalCells() around the grain, for a
 // synthetic plan sized exactly and for real identity and Fourier plans.
 func TestRecoverGrainBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w := marginal.AllKWay(10, 2)
-	check := func(name string, w *marginal.Workload, plan *strategy.Plan, z *vector.Blocked, groupVar []float64) {
+	check := func(name string, w *marginal.Workload, plan *strategy.Plan, z []float64, groupVar []float64) {
 		t.Helper()
 		want, wantVar, err := Recoverer{}.Recover(context.Background(), w, plan, z, groupVar, 1)
 		if err != nil {
@@ -159,7 +153,7 @@ func TestRecoverGrainBitIdentity(t *testing.T) {
 		}
 	}
 	for _, work := range grainSizes {
-		z := randomBlocked(rng, work-w.TotalCells(), 3)
+		z := randomAnswers(rng, work-w.TotalCells())
 		check(fmt.Sprintf("work=%d", work), w, chunkPlan(w), z, nil)
 	}
 	for _, s := range []strategy.Strategy{strategy.Identity{}, strategy.Fourier{}} {
@@ -169,38 +163,12 @@ func TestRecoverGrainBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			z := randomBlocked(rng, plan.Rows(), 2)
+			z := randomAnswers(rng, plan.Rows())
 			groupVar := make([]float64, len(plan.Specs))
 			for g := range groupVar {
 				groupVar[g] = 1 + rng.Float64()
 			}
 			check(fmt.Sprintf("%s d=%d", s.Name(), d), w, plan, z, groupVar)
-		}
-	}
-}
-
-// TestAnswerBlocksGrainBitIdentity: the sharded answer pass fills the same
-// bits at every worker count, at work sizes x.Len()+z.Len() around the
-// grain and with more shards than workers.
-func TestAnswerBlocksGrainBitIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	w := marginal.AllKWay(6, 1)
-	for _, work := range grainSizes {
-		x := randomBlocked(rng, 1000, 2)
-		plan := chunkPlan(w)
-		for _, shards := range []int{2, 5, 16} {
-			want := vector.New(work-x.Len(), shards)
-			if err := answerBlocks(context.Background(), plan, x, want, 1); err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range grainWorkers {
-				got := vector.New(want.Len(), shards)
-				if err := answerBlocks(context.Background(), plan, x, got, workers); err != nil {
-					t.Fatal(err)
-				}
-				sameBits(t, fmt.Sprintf("work=%d shards=%d workers=%d", work, shards, workers),
-					got.Dense(), want.Dense())
-			}
 		}
 	}
 }
@@ -286,13 +254,13 @@ func BenchmarkStageGrain(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		z := randomBlocked(rng, plan.Rows(), 1)
+		z := randomAnswers(rng, plan.Rows())
 		groupVar := make([]float64, len(plan.Specs))
 		for g := range groupVar {
 			groupVar[g] = 1
 		}
 		for _, workers := range counts {
-			b.Run(fmt.Sprintf("recover/%s,d=16,k=2,work=%d/workers=%d", s.Name(), z.Len()+w.TotalCells(), workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("recover/%s,d=16,k=2,work=%d/workers=%d", s.Name(), len(z)+w.TotalCells(), workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, _, err := (Recoverer{}).Recover(context.Background(), w, plan, z, groupVar, workers); err != nil {

@@ -37,8 +37,8 @@ func sameAnswers(t *testing.T, what string, got, want *Release) {
 }
 
 // TestAnswerMemoBitIdentical: a release served from the answer memo is bit
-// for bit the memo-free release, for every strategy at workers {1, 2} ×
-// shards {1, auto, 3}. Each case first measures a different frozen vector
+// for bit the memo-free release, for every strategy at workers {1, 2}.
+// Each case first measures a different frozen vector
 // under the same plan, so a memo that ignored the input identity would
 // hand the second vector the first one's answers.
 func TestAnswerMemoBitIdentical(t *testing.T) {
@@ -51,46 +51,43 @@ func TestAnswerMemoBitIdentical(t *testing.T) {
 	}
 	for _, s := range strategies {
 		for _, workers := range []int{1, 2} {
-			for _, shards := range []int{1, 0, 3} {
-				cache := NewPlanCache(0)
-				memo := New(Options{Workers: workers, Shards: shards, Cache: cache})
-				fresh := New(Options{Workers: workers, Shards: shards})
-				cfg := Config{
-					Strategy: s, Budgeting: OptimalBudget, Consistency: WeightedL2Consistency,
-					Privacy: pureParams(0.7),
-				}
-				frozenX := frozenCopy(x)
-				if _, err := memo.RunVector(t.Context(), w, frozenCopy(xOther), cfg); err != nil {
-					t.Fatal(err)
-				}
-				for _, seed := range []int64{5, 6} {
-					cfg.Seed = seed
-					cfg.Privacy = pureParams(0.5 + float64(seed))
-					got, err := memo.RunVector(t.Context(), w, frozenX, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := run(fresh, w, x, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameAnswers(t, s.Name(), got, want)
-				}
-				plan, err := Planner{Cache: cache}.Plan(t.Context(), w, cfg)
+			cache := NewPlanCache(0)
+			memo := New(Options{Workers: workers, Cache: cache})
+			fresh := New(Options{Workers: workers})
+			cfg := Config{
+				Strategy: s, Budgeting: OptimalBudget, Consistency: WeightedL2Consistency,
+				Privacy: pureParams(0.7),
+			}
+			frozenX := frozenCopy(x)
+			if _, err := memo.RunVector(t.Context(), w, frozenCopy(xOther), cfg); err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []int64{5, 6} {
+				cfg.Seed = seed
+				cfg.Privacy = pureParams(0.5 + float64(seed))
+				got, err := memo.RunVector(t.Context(), w, frozenX, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				memoised := plan.Rows() < len(x) &&
-					(Options{Shards: shards}.shardsFor(plan.Rows(), workers) == 1 || plan.AnswerBlock == nil)
-				st := cache.Stats()
-				switch {
-				case memoised && (st.AnswerHits != 1 || st.AnswerMisses != 2):
-					t.Errorf("%s workers=%d shards=%d: answer hits/misses %d/%d, want 1/2",
-						s.Name(), workers, shards, st.AnswerHits, st.AnswerMisses)
-				case !memoised && st.AnswerHits+st.AnswerMisses != 0:
-					t.Errorf("%s workers=%d shards=%d: unmemoisable plan consulted the memo (%d/%d)",
-						s.Name(), workers, shards, st.AnswerHits, st.AnswerMisses)
+				want, err := run(fresh, w, x, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
+				sameAnswers(t, s.Name(), got, want)
+			}
+			plan, err := Planner{Cache: cache}.Plan(t.Context(), w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			memoised := plan.Rows() < len(x)
+			st := cache.Stats()
+			switch {
+			case memoised && (st.AnswerHits != 1 || st.AnswerMisses != 2):
+				t.Errorf("%s workers=%d: answer hits/misses %d/%d, want 1/2",
+					s.Name(), workers, st.AnswerHits, st.AnswerMisses)
+			case !memoised && st.AnswerHits+st.AnswerMisses != 0:
+				t.Errorf("%s workers=%d: unmemoisable plan consulted the memo (%d/%d)",
+					s.Name(), workers, st.AnswerHits, st.AnswerMisses)
 			}
 		}
 	}
@@ -346,13 +343,13 @@ func BenchmarkMeasureMemo(b *testing.B) {
 			{"miss", Measurer{}},
 		} {
 			b.Run(bc.name+"/"+mc.name, func(b *testing.B) {
-				if _, err := mc.m.Measure(b.Context(), plan, x, alloc.Eta, cfg, workers, 1); err != nil {
+				if _, err := mc.m.Measure(b.Context(), plan, x, alloc.Eta, cfg, workers); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := mc.m.Measure(b.Context(), plan, x, alloc.Eta, cfg, workers, 1); err != nil {
+					if _, err := mc.m.Measure(b.Context(), plan, x, alloc.Eta, cfg, workers); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -22,10 +22,10 @@ func tracedDomain(t *testing.T, d int) (*marginal.Workload, *vector.Blocked) {
 	return marginal.AllKWay(d, 2), x
 }
 
-// TestRunVectorTraced drives a sharded release with a detail trace and
-// checks the span tree: one span per pipeline stage in order, fan-out
-// annotations on measure, per-block and perturb detail sub-spans, and
-// stage durations observed into the registry's stage histogram.
+// TestRunVectorTraced drives a release over a blocked input with a detail
+// trace and checks the span tree: one span per pipeline stage in order, the
+// worker annotation and the perturb detail sub-span on measure, and stage
+// durations observed into the registry's stage histogram.
 func TestRunVectorTraced(t *testing.T) {
 	w, x := tracedDomain(t, 6)
 	reg := telemetry.NewRegistry()
@@ -35,7 +35,7 @@ func TestRunVectorTraced(t *testing.T) {
 		Strategy: strategy.Workload{}, Budgeting: OptimalBudget,
 		Consistency: WeightedL2Consistency, Privacy: pureParams(0.9), Seed: 7,
 	}
-	if _, err := New(Options{Workers: 2, Shards: 3}).RunVector(ctx, w, x, cfg); err != nil {
+	if _, err := New(Options{Workers: 2}).RunVector(ctx, w, x, cfg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,23 +65,11 @@ func TestRunVectorTraced(t *testing.T) {
 	}
 
 	measure := tree.Spans[2]
-	if measure.Attrs["shards"] != "3" || measure.Attrs["workers"] != "2" {
-		t.Errorf("measure attrs = %v, want shards=3 workers=2", measure.Attrs)
+	if measure.Attrs["workers"] != "2" {
+		t.Errorf("measure attrs = %v, want workers=2", measure.Attrs)
 	}
-	var blocks, perturbs int
-	for _, c := range measure.Spans {
-		switch c.Name {
-		case "measure.block":
-			blocks++
-		case "perturb":
-			perturbs++
-		}
-	}
-	if blocks == 0 {
-		t.Errorf("measure span has no measure.block sub-spans: %v", names(measure.Spans))
-	}
-	if perturbs != 1 {
-		t.Errorf("measure span has %d perturb sub-spans, want 1", perturbs)
+	if got := names(measure.Spans); len(got) != 1 || got[0] != "perturb" {
+		t.Errorf("measure sub-spans = %v, want one perturb", got)
 	}
 	if len(tree.Spans[3].Spans) == 0 {
 		t.Errorf("recover span has no sub-spans, want recover.serial or recover.marginal")
@@ -99,7 +87,7 @@ func TestRunVectorTracedNoDetail(t *testing.T) {
 		Strategy: strategy.Workload{}, Budgeting: OptimalBudget,
 		Consistency: NoConsistency, Privacy: pureParams(0.9), Seed: 7,
 	}
-	if _, err := New(Options{Workers: 2, Shards: 3}).RunVector(ctx, w, x, cfg); err != nil {
+	if _, err := New(Options{Workers: 2}).RunVector(ctx, w, x, cfg); err != nil {
 		t.Fatal(err)
 	}
 	tree := tr.Tree()
@@ -115,17 +103,13 @@ func TestRunVectorTracedNoDetail(t *testing.T) {
 
 // TestInnerLoopInstrumentationZeroAlloc pins the instrumentation cost of
 // the hot inner loops when no trace rides the context: the exact call
-// shapes answerBlocks, Measurer.Measure and Recoverer.Recover emit per
-// block/marginal must allocate nothing, so an un-traced release pays
-// zero for the telemetry hooks.
+// shapes Measurer.Measure and Recoverer.Recover emit per release and per
+// marginal must allocate nothing, so an un-traced release pays zero for
+// the telemetry hooks.
 func TestInnerLoopInstrumentationZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(200, func() {
 		sp := telemetry.SpanFrom(ctx)
-		bsp := sp.StartDetail("measure.block")
-		bsp.AnnotateInt("lo", 0)
-		bsp.AnnotateInt("rows", 1<<16)
-		bsp.End()
 		msp := sp.StartDetail("recover.marginal")
 		msp.AnnotateInt("marginal", 3)
 		msp.End()
@@ -135,37 +119,6 @@ func TestInnerLoopInstrumentationZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-trace inner-loop instrumentation allocates %.0f/op, want 0", allocs)
-	}
-}
-
-// TestAnswerBlocksAllocsPinned pins the serial measure inner loop's
-// total allocation with no trace installed: the schedule bookkeeping
-// only, independent of block count — the telemetry hooks must not add
-// per-block garbage on the un-traced path.
-func TestAnswerBlocksAllocsPinned(t *testing.T) {
-	w, x := tracedDomain(t, 8)
-	plan, err := Planner{}.Plan(context.Background(), w, Config{Strategy: strategy.Workload{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.AnswerBlock == nil {
-		t.Fatal("workload plan has no AnswerBlock")
-	}
-	ctx := context.Background()
-	perRun := func(blocks int) float64 {
-		z := vector.New(plan.Rows(), blocks)
-		return testing.AllocsPerRun(10, func() {
-			if err := answerBlocks(ctx, plan, x, z, 1); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	// The plan's AnswerBlock closure costs one scratch alloc per block
-	// before any telemetry existed; a live detail span would add several
-	// more per block. Pin the per-block slope at that baseline of 1.
-	lo, hi := perRun(2), perRun(32)
-	if slope := (hi - lo) / 30; slope > 1 {
-		t.Fatalf("serial answerBlocks allocates %.2f/block (%v@2 -> %v@32 blocks), want <= 1: per-block scratch or telemetry crept into the loop", slope, lo, hi)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -377,18 +376,4 @@ func IntroExample() (uniform, nonUniform, gls float64, err error) {
 		return 0, 0, 0, err
 	}
 	return uni.Objective, opt.Objective, recovery.TotalVariance(r, variances, nil), nil
-}
-
-// SortPoints orders points by workload, method, epsilon for deterministic
-// CSV output.
-func SortPoints(points []Point) {
-	sort.Slice(points, func(i, j int) bool {
-		if points[i].Workload != points[j].Workload {
-			return points[i].Workload < points[j].Workload
-		}
-		if points[i].Method != points[j].Method {
-			return points[i].Method < points[j].Method
-		}
-		return points[i].Epsilon < points[j].Epsilon
-	})
 }

@@ -195,22 +195,6 @@ func TestCSVWriters(t *testing.T) {
 	}
 }
 
-func TestSortPoints(t *testing.T) {
-	pts := []Point{
-		{Workload: "Q2", Method: "F", Epsilon: 0.5},
-		{Workload: "Q1", Method: "Q", Epsilon: 1.0},
-		{Workload: "Q1", Method: "Q", Epsilon: 0.1},
-		{Workload: "Q1", Method: "F", Epsilon: 0.3},
-	}
-	SortPoints(pts)
-	if pts[0].Workload != "Q1" || pts[0].Method != "F" {
-		t.Fatalf("sort wrong: %+v", pts[0])
-	}
-	if pts[1].Epsilon != 0.1 || pts[2].Epsilon != 1.0 {
-		t.Fatalf("sort wrong: %+v", pts)
-	}
-}
-
 // TestApproxDPResultsSimilar checks the paper's omitted-results claim: under
 // (ε,δ)-DP with Gaussian noise, the method ordering of Figures 4/5 holds —
 // non-uniform beats uniform per strategy and errors decrease with ε.

@@ -1,7 +1,8 @@
 // Package noise implements the random perturbation primitives of the paper:
-// Laplace and Gaussian samplers, the classic Laplace mechanism (Theorem 2.1)
-// and Gaussian mechanism (Theorem 2.2), matrix sensitivity, and the
-// per-row non-uniform noise of Proposition 3.1.
+// Laplace and Gaussian samplers, and the per-row non-uniform noise of
+// Proposition 3.1 (Params.RowNoise), which with a single row budget is the
+// classic Laplace mechanism (Theorem 2.1) or Gaussian mechanism
+// (Theorem 2.2).
 //
 // All randomness flows through a seedable Source so experiments are
 // reproducible; nothing in this package reads global state.
@@ -95,16 +96,6 @@ func (s *splitMix64) Seed(seed int64) { s.state = substreamState(seed, 0) }
 // direct math/rand call here never changes released values.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
-// Uniform returns a uniform draw in (0,1), never exactly 0.
-func (s *Source) Uniform() float64 {
-	for {
-		u := s.rng.Float64()
-		if u > 0 {
-			return u
-		}
-	}
-}
-
 // Laplace draws from the zero-mean Laplace distribution with scale b
 // (variance 2b²), via inverse-CDF sampling.
 func (s *Source) Laplace(b float64) float64 {
@@ -128,24 +119,6 @@ func (s *Source) Gaussian(sigma float64) float64 {
 		panic("noise: negative Gaussian sigma")
 	}
 	return s.rng.NormFloat64() * sigma
-}
-
-// LaplaceVec fills a fresh length-n vector with iid Laplace(b) draws.
-func (s *Source) LaplaceVec(n int, b float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Laplace(b)
-	}
-	return out
-}
-
-// GaussianVec fills a fresh length-n vector with iid N(0,σ²) draws.
-func (s *Source) GaussianVec(n int, sigma float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Gaussian(sigma)
-	}
-	return out
 }
 
 // NeighborModel selects the definition of neighbouring databases that the
@@ -246,111 +219,4 @@ func (p Params) RowNoise(s *Source, epsI float64) float64 {
 	default:
 		return s.Laplace(1 / epsI)
 	}
-}
-
-// L1Sensitivity returns Δ1 = κ·max_j Σ_i |m_ij| for the linear map given by
-// the rows of m.
-func L1Sensitivity(rows [][]float64, model NeighborModel) float64 {
-	max := 0.0
-	if len(rows) == 0 {
-		return 0
-	}
-	for j := range rows[0] {
-		s := 0.0
-		for i := range rows {
-			s += math.Abs(rows[i][j])
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return model.Factor() * max
-}
-
-// L2Sensitivity returns Δ2 = κ·max_j √(Σ_i m_ij²).
-func L2Sensitivity(rows [][]float64, model NeighborModel) float64 {
-	max := 0.0
-	if len(rows) == 0 {
-		return 0
-	}
-	for j := range rows[0] {
-		s := 0.0
-		for i := range rows {
-			s += rows[i][j] * rows[i][j]
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return model.Factor() * math.Sqrt(max)
-}
-
-// LaplaceMechanism perturbs each answer with Laplace(Δ1/ε) noise
-// (Theorem 2.1). The input slice is not modified.
-func LaplaceMechanism(s *Source, answers []float64, l1Sens, epsilon float64) []float64 {
-	if epsilon <= 0 {
-		panic("noise: epsilon must be positive")
-	}
-	scale := l1Sens / epsilon
-	out := make([]float64, len(answers))
-	for i, a := range answers {
-		out[i] = a + s.Laplace(scale)
-	}
-	return out
-}
-
-// GaussianMechanism perturbs each answer with N(0, 2·Δ2²·ln(2/δ)/ε²) noise
-// (Theorem 2.2). The input slice is not modified.
-func GaussianMechanism(s *Source, answers []float64, l2Sens, epsilon, delta float64) []float64 {
-	if epsilon <= 0 || delta <= 0 || delta >= 1 {
-		panic("noise: invalid (epsilon, delta)")
-	}
-	sigma := l2Sens * math.Sqrt(2*math.Log(2/delta)) / epsilon
-	out := make([]float64, len(answers))
-	for i, a := range answers {
-		out[i] = a + s.Gaussian(sigma)
-	}
-	return out
-}
-
-// Geometric draws from the two-sided geometric (discrete Laplace)
-// distribution with parameter α = exp(−ε/Δ): P[k] ∝ α^{|k|}. It is the
-// integral analogue of the Laplace mechanism — adding it to integer counts
-// yields ε-DP integer outputs directly, the integrality requirement the
-// paper's concluding remarks discuss.
-func (s *Source) Geometric(epsOverSens float64) int64 {
-	if epsOverSens <= 0 {
-		panic("noise: Geometric needs positive epsilon/sensitivity")
-	}
-	alpha := math.Exp(-epsOverSens)
-	// Inverse CDF on the two-sided distribution: draw u in (0,1), map the
-	// positive half; sign symmetric.
-	u := s.Uniform()
-	if u < (1-alpha)/(1+alpha) {
-		return 0
-	}
-	// Remaining mass splits evenly over k ≥ 1 and k ≤ −1.
-	v := s.Uniform()
-	k := int64(1 + math.Floor(math.Log(v)/math.Log(alpha)))
-	if k < 1 {
-		k = 1
-	}
-	if s.rng.Intn(2) == 0 {
-		return k
-	}
-	return -k
-}
-
-// GeometricMechanism perturbs integer answers with two-sided geometric
-// noise calibrated to L1 sensitivity, guaranteeing ε-DP with integral
-// outputs.
-func GeometricMechanism(s *Source, answers []int64, l1Sens float64, epsilon float64) []int64 {
-	if epsilon <= 0 || l1Sens <= 0 {
-		panic("noise: invalid geometric mechanism parameters")
-	}
-	out := make([]int64, len(answers))
-	for i, a := range answers {
-		out[i] = a + s.Geometric(epsilon/l1Sens)
-	}
-	return out
 }

@@ -8,36 +8,6 @@ import (
 	"testing"
 )
 
-// TestShardsFieldBitIdentical: the per-request shards knob (and the server
-// clamp) never changes a released byte.
-func TestShardsFieldBitIdentical(t *testing.T) {
-	s := newTestServer(t, Config{EpsilonCap: 100, DeltaCap: 1e-3, MaxWorkers: 4, MaxShards: 4})
-	ref := post(t, s, "/v1/release", testBody(nil))
-	if ref.Code != http.StatusOK {
-		t.Fatalf("baseline: %d %s", ref.Code, ref.Body.String())
-	}
-	for _, shards := range []int{1, 3, 64 /* clamped to 4 */} {
-		rec := post(t, s, "/v1/release", testBody(map[string]any{"shards": shards}))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("shards=%d: %d %s", shards, rec.Code, rec.Body.String())
-		}
-		var a, b map[string]json.RawMessage
-		if err := json.Unmarshal(ref.Body.Bytes(), &a); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &b); err != nil {
-			t.Fatal(err)
-		}
-		delete(a, "budget")
-		delete(b, "budget")
-		for k := range a {
-			if string(a[k]) != string(b[k]) {
-				t.Fatalf("shards=%d: field %q differs", shards, k)
-			}
-		}
-	}
-}
-
 // TestDatasetAppendMode: PUT ?mode=append sums a delta stream into the
 // resident dataset; releases afterwards match a single combined upload
 // byte for byte, and bad modes or mismatched schemas are 400s.

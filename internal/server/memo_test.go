@@ -66,8 +66,8 @@ func planCacheMetrics(t *testing.T, s *Server) planCacheJSON {
 
 // TestAnswerMemoServerBitIdentical: a dataset release whose exact answers
 // come from the memo is byte-identical to the same request on a fresh
-// server, for every strategy, the cube and synthetic data, at workers
-// {1, 2} × shards {1, auto}. Each server first releases over a second
+// server, for every strategy, the cube and synthetic data, at a server
+// worker bound of 1 and 2. Each server first releases over a second
 // dataset with the same plans, so a memo that ignored the input identity
 // would answer from the wrong snapshot.
 func TestAnswerMemoServerBitIdentical(t *testing.T) {
@@ -84,36 +84,33 @@ func TestAnswerMemoServerBitIdentical(t *testing.T) {
 		endpoint{"/v1/synthetic", map[string]any{"synthetic_seed": int64(3)}})
 	for _, ep := range eps {
 		for _, workers := range []int{1, 2} {
-			for _, shards := range []int{1, 0} {
-				what := fmt.Sprintf("%s %v workers=%d shards=%d", ep.path, ep.overrides, workers, shards)
-				body := func(id string, seed int64) map[string]any {
-					b := datasetBody(id, ep.overrides)
-					b["seed"], b["workers"] = seed, workers
-					if shards > 0 {
-						b["shards"] = shards
-					}
-					return b
+			what := fmt.Sprintf("%s %v workers=%d", ep.path, ep.overrides, workers)
+			body := func(id string, seed int64) map[string]any {
+				b := datasetBody(id, ep.overrides)
+				b["seed"] = seed
+				return b
+			}
+			cfg := testConfig()
+			cfg.MaxWorkers = workers
+			memo := newTestServer(t, cfg)
+			fresh := newTestServer(t, cfg)
+			for _, s := range []*Server{memo, fresh} {
+				if rec := putDataset(t, s, "people", testNDJSON(t)); rec.Code != http.StatusCreated {
+					t.Fatalf("PUT: %d %s", rec.Code, rec.Body.String())
 				}
-				memo := newTestServer(t, testConfig())
-				fresh := newTestServer(t, testConfig())
-				for _, s := range []*Server{memo, fresh} {
-					if rec := putDataset(t, s, "people", testNDJSON(t)); rec.Code != http.StatusCreated {
-						t.Fatalf("PUT: %d %s", rec.Code, rec.Body.String())
-					}
-				}
-				if rec := putDataset(t, memo, "other", otherNDJSON(t)); rec.Code != http.StatusCreated {
-					t.Fatalf("PUT other: %d %s", rec.Code, rec.Body.String())
-				}
-				withoutBudget(t, post(t, memo, ep.path, body("other", 1)))
-				for _, seed := range []int64{2, 3} {
-					got := withoutBudget(t, post(t, memo, ep.path, body("people", seed)))
-					want := withoutBudget(t, post(t, fresh, ep.path, body("people", seed)))
-					sameResponse(t, what, got, want)
-				}
-				if ep.overrides["strategy"] != "identity" {
-					if pc := planCacheMetrics(t, memo); pc.AnswerHits != 1 || pc.AnswerMisses != 2 {
-						t.Errorf("%s: answer hits/misses %d/%d, want 1/2", what, pc.AnswerHits, pc.AnswerMisses)
-					}
+			}
+			if rec := putDataset(t, memo, "other", otherNDJSON(t)); rec.Code != http.StatusCreated {
+				t.Fatalf("PUT other: %d %s", rec.Code, rec.Body.String())
+			}
+			withoutBudget(t, post(t, memo, ep.path, body("other", 1)))
+			for _, seed := range []int64{2, 3} {
+				got := withoutBudget(t, post(t, memo, ep.path, body("people", seed)))
+				want := withoutBudget(t, post(t, fresh, ep.path, body("people", seed)))
+				sameResponse(t, what, got, want)
+			}
+			if ep.overrides["strategy"] != "identity" {
+				if pc := planCacheMetrics(t, memo); pc.AnswerHits != 1 || pc.AnswerMisses != 2 {
+					t.Errorf("%s: answer hits/misses %d/%d, want 1/2", what, pc.AnswerHits, pc.AnswerMisses)
 				}
 			}
 		}

@@ -105,15 +105,6 @@ func TestResultCacheKeySensitivity(t *testing.T) {
 			t.Fatalf("%s: expected a cache miss (stats %+v -> %+v)", name, before, after)
 		}
 	}
-	// Workers must NOT fragment the cache: the engine is bit-identical at
-	// every worker count.
-	before := s.results.Stats()
-	if rec := post(t, s, "/v1/release", datasetBody("d1", map[string]any{"workers": 2})); rec.Code != http.StatusOK {
-		t.Fatalf("workers: %d", rec.Code)
-	}
-	if after := s.results.Stats(); after.Hits != before.Hits+1 {
-		t.Fatalf("workers variant missed the cache (stats %+v -> %+v)", before, after)
-	}
 }
 
 // TestResultCacheInvalidation: replace, append and delete each drop the

@@ -197,12 +197,9 @@ type Config struct {
 	// pure-DP requests).
 	EpsilonCap float64
 	DeltaCap   float64
-	// MaxWorkers bounds per-request engine parallelism; a request asking
-	// for more is clamped. 0 means all CPUs.
+	// MaxWorkers bounds every release's engine parallelism. 0 means all
+	// CPUs. Releases are bit-identical at every setting.
 	MaxWorkers int
-	// MaxShards bounds per-request measure-stage sharding; a request asking
-	// for more is clamped. 0 leaves the engine's auto-sharding in charge.
-	MaxShards int
 	// CacheSize bounds the shared plan cache (0 = default).
 	CacheSize int
 	// ResultCacheSize bounds the release-result cache: rendered responses
@@ -730,13 +727,7 @@ type releaseRequest struct {
 	Strategy        string `json:"strategy,omitempty"` // fourier|workload|identity|cluster
 	UniformBudget   bool   `json:"uniform_budget,omitempty"`
 	SkipConsistency bool   `json:"skip_consistency,omitempty"`
-	Workers         int    `json:"workers,omitempty"`
-	Shards          int    `json:"shards,omitempty"`
 	Label           string `json:"label,omitempty"`
-	// Partition names the disjoint population slice this release touches,
-	// for parallel composition in the ledger; empty means the whole
-	// population.
-	Partition string `json:"partition,omitempty"`
 
 	// SyntheticSeed seeds tuple sampling on /v1/synthetic.
 	SyntheticSeed int64 `json:"synthetic_seed,omitempty"`
@@ -1222,8 +1213,7 @@ func (s *Server) renderCube(r *http.Request, c *releaseCall) ([]byte, error) {
 		Strategy:      c.kind,
 		UniformBudget: req.UniformBudget,
 		Seed:          req.Seed,
-		Workers:       s.workers(req.Workers),
-		Shards:        s.shards(req.Shards),
+		Workers:       s.cfg.MaxWorkers,
 		Cache:         s.cache,
 	})
 	if err != nil {
@@ -1755,8 +1745,6 @@ func (s *Server) resultKey(kind string, c *releaseCall) string {
 	b.WriteString(strconv.FormatUint(math.Float64bits(req.Delta), 16))
 	b.WriteByte(',')
 	b.WriteString(strconv.FormatInt(req.Seed, 10))
-	b.WriteString(",s")
-	b.WriteString(strconv.Itoa(s.shards(req.Shards)))
 	switch kind {
 	case "synthetic":
 		b.WriteString(",ss")
@@ -1859,45 +1847,15 @@ func (s *Server) release(r *http.Request, c *releaseCall) (*repro.Result, error)
 	return c.rel.ReleaseBlocked(r.Context(), c.x, s.spec(&c.req))
 }
 
-// spec maps the request's per-call parameters, clamping workers and shards
-// to the server bounds.
+// spec maps the request's per-call parameters. The engine's worker bound
+// is the server's (the Releaser carries MaxWorkers), never the caller's.
 func (s *Server) spec(req *releaseRequest) repro.ReleaseSpec {
 	return repro.ReleaseSpec{
 		Epsilon: req.Epsilon,
 		Delta:   req.Delta,
 		Seed:    req.Seed,
-		Workers: s.workers(req.Workers),
-		Shards:  s.shards(req.Shards),
 		Label:   req.Label,
 	}
-}
-
-// workers clamps a requested per-request worker count to the server bound.
-// An absent request value adopts the bound itself: 0 would mean "all CPUs"
-// downstream, which is exactly what MaxWorkers exists to cap.
-func (s *Server) workers(requested int) int {
-	max := s.cfg.MaxWorkers
-	if requested <= 0 {
-		return max
-	}
-	if max > 0 && requested > max {
-		return max
-	}
-	return requested
-}
-
-// shards caps a requested per-request shard count at the server bound.
-// Unlike workers, an absent value stays 0 — the engine's auto-sharding —
-// because MaxShards guards against fragmentation, and forcing every
-// request to the cap would itself fragment small releases.
-func (s *Server) shards(requested int) int {
-	if requested <= 0 {
-		return 0
-	}
-	if max := s.cfg.MaxShards; max > 0 && requested > max {
-		return max
-	}
-	return requested
 }
 
 // charge is the single admission point of every release-shaped endpoint:
@@ -1921,11 +1879,12 @@ func (s *Server) charge(r *http.Request, rel *repro.Releaser, req *releaseReques
 	if label == "" {
 		label = fmt.Sprintf("%s-%d", defaultLabel, s.relSeq.Add(1))
 	}
+	// No Partition: the daemon cannot restrict a release to a slice of
+	// the data, so every charge it books is whole-population.
 	c := repro.BudgetCharge{
-		Label:     label,
-		Epsilon:   req.Epsilon,
-		Delta:     req.Delta,
-		Partition: req.Partition,
+		Label:   label,
+		Epsilon: req.Epsilon,
+		Delta:   req.Delta,
 	}
 	if rel != nil && req.Delta > 0 {
 		// Best-effort: a planning failure leaves σ = 0 (conservative

@@ -17,7 +17,7 @@ import (
 // the same bytes as the same counts sent inline, which the server holds
 // dense.
 func TestSparseDatasetMatchesInlineCounts(t *testing.T) {
-	s := newTestServer(t, Config{EpsilonCap: 1e9, DeltaCap: 0.5, MaxWorkers: 2, MaxShards: 3})
+	s := newTestServer(t, Config{EpsilonCap: 1e9, DeltaCap: 0.5, MaxWorkers: 2})
 	schema := []map[string]any{
 		{"name": "a", "cardinality": 5},
 		{"name": "b", "cardinality": 3},
@@ -58,11 +58,11 @@ func TestSparseDatasetMatchesInlineCounts(t *testing.T) {
 		overrides map[string]any
 	}{
 		{"/v1/release", map[string]any{"strategy": "fourier"}},
-		{"/v1/release", map[string]any{"strategy": "workload", "shards": 3}},
+		{"/v1/release", map[string]any{"strategy": "workload"}},
 		{"/v1/release", map[string]any{"strategy": "cluster", "uniform_budget": true}},
-		{"/v1/release", map[string]any{"strategy": "identity", "workers": 2}},
+		{"/v1/release", map[string]any{"strategy": "identity"}},
 		{"/v1/cube", map[string]any{"max_order": 2}},
-		{"/v1/cube", map[string]any{"max_order": 2, "strategy": "cluster", "shards": 3}},
+		{"/v1/cube", map[string]any{"max_order": 2, "strategy": "cluster"}},
 		{"/v1/synthetic", map[string]any{"synthetic_seed": int64(3)}},
 	} {
 		body := func() map[string]any {

@@ -115,11 +115,11 @@ func TestPlanPersistenceRoundTrip(t *testing.T) {
 	for i := range gv {
 		gv[i] = 1
 	}
-	ansA, _, err := livePlan.RecoverDense(za, gv)
+	ansA, _, err := livePlan.Recover(za, gv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ansB, _, err := restored.RecoverDense(zb, gv)
+	ansB, _, err := restored.Recover(zb, gv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -343,14 +343,14 @@ func (c Cluster) planFrom(w *marginal.Workload, cl *clustering, queryWeights []f
 		}
 	}
 	matOffsets := matWorkload.Offsets()
-	rm := func(qi int, z *vector.Blocked, groupVar []float64) ([]float64, float64, error) {
-		if z.Len() != matWorkload.TotalCells() || len(groupVar) != len(cl.materials) {
-			return nil, 0, fmt.Errorf("strategy: cluster recover got %d answers, %d variances", z.Len(), len(groupVar))
+	rm := func(qi int, z []float64, groupVar []float64) ([]float64, float64, error) {
+		if len(z) != matWorkload.TotalCells() || len(groupVar) != len(cl.materials) {
+			return nil, 0, fmt.Errorf("strategy: cluster recover got %d answers, %d variances", len(z), len(groupVar))
 		}
 		m := w.Marginals[qi]
 		ci := cl.assign[qi]
 		mu := cl.materials[ci]
-		block := z.Extract(matOffsets[ci], matOffsets[ci]+(1<<uint(mu.Count())))
+		block := z[matOffsets[ci] : matOffsets[ci]+(1<<uint(mu.Count()))]
 		out := make([]float64, m.Cells())
 		mu.VisitSubsets(func(cell bits.Mask) {
 			out[bits.CellIndex(m.Alpha, cell&m.Alpha)] += block[bits.CellIndex(mu, cell)]
@@ -373,9 +373,6 @@ func (c Cluster) planFrom(w *marginal.Workload, cl *clustering, queryWeights []f
 				panic(fmt.Sprintf("strategy: cluster expects %d cells, got %d", 1<<uint(w.D), x.Len()))
 			}
 			return matWorkload.EvalSinglePassVector(x)
-		},
-		AnswerBlock: func(x *vector.Blocked, lo, hi int, out []float64) {
-			matWorkload.EvalRangeVector(x, lo, hi, out)
 		},
 		Recover:         recoverFromMarginals(w, rm),
 		RecoverMarginal: rm,

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bits"
 	"repro/internal/marginal"
 	"repro/internal/transform"
-	"repro/internal/vector"
 )
 
 // mapFourierRowWeights is the map-keyed Fourier recovery weight the dense
@@ -33,7 +32,7 @@ func mapFourierRowWeights(w *marginal.Workload, a []float64) []float64 {
 // i, kept as a reference: a per-marginal coefficient map filled by hashing
 // β, Theorem 4.1 evaluated from the map (zero, place at bits.CellIndex,
 // transform, scale).
-func mapFourierRecoverMarginal(w *marginal.Workload, i int, z *vector.Blocked, groupVar []float64) ([]float64, float64) {
+func mapFourierRecoverMarginal(w *marginal.Workload, i int, z []float64, groupVar []float64) ([]float64, float64) {
 	support := bits.UnionClosure(w.Masks())
 	colOf := make(map[bits.Mask]int, len(support))
 	for c, b := range support {
@@ -44,7 +43,7 @@ func mapFourierRecoverMarginal(w *marginal.Workload, i int, z *vector.Blocked, g
 	coeff := make(map[bits.Mask]float64, m.Cells())
 	sum := 0.0
 	m.Alpha.VisitSubsets(func(beta bits.Mask) {
-		coeff[beta] = z.At(colOf[beta])
+		coeff[beta] = z[colOf[beta]]
 		sum += groupVar[colOf[beta]]
 	})
 	out := make([]float64, m.Cells())
@@ -97,13 +96,12 @@ func TestFourierMatchesMapOracle(t *testing.T) {
 					t.Fatalf("trial %d: row weight %d = %v, oracle %v", trial, c, spec.RowWeight, want[c])
 				}
 			}
-			zd := make([]float64, plan.Rows())
+			z := make([]float64, plan.Rows())
 			groupVar := make([]float64, plan.Rows())
-			for c := range zd {
-				zd[c] = rng.NormFloat64() * 50
+			for c := range z {
+				z[c] = rng.NormFloat64() * 50
 				groupVar[c] = rng.Float64() * 10
 			}
-			z := vector.FromDense(zd)
 			answers, cellVar, err := plan.Recover(z, groupVar)
 			if err != nil {
 				t.Fatal(err)

@@ -18,11 +18,10 @@
 // groups are laid out group-major so the strategy answers can be addressed
 // per group without per-row bookkeeping.
 //
-// Plans speak vector.Blocked on both sides: the contingency vector arrives
-// sharded (a dataset-store aggregate, or a single-block view of a dense
-// slice) and the strategy answers leave sharded. Strategies that can slice
-// their answer rows expose AnswerBlock, the per-block contract the engine's
-// sharded measure stage fans out over its worker pool.
+// The contingency vector arrives as a vector.Blocked (a dataset-store
+// aggregate, or a single-block view of a dense slice). The strategy answers
+// z are one dense slice: TrueAnswers produces it, and Recover and
+// RecoverMarginal read it.
 package strategy
 
 import (
@@ -31,6 +30,7 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/marginal"
+	"repro/internal/par"
 	"repro/internal/transform"
 	"repro/internal/vector"
 )
@@ -42,23 +42,15 @@ type Plan struct {
 	// Specs describe the groups of S in row-major order: group g occupies
 	// rows [Σ_{h<g} Count_h, …).
 	Specs []budget.Spec
-	// TrueAnswers computes S·x from a (possibly sharded) contingency vector,
+	// TrueAnswers computes S·x from a (possibly blocked) contingency vector,
 	// laid out group-major. workers bounds any internal parallelism (0 = all
-	// CPUs, 1 = serial) and never changes a single bit of the output.
+	// CPUs, 1 = serial) and, like the blocking of x, never changes a single
+	// bit of the output.
 	TrueAnswers func(x *vector.Blocked, workers int) []float64
-	// AnswerBlock, when non-nil, computes strategy rows [lo, hi) of S·x into
-	// out (len hi−lo). Contract (relied on by the engine's sharded measure
-	// stage): tiling [0, Rows()) with AnswerBlock calls must be bit-identical
-	// to TrueAnswers — the same floating-point accumulation per row — so the
-	// release never depends on the shard count. Strategies whose answers
-	// cannot be sliced per row (the Fourier transform is global) leave this
-	// nil and parallelise inside TrueAnswers instead.
-	AnswerBlock func(x *vector.Blocked, lo, hi int, out []float64)
-	// Recover maps noisy strategy answers (group-major, possibly sharded,
-	// with per-group noise variances) to the concatenated workload answers
-	// and the per-marginal cell variance (constant within a marginal for
-	// every strategy here).
-	Recover func(z *vector.Blocked, groupVar []float64) (answers []float64, cellVar []float64, err error)
+	// Recover maps noisy strategy answers (group-major, with per-group noise
+	// variances) to the concatenated workload answers and the per-marginal
+	// cell variance (constant within a marginal for every strategy here).
+	Recover func(z []float64, groupVar []float64) (answers []float64, cellVar []float64, err error)
 	// RecoverMarginal, when non-nil, recovers workload marginal i alone:
 	// its cell block and per-cell variance. Contract (relied on by the
 	// engine's parallel recovery): concatenating RecoverMarginal(0..ℓ−1)
@@ -66,7 +58,7 @@ type Plan struct {
 	// the same per-cell order — so that the release does not depend on the
 	// worker count. Strategies with recovery that cannot be split per
 	// marginal leave this nil and recover serially.
-	RecoverMarginal func(i int, z *vector.Blocked, groupVar []float64) (cells []float64, cellVar float64, err error)
+	RecoverMarginal func(i int, z []float64, groupVar []float64) (cells []float64, cellVar float64, err error)
 	// Persist, when non-nil, is the serializable residue of the planning
 	// search (see PlanRecord): enough to rebuild this plan via RebuildPlan
 	// without re-running it. Strategies whose planning is cheap leave it
@@ -78,11 +70,6 @@ type Plan struct {
 // form for tests and small callers.
 func (p *Plan) Answers(x []float64) []float64 {
 	return p.TrueAnswers(vector.FromDense(x), 1)
-}
-
-// RecoverDense is Recover over a dense strategy-answer slice.
-func (p *Plan) RecoverDense(z []float64, groupVar []float64) ([]float64, []float64, error) {
-	return p.Recover(vector.FromDense(z), groupVar)
 }
 
 // Rows returns the total number of strategy rows.
@@ -108,8 +95,8 @@ func (p *Plan) GroupOffsets() []int {
 // recoverFromMarginals builds a Plan.Recover as the concatenation of a
 // per-marginal recovery function, making the engine's bit-identity contract
 // (Recover ≡ concat(RecoverMarginal)) hold by construction.
-func recoverFromMarginals(w *marginal.Workload, rm func(i int, z *vector.Blocked, groupVar []float64) ([]float64, float64, error)) func(z *vector.Blocked, groupVar []float64) ([]float64, []float64, error) {
-	return func(z *vector.Blocked, groupVar []float64) ([]float64, []float64, error) {
+func recoverFromMarginals(w *marginal.Workload, rm func(i int, z []float64, groupVar []float64) ([]float64, float64, error)) func(z []float64, groupVar []float64) ([]float64, []float64, error) {
+	return func(z []float64, groupVar []float64) ([]float64, []float64, error) {
 		answers := make([]float64, 0, w.TotalCells())
 		cellVar := make([]float64, len(w.Marginals))
 		for i := range w.Marginals {
@@ -124,10 +111,14 @@ func recoverFromMarginals(w *marginal.Workload, rm func(i int, z *vector.Blocked
 	}
 }
 
-// Strategy plans a workload.
+// Strategy plans a workload. PlanWeighted plans for the paper's general
+// objective aᵀ·Var(y) (Section 2): a[i] is the importance weight of
+// marginal i, scaling its contribution to the variance the Step-2 budgeting
+// minimises. Plan(w) is equivalent to PlanWeighted(w, nil) (a = 1).
 type Strategy interface {
 	Name() string
 	Plan(w *marginal.Workload) (*Plan, error)
+	PlanWeighted(w *marginal.Workload, a []float64) (*Plan, error)
 }
 
 // PlanKeyer is implemented by strategies whose plan depends on configuration
@@ -155,32 +146,28 @@ func (Identity) Plan(w *marginal.Workload) (*Plan, error) {
 	ell := float64(len(w.Marginals))
 	specs := []budget.Spec{{Count: n, RowWeight: ell, C: 1}}
 	// Each marginal cell sums 2^{d−k} independent noisy counts.
-	rm := func(i int, z *vector.Blocked, groupVar []float64) ([]float64, float64, error) {
-		if z.Len() != n || len(groupVar) != 1 {
-			return nil, 0, fmt.Errorf("strategy: identity recover got %d answers, %d variances", z.Len(), len(groupVar))
+	rm := func(i int, z []float64, groupVar []float64) ([]float64, float64, error) {
+		if len(z) != n || len(groupVar) != 1 {
+			return nil, 0, fmt.Errorf("strategy: identity recover got %d answers, %d variances", len(z), len(groupVar))
 		}
 		m := w.Marginals[i]
-		return m.EvalVector(z), float64(int64(1)<<uint(w.D-m.Order())) * groupVar[0], nil
+		return m.Eval(z), float64(int64(1)<<uint(w.D-m.Order())) * groupVar[0], nil
 	}
 	return &Plan{
 		Strategy: "I",
 		Specs:    specs,
-		TrueAnswers: func(x *vector.Blocked, _ int) []float64 {
+		// S = I: answer row r is cell r. The copy is the whole measure
+		// pass of a 2^d plan, so above the grain it splits into cell ranges
+		// across workers.
+		TrueAnswers: func(x *vector.Blocked, workers int) []float64 {
 			if x.Len() != n {
 				panic(fmt.Sprintf("strategy: identity expects %d cells, got %d", n, x.Len()))
 			}
 			out := make([]float64, n)
-			x.CopyTo(out)
+			par.For(n, par.Workers(n, workers), func(_, lo, hi int) {
+				x.CopyRange(out[lo:hi], lo)
+			})
 			return out
-		},
-		// S = I: answer row r is cell r, so a block of rows is a block of
-		// cells — the sharded measure stage copies (and perturbs) one block
-		// per worker without any full-length scratch.
-		AnswerBlock: func(x *vector.Blocked, lo, hi int, out []float64) {
-			if x.Len() != n {
-				panic(fmt.Sprintf("strategy: identity expects %d cells, got %d", n, x.Len()))
-			}
-			x.CopyRange(out, lo)
 		},
 		Recover:         recoverFromMarginals(w, rm),
 		RecoverMarginal: rm,
@@ -205,14 +192,11 @@ func (Workload) Plan(w *marginal.Workload) (*Plan, error) {
 		specs[i] = budget.Spec{Count: m.Cells(), RowWeight: 1, C: 1}
 	}
 	offsets := w.Offsets()
-	rm := func(i int, z *vector.Blocked, groupVar []float64) ([]float64, float64, error) {
-		if z.Len() != w.TotalCells() || len(groupVar) != len(w.Marginals) {
-			return nil, 0, fmt.Errorf("strategy: workload recover got %d answers, %d variances", z.Len(), len(groupVar))
+	rm := func(i int, z []float64, groupVar []float64) ([]float64, float64, error) {
+		if len(z) != w.TotalCells() || len(groupVar) != len(w.Marginals) {
+			return nil, 0, fmt.Errorf("strategy: workload recover got %d answers, %d variances", len(z), len(groupVar))
 		}
-		m := w.Marginals[i]
-		cells := make([]float64, m.Cells())
-		z.CopyRange(cells, offsets[i])
-		return cells, groupVar[i], nil
+		return append([]float64(nil), z[offsets[i]:offsets[i]+w.Marginals[i].Cells()]...), groupVar[i], nil
 	}
 	return &Plan{
 		Strategy: "Q",
@@ -222,9 +206,6 @@ func (Workload) Plan(w *marginal.Workload) (*Plan, error) {
 				panic(fmt.Sprintf("strategy: workload expects %d cells, got %d", 1<<uint(w.D), x.Len()))
 			}
 			return w.EvalSinglePassVector(x)
-		},
-		AnswerBlock: func(x *vector.Blocked, lo, hi int, out []float64) {
-			w.EvalRangeVector(x, lo, hi, out)
 		},
 		Recover:         recoverFromMarginals(w, rm),
 		RecoverMarginal: rm,
@@ -288,15 +269,15 @@ func planFourier(w *marginal.Workload, a []float64) *Plan {
 	// order, and the per-marginal cell variance is
 	// Var((Cα)_γ) = Σ_{β⪯α} (2^{d/2−k})²·Var(z_β) = 2^{d−2k}·Σ Var, summed
 	// in the same packed order.
-	rm := func(i int, z *vector.Blocked, groupVar []float64) ([]float64, float64, error) {
-		if z.Len() != len(support) || len(groupVar) != len(support) {
-			return nil, 0, fmt.Errorf("strategy: fourier recover got %d answers, %d variances", z.Len(), len(groupVar))
+	rm := func(i int, z []float64, groupVar []float64) ([]float64, float64, error) {
+		if len(z) != len(support) || len(groupVar) != len(support) {
+			return nil, 0, fmt.Errorf("strategy: fourier recover got %d answers, %d variances", len(z), len(groupVar))
 		}
 		m := w.Marginals[i]
 		cells := make([]float64, m.Cells())
 		sum := 0.0
 		for j, c := range cols[offsets[i] : offsets[i]+len(cells)] {
-			cells[j] = z.At(int(c))
+			cells[j] = z[c]
 			sum += groupVar[c]
 		}
 		transform.MarginalFromCoefficients(d, cells)
@@ -306,11 +287,10 @@ func planFourier(w *marginal.Workload, a []float64) *Plan {
 	return &Plan{
 		Strategy: "F",
 		Specs:    specs,
-		// The Walsh–Hadamard transform is global — answer rows cannot be
-		// sliced per block — so AnswerBlock stays nil and the sharding
-		// happens inside: the scratch copy of x is itself blocked (no
-		// contiguous 2^d slice) and the butterfly stages fan out over the
-		// worker pool, bit-identical to the serial transform.
+		// The Walsh–Hadamard transform is global, so the parallelism is
+		// inside it: the scratch copy of x is itself blocked (no contiguous
+		// 2^d slice) and the butterfly stages fan out over the worker pool,
+		// bit-identical to the serial transform.
 		//
 		// A sparse x skips the 2^d transform. By Theorem 4.1 every β ⪯ α
 		// is a coefficient of the marginal Cα x, so one unscaled 2^k

@@ -39,7 +39,7 @@ func noiselessRoundTrip(t *testing.T, s Strategy, w *marginal.Workload, x []floa
 	for i := range groupVar {
 		groupVar[i] = 1 // nominal; zero noise injected
 	}
-	answers, cellVar, err := plan.RecoverDense(z, groupVar)
+	answers, cellVar, err := plan.Recover(z, groupVar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestEndToEndVarianceMatchesAnalytic(t *testing.T) {
 				z[offsets[g]+r] += p.RowNoise(src, alloc.Eta[g])
 			}
 		}
-		answers, _, err := plan.RecoverDense(z, groupVar)
+		answers, _, err := plan.Recover(z, groupVar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestEndToEndVarianceMatchesAnalytic(t *testing.T) {
 			sumSq[i] += dd * dd
 		}
 	}
-	_, cellVar, _ := plan.RecoverDense(plan.Answers(x), groupVar)
+	_, cellVar, _ := plan.Recover(plan.Answers(x), groupVar)
 	_ = cellVar
 	wOffsets := w.Offsets()
 	for mi := range w.Marginals {
@@ -260,7 +260,7 @@ func TestIdentityCellVarianceScalesWithOrder(t *testing.T) {
 	w := marginal.MustWorkload(6, []bits.Mask{0b000001, 0b000111})
 	plan, _ := Identity{}.Plan(w)
 	z := plan.Answers(make([]float64, 64))
-	_, cellVar, err := plan.RecoverDense(z, []float64{3})
+	_, cellVar, err := plan.Recover(z, []float64{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestRecoverInputValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := plan.RecoverDense([]float64{1}, []float64{1}); err == nil {
+		if _, _, err := plan.Recover([]float64{1}, []float64{1}); err == nil {
 			t.Errorf("%s accepted malformed recover input", s.Name())
 		}
 	}

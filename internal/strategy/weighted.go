@@ -7,15 +7,6 @@ import (
 	"repro/internal/marginal"
 )
 
-// WeightedPlanner is implemented by strategies that support the paper's
-// general objective aᵀ·Var(y) (Section 2): a[i] is the importance weight of
-// marginal i, scaling its contribution to the variance the Step-2 budgeting
-// minimises. Plan(w) is equivalent to PlanWeighted(w, nil) (a = 1).
-type WeightedPlanner interface {
-	Strategy
-	PlanWeighted(w *marginal.Workload, a []float64) (*Plan, error)
-}
-
 // ParallelPlanner is implemented by strategies whose planning search can
 // fan out across the engine worker pool. The contract is strict
 // determinism: PlanParallel must produce a bit-identical plan at every
@@ -24,7 +15,7 @@ type WeightedPlanner interface {
 // and the persisted PlanRecord stay topology-independent.
 // PlanParallel(w, a, 1) is equivalent to PlanWeighted(w, a).
 type ParallelPlanner interface {
-	WeightedPlanner
+	Strategy
 	PlanParallel(w *marginal.Workload, a []float64, workers int) (*Plan, error)
 }
 
@@ -51,7 +42,7 @@ func weightAt(a []float64, i int) float64 {
 	return a[i]
 }
 
-// PlanWeighted implements WeightedPlanner: the identity strategy's single
+// PlanWeighted implements Strategy: the identity strategy's single
 // group carries weight Σ_i a_i per row (every base cell feeds one cell of
 // every queried marginal).
 func (s Identity) PlanWeighted(w *marginal.Workload, a []float64) (*Plan, error) {
@@ -72,7 +63,7 @@ func (s Identity) PlanWeighted(w *marginal.Workload, a []float64) (*Plan, error)
 	return plan, nil
 }
 
-// PlanWeighted implements WeightedPlanner: each marginal's group carries
+// PlanWeighted implements Strategy: each marginal's group carries
 // its own importance weight (R = I, so w_row = a_i).
 func (s Workload) PlanWeighted(w *marginal.Workload, a []float64) (*Plan, error) {
 	if err := checkWeights(w, a); err != nil {
@@ -88,7 +79,7 @@ func (s Workload) PlanWeighted(w *marginal.Workload, a []float64) (*Plan, error)
 	return plan, nil
 }
 
-// PlanWeighted implements WeightedPlanner: coefficient β carries
+// PlanWeighted implements Strategy: coefficient β carries
 // w_β = Σ_{i: β⪯α_i} a_i·2^{d−‖α_i‖}.
 func (s Fourier) PlanWeighted(w *marginal.Workload, a []float64) (*Plan, error) {
 	if err := checkWeights(w, a); err != nil {
@@ -97,7 +88,7 @@ func (s Fourier) PlanWeighted(w *marginal.Workload, a []float64) (*Plan, error) 
 	return planFourier(w, a), nil
 }
 
-// PlanWeighted implements WeightedPlanner: a material marginal's rows carry
+// PlanWeighted implements Strategy: a material marginal's rows carry
 // the summed importance of the queries its cluster answers. The clustering
 // search itself stays weight-agnostic (as in [6]); only the budgeting
 // weights change.
@@ -107,8 +98,8 @@ func (s Cluster) PlanWeighted(w *marginal.Workload, a []float64) (*Plan, error) 
 
 // Compile-time interface checks.
 var (
-	_ WeightedPlanner = Identity{}
-	_ WeightedPlanner = Workload{}
-	_ WeightedPlanner = Fourier{}
+	_ Strategy        = Identity{}
+	_ Strategy        = Workload{}
+	_ Strategy        = Fourier{}
 	_ ParallelPlanner = Cluster{}
 )

@@ -10,8 +10,8 @@ import (
 	"repro/internal/noise"
 )
 
-func weightedStrategies() []WeightedPlanner {
-	return []WeightedPlanner{Identity{}, Workload{}, Fourier{}, Cluster{}}
+func weightedStrategies() []Strategy {
+	return []Strategy{Identity{}, Workload{}, Fourier{}, Cluster{}}
 }
 
 func TestPlanWeightedNilEqualsPlan(t *testing.T) {
@@ -84,7 +84,7 @@ func TestWeightedBudgetingShiftsNoise(t *testing.T) {
 	w := marginal.MustWorkload(6, []bits.Mask{0b000011, 0b111100})
 	p := noise.Params{Type: noise.PureDP, Epsilon: 1, Neighbor: noise.AddRemove}
 	a := []float64{10, 0.01} // marginal 0 is what we care about
-	for _, s := range []WeightedPlanner{Workload{}, Fourier{}} {
+	for _, s := range []Strategy{Workload{}, Fourier{}} {
 		variance := func(weights []float64) float64 {
 			var plan *Plan
 			var err error
@@ -101,7 +101,7 @@ func TestWeightedBudgetingShiftsNoise(t *testing.T) {
 				t.Fatal(err)
 			}
 			groupVar := budget.SpecVariances(alloc.Eta, p)
-			_, cellVar, err := plan.RecoverDense(plan.Answers(make([]float64, 64)), groupVar)
+			_, cellVar, err := plan.Recover(plan.Answers(make([]float64, 64)), groupVar)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestWeightedObjectiveOptimality(t *testing.T) {
 			t.Fatal(err)
 		}
 		groupVar := budget.SpecVariances(alloc.Eta, p)
-		_, cellVar, err := plan.RecoverDense(plan.Answers(make([]float64, 64)), groupVar)
+		_, cellVar, err := plan.Recover(plan.Answers(make([]float64, 64)), groupVar)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,6 @@ type Releaser struct {
 	modifyNeighbors bool
 	queryWeights    []float64
 	workers         int
-	shards          int
 	cache           *PlanCache
 	ledger          *BudgetLedger
 	registry        *BudgetRegistry
@@ -89,20 +88,6 @@ func WithWorkers(n int) ReleaserOption {
 			return fmt.Errorf("%w: negative worker count %d", ErrInvalidOption, n)
 		}
 		r.workers = n
-		return nil
-	}
-}
-
-// WithShards bounds how many blocks the engine's measure stage partitions
-// the strategy-answer vector into. 0 (the default) auto-shards above the
-// engine's row threshold, 1 forces the monolithic path. Like WithWorkers,
-// the setting never changes a single bit of the release.
-func WithShards(n int) ReleaserOption {
-	return func(r *Releaser) error {
-		if n < 0 {
-			return fmt.Errorf("%w: negative shard count %d", ErrInvalidOption, n)
-		}
-		r.shards = n
 		return nil
 	}
 }
@@ -363,19 +348,14 @@ type ReleaseSpec struct {
 	Delta float64
 	// Seed makes the release reproducible; 0 is a valid fixed seed.
 	Seed int64
-	// Workers optionally overrides the Releaser's worker bound for this
-	// call (a server bounding per-request parallelism); 0 keeps the
-	// Releaser's setting.
-	Workers int
-	// Shards optionally overrides the Releaser's measure-stage shard bound
-	// for this call; 0 keeps the Releaser's setting. Like Workers, shards
-	// never change a single bit of the release.
-	Shards int
 	// Label names the release in the budget ledger; empty generates
 	// "release-N".
 	Label string
 	// Partition names the disjoint population slice for parallel
-	// composition in the ledger; empty means the whole population.
+	// composition in the ledger; empty means the whole population. The
+	// caller guarantees that the table released here holds only that
+	// slice and that distinct partitions are disjoint: the ledger cannot
+	// check either (see BudgetCharge.Partition).
 	Partition string
 	// Key names the tenant whose ledger this release charges when the
 	// Releaser carries a per-key BudgetRegistry (WithBudgetCaps); empty
@@ -436,16 +416,8 @@ func (r *Releaser) ReleaseBlocked(ctx context.Context, x *BlockedVector, spec Re
 	if r.uniformBudget {
 		budgeting = engine.UniformBudget
 	}
-	workers := r.workers
-	if spec.Workers > 0 {
-		workers = spec.Workers
-	}
-	shards := r.shards
-	if spec.Shards > 0 {
-		shards = spec.Shards
-	}
 	rel, err := engine.New(
-		engine.Options{Workers: workers, Shards: shards, Cache: r.cache},
+		engine.Options{Workers: r.workers, Cache: r.cache},
 	).RunVector(ctx, r.w, x, engine.Config{
 		Strategy:     r.strategy.impl(),
 		Budgeting:    budgeting,

@@ -123,11 +123,6 @@ type Options struct {
 	// and per-marginal recovery. 0 uses all available CPUs; 1 forces serial
 	// execution. The released values are bit-identical at every setting.
 	Workers int
-	// Shards bounds how many blocks the measure stage partitions the
-	// strategy-answer vector into (0 auto-shards above the engine's row
-	// threshold; 1 forces the monolithic path). Bit-identical at every
-	// setting, like Workers.
-	Shards int
 	// Cache optionally reuses Step-1 plans across releases (see PlanCache).
 	Cache *PlanCache
 }
@@ -217,9 +212,6 @@ func (o Options) releaserOptions() []ReleaserOption {
 	}
 	if o.Workers > 0 {
 		opts = append(opts, WithWorkers(o.Workers))
-	}
-	if o.Shards > 0 {
-		opts = append(opts, WithShards(o.Shards))
 	}
 	if o.Cache != nil {
 		opts = append(opts, WithCache(o.Cache))

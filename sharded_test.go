@@ -2,13 +2,16 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/vector"
 )
 
-// TestReleaseBlockedBitIdentical: the sharded public entry points
-// (ReleaseBlocked, WithShards, ReleaseSpec.Shards) reproduce the table
-// path, Release, bit for bit.
+// TestReleaseBlockedBitIdentical: the blocked public entry point,
+// ReleaseBlocked, reproduces the table path, Release, bit for bit at every
+// worker count and input blocking.
 func TestReleaseBlockedBitIdentical(t *testing.T) {
 	tab := SyntheticNLTCS(5, 3000)
 	schema := tab.Schema
@@ -28,36 +31,24 @@ func TestReleaseBlockedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, shards := range []int{1, 3, 8} {
-		r, err := NewReleaser(schema, w, WithShards(shards), WithWorkers(3))
+	for _, workers := range []int{1, 3} {
+		r, err := NewReleaser(schema, w, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.ReleaseBlocked(context.Background(), NewBlockedVector(x), spec)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		for i := range ref.Answers {
-			if math.Float64bits(got.Answers[i]) != math.Float64bits(ref.Answers[i]) {
-				t.Fatalf("shards=%d: answer %d differs", shards, i)
+		for _, blocks := range []int{1, 4, 16} {
+			xv := vector.New(len(x), blocks)
+			xv.Scatter(x)
+			got, err := r.ReleaseBlocked(context.Background(), xv, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("workers=%d blocks=%d", workers, blocks)
+			for i := range ref.Answers {
+				if math.Float64bits(got.Answers[i]) != math.Float64bits(ref.Answers[i]) {
+					t.Fatalf("%s: answer %d differs", what, i)
+				}
 			}
 		}
-	}
-
-	// Per-call override through the spec.
-	specShards := spec
-	specShards.Shards = 5
-	got, err := base.Release(context.Background(), tab, specShards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.Answers {
-		if math.Float64bits(got.Answers[i]) != math.Float64bits(ref.Answers[i]) {
-			t.Fatalf("spec.Shards: answer %d differs", i)
-		}
-	}
-
-	if _, err := NewReleaser(schema, w, WithShards(-1)); err == nil {
-		t.Fatal("negative shard count accepted")
 	}
 }

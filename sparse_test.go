@@ -136,9 +136,9 @@ func putSparse(t *testing.T, s *Schema, counts []float64) *DatasetHandle {
 }
 
 // TestSparseStoreReleasesLikeDense: for random sparse count vectors over
-// padded schemas, every strategy under both budgetings, at workers {1, 2}
-// and shards {1, auto, 3}, and the datacube release give the same bits
-// from the store's sparse form as from the same counts held dense.
+// padded schemas, every strategy under both budgetings, at workers {1, 2},
+// and the datacube release give the same bits from the store's sparse form
+// as from the same counts held dense.
 func TestSparseStoreReleasesLikeDense(t *testing.T) {
 	ctx := context.Background()
 	kinds := []StrategyKind{StrategyFourier, StrategyWorkload, StrategyCluster, StrategyIdentity}
@@ -150,34 +150,31 @@ func TestSparseStoreReleasesLikeDense(t *testing.T) {
 			big, huge := tc.schema.Dim() > 16, tc.schema.Dim() >= 20
 			for _, kind := range kinds {
 				for _, uniform := range []bool{false, true} {
-					opts := []ReleaserOption{WithStrategy(kind), WithBudgetCap(1e9, 0.5)}
-					if uniform {
-						opts = append(opts, WithUniformBudget())
-					}
-					r, err := NewReleaser(tc.schema, w, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
 					for _, workers := range []int{1, 2} {
-						for _, shards := range []int{1, 0, 3} {
-							// Identity draws a noise value per cell and every
-							// dense release walks the whole domain: a thinner
-							// matrix keeps the 2^17+ cases quick.
-							if big && kind == StrategyIdentity && (huge || workers != 1 || shards == 0 || uniform) ||
-								huge && (uniform || shards == 0) {
-								continue
-							}
-							spec := ReleaseSpec{Epsilon: 1, Seed: 5, Workers: workers, Shards: shards}
-							got, err := r.ReleaseDataset(ctx, h, spec)
-							if err != nil {
-								t.Fatal(err)
-							}
-							want, err := r.ReleaseBlocked(ctx, dense, spec)
-							if err != nil {
-								t.Fatal(err)
-							}
-							sameResult(t, fmt.Sprintf("%v uniform=%v workers=%d shards=%d", kind, uniform, workers, shards), got, want)
+						// Identity draws a noise value per cell and every
+						// dense release walks the whole domain: a thinner
+						// matrix keeps the 2^17+ cases quick.
+						if big && kind == StrategyIdentity && (huge || workers != 1 || uniform) || huge && uniform {
+							continue
 						}
+						opts := []ReleaserOption{WithStrategy(kind), WithBudgetCap(1e9, 0.5), WithWorkers(workers)}
+						if uniform {
+							opts = append(opts, WithUniformBudget())
+						}
+						r, err := NewReleaser(tc.schema, w, opts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						spec := ReleaseSpec{Epsilon: 1, Seed: 5}
+						got, err := r.ReleaseDataset(ctx, h, spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := r.ReleaseBlocked(ctx, dense, spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameResult(t, fmt.Sprintf("%v uniform=%v workers=%d", kind, uniform, workers), got, want)
 					}
 				}
 			}
@@ -185,7 +182,7 @@ func TestSparseStoreReleasesLikeDense(t *testing.T) {
 				return
 			}
 			for _, kind := range kinds {
-				o := Options{Epsilon: 1, Seed: 9, Strategy: kind, Shards: 3, Workers: 2}
+				o := Options{Epsilon: 1, Seed: 9, Strategy: kind, Workers: 2}
 				order := min(2, len(tc.schema.Attrs))
 				got, err := ReleaseCubeBlockedContext(ctx, tc.schema, h.Vector(), order, o)
 				if err != nil {
