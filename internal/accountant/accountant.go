@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -310,10 +311,19 @@ func (a *Accountant) History() []Charge {
 
 // Summary renders a human-readable ledger breakdown.
 func (a *Accountant) Summary() string {
+	var b strings.Builder
+	a.writeSummary(&b)
+	return b.String()
+}
+
+// writeSummary writes Summary's report into b. Every line goes straight
+// into b: a report made by concatenation would copy the growing text once
+// per charge, quadratic in the ledger, while the ledger mutex is held.
+func (a *Accountant) writeSummary(b *strings.Builder) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	eps, del := a.spentLocked()
-	s := fmt.Sprintf("privacy spent (%s composition): ε=%.4g/%.4g, δ=%.3g/%.3g over %d releases\n",
+	fmt.Fprintf(b, "privacy spent (%s composition): ε=%.4g/%.4g, δ=%.3g/%.3g over %d releases\n",
 		a.comp.Name(), eps, a.epsCap, del, a.delCap, len(a.charges))
 	byPart := map[string][]Charge{}
 	for _, c := range a.charges {
@@ -329,12 +339,11 @@ func (a *Accountant) Summary() string {
 		if name == "" {
 			name = "(whole population)"
 		}
-		s += fmt.Sprintf("  partition %s:\n", name)
+		fmt.Fprintf(b, "  partition %s:\n", name)
 		for _, c := range byPart[p] {
-			s += fmt.Sprintf("    %-24s ε=%.4g δ=%.3g\n", c.Label, c.Epsilon, c.Delta)
+			fmt.Fprintf(b, "    %-24s ε=%.4g δ=%.3g\n", c.Label, c.Epsilon, c.Delta)
 		}
 	}
-	return s
 }
 
 // Count returns the number of recorded charges without copying the ledger.

@@ -12,7 +12,8 @@ import (
 // admission followed by Spent: admission adds to running sums, so both
 // sizes should cost the same. Each admission stays on the ledger; to keep
 // memory bounded the ledger is rebuilt at its starting size (untimed)
-// whenever it has doubled.
+// whenever it has doubled. The summary arms time the shutdown report, which
+// should grow linearly with the ledger.
 func BenchmarkLedgerSpent(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		charges := make([]Charge, n)
@@ -47,6 +48,16 @@ func BenchmarkLedgerSpent(b *testing.B) {
 				}
 			})
 		}
+		b.Run("summary/"+size, func(b *testing.B) {
+			a := ledger(b, Basic{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if a.Summary() == "" {
+					b.Fatal("empty summary")
+				}
+			}
+		})
 		for _, comp := range []Composition{Basic{}, ZCDP{TargetDelta: 1e-6}} {
 			b.Run("charge-then-spent/"+comp.Name()+"/"+size, func(b *testing.B) {
 				a := ledger(b, comp)

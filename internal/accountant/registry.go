@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -246,7 +247,8 @@ func (r *Registry) Summary() string { return r.SummaryRedacted(nil) }
 // printing, so the report can be emitted to log sinks without exposing
 // tenant credentials. A nil redact prints keys verbatim.
 func (r *Registry) SummaryRedacted(redact func(string) string) string {
-	s := r.global.Summary()
+	var b strings.Builder
+	r.global.writeSummary(&b)
 	r.mu.Lock()
 	keys := make([]string, 0, len(r.ledgers))
 	for k := range r.ledgers {
@@ -266,8 +268,8 @@ func (r *Registry) SummaryRedacted(redact func(string) string) string {
 		if redact != nil {
 			name = redact(k)
 		}
-		s += fmt.Sprintf("  key %-16s ε=%.4g/%.4g δ=%.3g/%.3g over %d releases\n",
+		fmt.Fprintf(&b, "  key %-16s ε=%.4g/%.4g δ=%.3g/%.3g over %d releases\n",
 			name, eps, epsCap, del, delCap, l.Count())
 	}
-	return s
+	return b.String()
 }

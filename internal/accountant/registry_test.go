@@ -218,3 +218,53 @@ func TestRacingChargesAtCapBoundary(t *testing.T) {
 		t.Fatalf("per-key spend %v+%v does not reconcile with global %v", ae, be, ge)
 	}
 }
+
+// TestSummaryGolden pins the shutdown report byte for byte: the global
+// ledger's partitions in name order (the whole population first), each
+// partition's charges in charge order with a label wider than its column,
+// then one line per key, verbatim and redacted.
+func TestSummaryGolden(t *testing.T) {
+	r := testRegistry(t, 10, 1e-5, map[string]KeyCaps{
+		"alice-key-0001": {Epsilon: 4, Delta: 1e-6},
+		"bob":            {},
+	})
+	for _, c := range []struct {
+		key string
+		c   Charge
+	}{
+		{"", Charge{Label: "marginals-q1", Epsilon: 0.3}},
+		{"alice-key-0001", Charge{Label: "cube", Epsilon: 0.25, Delta: 1e-7, Partition: "2024-cohort"}},
+		{"bob", Charge{Label: "a-label-longer-than-twenty-four", Epsilon: 1.0 / 3}},
+		{"alice-key-0001", Charge{Label: "fourier-q2", Epsilon: 0.5, Partition: "2024-cohort"}},
+		{"", Charge{Label: "synthetic", Epsilon: 0.125, Delta: 2.5e-7, Partition: "adult"}},
+	} {
+		if err := r.Charge(c.key, c.c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const global = `privacy spent (basic composition): ε=1.383/10, δ=2.5e-07/1e-05 over 5 releases
+  partition (whole population):
+    marginals-q1             ε=0.3 δ=0
+    a-label-longer-than-twenty-four ε=0.3333 δ=0
+  partition 2024-cohort:
+    cube                     ε=0.25 δ=1e-07
+    fourier-q2               ε=0.5 δ=0
+  partition adult:
+    synthetic                ε=0.125 δ=2.5e-07
+`
+	for _, tc := range []struct {
+		got, want string
+	}{
+		{r.Global().Summary(), global},
+		{r.Summary(), global +
+			"  key alice-key-0001   ε=0.75/4 δ=1e-07/1e-06 over 2 releases\n" +
+			"  key bob              ε=0.3333/10 δ=0/1e-05 over 1 releases\n"},
+		{r.SummaryRedacted(RedactKey), global +
+			"  key alic…0264b820    ε=0.75/4 δ=1e-07/1e-06 over 2 releases\n" +
+			"  key bob…81b637d8     ε=0.3333/10 δ=0/1e-05 over 1 releases\n"},
+	} {
+		if tc.got != tc.want {
+			t.Fatalf("summary:\n%s\nwant:\n%s", tc.got, tc.want)
+		}
+	}
+}

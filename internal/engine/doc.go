@@ -45,13 +45,16 @@
 //     or as a zero-copy single-block view of a caller's dense slice.
 //   - Measure. Each strategy's TrueAnswers computes S·x from the blocked
 //     x and parallelises inside: identity copies cell ranges across
-//     workers, the marginal kernel sums each block into every marginal,
-//     and Fourier runs the blocked Walsh–Hadamard transform over a blocked
+//     workers; workload (Q), cluster (C) and sparse Fourier split their
+//     marginals into contiguous ranges across workers, each range one
+//     marginal-kernel pass (marginal.Workload.EvalWorkersVector); dense
+//     Fourier runs the blocked Walsh–Hadamard transform over a blocked
 //     scratch copy. A sparse x costs O(non-zeros) here: the marginal
-//     kernel reads its list, and Fourier takes each coefficient from the
-//     workload marginals instead of a 2^d transform (see the integrality
-//     invariant below); identity materialises it dense, as its answers
-//     are 2^d long anyway.
+//     kernel reads its list and indexes each cell by the bit runs of each
+//     marginal, and Fourier takes each coefficient from the workload
+//     marginals instead of a 2^d transform (see the integrality invariant
+//     below); identity materialises it dense, as its answers are 2^d long
+//     anyway.
 //   - Perturb. Noise is applied over the fixed noiseBlock row grid of z.
 //   - Recover. Per-marginal recovery slices the rows of z it needs.
 //   - Consist. Above the grain the weighted-L2 projection splits its

@@ -189,11 +189,19 @@ func TestMarginalKernelOracle(t *testing.T) {
 }
 
 // FuzzMarginalKernel drives the oracle comparison from fuzzed dimensions,
-// masks, value seeds, densities, block lengths and row ranges.
+// masks, value seeds, densities, block lengths and row ranges, and checks
+// the marginal split across 1, 2 and 3 workers on the dense, blocked and
+// sparse forms. The seeds index cells through one, two and five bit runs
+// (the sparse path's unrolled and looped index).
 func FuzzMarginalKernel(f *testing.F) {
+	const fiveRuns = 0b1011_0101_1001
+	if n := len(runsOf(fiveRuns, nil)); n != 5 {
+		f.Fatalf("mask %b has %d runs, want 5", fiveRuns, n)
+	}
 	f.Add(uint8(8), uint32(0b1010_0110), int64(1), uint8(1), uint16(300), uint16(5), uint16(9))
 	f.Add(uint8(12), uint32(0xf01), int64(2), uint8(100), uint16(1000), uint16(0), uint16(16))
 	f.Add(uint8(3), uint32(0), int64(3), uint8(1), uint16(1), uint16(0), uint16(1))
+	f.Add(uint8(11), uint32(fiveRuns), int64(4), uint8(20), uint16(700), uint16(3), uint16(40))
 	f.Fuzz(func(t *testing.T, d uint8, mask uint32, seed int64, spread uint8, blockLen uint16, lo, span uint16) {
 		dim := 1 + int(d)%12
 		alpha := bits.Mask(mask) & bits.Full(dim)
@@ -217,6 +225,10 @@ func FuzzMarginalKernel(f *testing.F) {
 		out := make([]float64, b-a)
 		w.EvalRangeVector(bv, a, b, out)
 		sameBits(t, "EvalRangeVector", out, want[a:b])
+		for workers := 1; workers <= 3; workers++ {
+			sameBits(t, fmt.Sprintf("dense/evalSplit/%d", workers), w.evalSplit(vector.FromDense(x), workers), want)
+			sameBits(t, fmt.Sprintf("blocked/evalSplit/%d", workers), w.evalSplit(bv, workers), want)
+		}
 
 		counts := kernelCounts(rng, len(x), 1+int(spread))
 		sp, ok := sparseForm(counts)
@@ -227,6 +239,9 @@ func FuzzMarginalKernel(f *testing.F) {
 		sameBits(t, "sparse/EvalSinglePassVector", w.EvalSinglePassVector(sp), want)
 		w.EvalRangeVector(sp, a, b, out)
 		sameBits(t, "sparse/EvalRangeVector", out, want[a:b])
+		for workers := 1; workers <= 3; workers++ {
+			sameBits(t, fmt.Sprintf("sparse/evalSplit/%d", workers), w.evalSplit(sp, workers), want)
+		}
 	})
 }
 

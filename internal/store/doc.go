@@ -21,12 +21,13 @@
 // scanned straight into its cell index from the schema's bit layout. Any
 // other line goes through a byte scanner that accepts exactly the JSON
 // arrays of integers and then Schema.Encode's range checks, so what is
-// accepted, and every error, is theirs. Each cell is counted into a map of
-// distinct cells, which switches once to dense counter blocks when they
-// pass one in vector.SparseRatio of the 2^d domain. So memory is one
-// buffer plus O(min(distinct cells, 2^d)) counts, never the number of
-// rows, and the vector is bit-identical to dataset.Table.Vector over the
-// same rows. (A pool of decode workers was 2.3× slower on 2 vCPU.)
+// accepted, and every error, is theirs. Row cells collect in a small
+// buffer that is radix-sorted and merged into an ascending list of the
+// distinct cells and their counts, which switches once to dense counter
+// blocks when they pass one in vector.SparseRatio of the 2^d domain. So
+// memory is one buffer plus O(min(distinct cells, 2^d)) counts, never the
+// number of rows, and the vector is bit-identical to dataset.Table.Vector
+// over the same rows. (A pool of decode workers was 2.3× slower on 2 vCPU.)
 //
 // # Storage forms
 //
@@ -39,8 +40,9 @@
 // cross to dense), and Info reports StoredCells and ResidentBytes. Adult
 // (20,950 non-zeros in 2^23 cells) takes 251 KB sparse against 64 MiB
 // dense; NLTCS (18% non-zero) stays dense. The form never changes a bit of
-// a release or a fingerprint: the fingerprint absorbs each run of zero
-// cells in one step (FNV-1a of a zero byte is a multiply by the prime).
+// a release or a fingerprint: the fingerprint defers zero bytes and
+// absorbs each run of them in a multiply or two (FNV-1a of a zero byte is
+// a multiply by the prime).
 // The fingerprint walk also counts the non-zero cells, so an append onto a
 // dense dataset knows the sum's count from the batch's cells alone and
 // walks the domain for the form only when the sum may go sparse.

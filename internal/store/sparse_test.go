@@ -261,7 +261,10 @@ func tableBody(tab *dataset.Table) string {
 // within cells/16 ingests sparse and one that passes it mid-stream ingests
 // dense, both bit-identical to dataset.Table.Vector and to the worker-pool
 // oracle at every worker count (its workers merging on both sides of the
-// switch).
+// switch). The accumulator's edge cases ride along: one cell over 10,000
+// rows (merges of a single distinct cell), exactly cells/16 distinct cells
+// at the first merge (sparse) and one more (dense from that merge on), and
+// a cell total reaching 2^53, which the sparse form refuses.
 func TestIngestFormMatchesTableVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	wide := dataset.MustSchema([]dataset.Attribute{
@@ -271,6 +274,27 @@ func TestIngestFormMatchesTableVector(t *testing.T) {
 	for i := range rows {
 		rows[i] = []int{rng.Intn(64), rng.Intn(64), rng.Intn(3)}
 	}
+	one := make([][]int, 10_000)
+	for i := range one {
+		one[i] = []int{37, 5, 2}
+	}
+	// 2^15 cells: the first merge, at minPending rows, sees limit distinct
+	// cells, each row a cell of its own until then, repeated afterwards.
+	limit := dataset.MustSchema([]dataset.Attribute{{Name: "a", Cardinality: 256}, {Name: "b", Cardinality: 128}})
+	atMerge := func(distinct int) *dataset.Table {
+		rows := make([][]int, 3*minPending)
+		for i := range rows {
+			c := rng.Intn(distinct)
+			if i < distinct {
+				c = i
+			} else if i < minPending {
+				c = i % distinct
+			}
+			rows[i] = []int{c % 256, c / 256}
+		}
+		return &dataset.Table{Schema: limit, Rows: rows}
+	}
+	n := limit.DomainSize()
 	for _, tc := range []struct {
 		name   string
 		tab    *dataset.Table
@@ -278,6 +302,9 @@ func TestIngestFormMatchesTableVector(t *testing.T) {
 	}{
 		{"adult-500", dataset.SyntheticAdult(4, 500), true},
 		{"crossing", &dataset.Table{Schema: wide, Rows: rows}, false},
+		{"one-cell", &dataset.Table{Schema: wide, Rows: one}, true},
+		{"limit-at-merge", atMerge(n / vector.SparseRatio), true},
+		{"over-limit-at-merge", atMerge(n/vector.SparseRatio + 1), false},
 	} {
 		want, err := tc.tab.Vector()
 		if err != nil {
@@ -303,5 +330,16 @@ func TestIngestFormMatchesTableVector(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 9} {
 			checkAgainstPool(t, []byte(body), workers, IngestOptions{})
 		}
+	}
+
+	acc := newAccumulator(n)
+	acc.add(9)
+	acc.merge()
+	acc.vals[0] = 1<<53 - 2
+	acc.add(3)
+	acc.add(9)
+	x := acc.vector()
+	if _, _, sparse := vector.Sparse(x); sparse || x.At(9) != 1<<53-1 || x.At(3) != 1 {
+		t.Fatalf("a 2^53 total held sparse=%v with cells 9, 3 = %v, %v; want dense 2^53−1, 1", sparse, x.At(9), x.At(3))
 	}
 }

@@ -2,11 +2,11 @@ package store
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	mathbits "math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -239,34 +239,74 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// fnv64a is an FNV-1a 64 state that can also absorb a run of zero cells in
-// O(log) time: FNV-1a of a zero byte is one multiply by the prime, so r
-// zero cells (8r zero bytes) multiply the state by prime^(8r) mod 2^64.
-type fnv64a uint64
+// fnv64a is an FNV-1a 64 state that defers zero bytes. FNV-1a of a zero
+// byte is one multiply by the prime, so z zero bytes in a row multiply the
+// state by prime^z mod 2^64. The state counts them and pays prime^z when
+// the next non-zero byte arrives, one multiply per base-64 digit of z from
+// fnvPrimePow. The float64 of a small count ends in five or more zero bytes
+// and a zero cell is eight, so a count vector hashes in about one multiply
+// per non-zero cell byte and per gap between non-zero cells.
+type fnv64a struct {
+	h     uint64
+	zeros uint64 // zero bytes not yet multiplied in
+}
 
-func (h *fnv64a) write(p []byte) {
+// fnvPrimePow[i][e] is fnvPrime64^(e·64^i) mod 2^64; eleven digits cover
+// every uint64 exponent.
+var fnvPrimePow = func() (t [11][64]uint64) {
+	p := uint64(fnvPrime64) // fnvPrime64^(64^i)
+	for i := range t {
+		t[i][0] = 1
+		for e := 1; e < 64; e++ {
+			t[i][e] = t[i][e-1] * p
+		}
+		p = t[i][63] * p
+	}
+	return t
+}()
+
+func newFNV64a() fnv64a { return fnv64a{h: fnvOffset64} }
+
+// flush multiplies in the deferred zero bytes.
+func (f *fnv64a) flush() {
+	for i, z := 0, f.zeros; z != 0; i, z = i+1, z>>6 {
+		f.h *= fnvPrimePow[i][z&63]
+	}
+	f.zeros = 0
+}
+
+func (f *fnv64a) write(p []byte) {
+	f.flush()
 	for _, c := range p {
-		*h ^= fnv64a(c)
-		*h *= fnvPrime64
+		f.h ^= uint64(c)
+		f.h *= fnvPrime64
 	}
 }
 
-func (h *fnv64a) writeUint64(v uint64) {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	h.write(buf[:])
+// writeUint64 absorbs v's big-endian bytes. Leading and trailing zero bytes
+// are deferred; the bytes between them are hashed as in write.
+func (f *fnv64a) writeUint64(v uint64) {
+	if v == 0 {
+		f.zeros += 8
+		return
+	}
+	lead, trail := mathbits.LeadingZeros64(v)/8, mathbits.TrailingZeros64(v)/8
+	f.zeros += uint64(lead)
+	f.flush()
+	for s := 56 - 8*lead; s >= 8*trail; s -= 8 {
+		f.h ^= v >> uint(s) & 0xff
+		f.h *= fnvPrime64
+	}
+	f.zeros = uint64(trail)
 }
 
 // zeroCells absorbs r cells whose float64 bits are all zero.
-func (h *fnv64a) zeroCells(r int) {
-	p, f := uint64(1), uint64(fnvPrime64)
-	for e := 8 * uint64(r); e > 0; e >>= 1 {
-		if e&1 != 0 {
-			p *= f
-		}
-		f *= f
-	}
-	*h *= fnv64a(p)
+func (f *fnv64a) zeroCells(r int) { f.zeros += 8 * uint64(r) }
+
+// sum returns the hash of everything absorbed.
+func (f *fnv64a) sum() uint64 {
+	f.flush()
+	return f.h
 }
 
 // seal computes the dataset's fingerprint and non-zero count, then freezes
@@ -281,12 +321,12 @@ func (d *Dataset) seal() {
 // fingerprintCount hashes the schema layout and every count cell in
 // ascending cell order (FNV-64a over the big-endian float64 bit patterns),
 // and counts the cells whose bit pattern is non-zero on the same walk.
-// Runs of zero cells are absorbed at once, so a sparse dataset hashes in
-// O(non-zeros · log) and either form of the same cells gives the same
-// value. Computed at install and at snapshot load, so the value survives
+// Runs of zero cells are absorbed at once (fnv64a defers zero bytes), so a
+// sparse dataset hashes in a few multiplies per non-zero cell and either
+// form of the same cells gives the same value. Computed at install and at snapshot load, so the value survives
 // restarts and agrees across processes holding the same data.
 func fingerprintCount(sc *dataset.Schema, counts *vector.Blocked) (uint64, int) {
-	h := fnv64a(fnvOffset64)
+	h := newFNV64a()
 	h.writeUint64(uint64(len(sc.Attrs)))
 	for _, a := range sc.Attrs {
 		h.writeUint64(uint64(len(a.Name)))
@@ -303,23 +343,19 @@ func fingerprintCount(sc *dataset.Schema, counts *vector.Blocked) (uint64, int) 
 			next = int(c) + 1
 		}
 		h.zeroCells(n - next)
-		return uint64(h), len(cells)
+		return h.sum(), len(cells)
 	}
-	run, nnz := 0, 0
+	nnz := 0
 	counts.Segments(0, n, func(_ int, seg []float64) {
 		for _, v := range seg {
-			if b := math.Float64bits(v); b == 0 {
-				run++
-			} else {
-				h.zeroCells(run)
-				run = 0
+			b := math.Float64bits(v)
+			if b != 0 {
 				nnz++
-				h.writeUint64(b)
 			}
+			h.writeUint64(b)
 		}
 	})
-	h.zeroCells(run)
-	return uint64(h), nnz
+	return h.sum(), nnz
 }
 
 // sparseBuilder collects the non-zero cells of a count vector, visited in

@@ -368,11 +368,11 @@ func (c Cluster) planFrom(w *marginal.Workload, cl *clustering, queryWeights []f
 	return &Plan{
 		Strategy: "C",
 		Specs:    specs,
-		TrueAnswers: func(x *vector.Blocked, _ int) []float64 {
+		TrueAnswers: func(x *vector.Blocked, workers int) []float64 {
 			if x.Len() != 1<<uint(w.D) {
 				panic(fmt.Sprintf("strategy: cluster expects %d cells, got %d", 1<<uint(w.D), x.Len()))
 			}
-			return matWorkload.EvalSinglePassVector(x)
+			return matWorkload.EvalWorkersVector(x, workers)
 		},
 		Recover:         recoverFromMarginals(w, rm),
 		RecoverMarginal: rm,

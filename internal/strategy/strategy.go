@@ -201,11 +201,11 @@ func (Workload) Plan(w *marginal.Workload) (*Plan, error) {
 	return &Plan{
 		Strategy: "Q",
 		Specs:    specs,
-		TrueAnswers: func(x *vector.Blocked, _ int) []float64 {
+		TrueAnswers: func(x *vector.Blocked, workers int) []float64 {
 			if x.Len() != 1<<uint(w.D) {
 				panic(fmt.Sprintf("strategy: workload expects %d cells, got %d", 1<<uint(w.D), x.Len()))
 			}
-			return w.EvalSinglePassVector(x)
+			return w.EvalWorkersVector(x, workers)
 		},
 		Recover:         recoverFromMarginals(w, rm),
 		RecoverMarginal: rm,
@@ -294,7 +294,8 @@ func planFourier(w *marginal.Workload, a []float64) *Plan {
 		//
 		// A sparse x skips the 2^d transform. By Theorem 4.1 every β ⪯ α
 		// is a coefficient of the marginal Cα x, so one unscaled 2^k
-		// butterfly per exact workload marginal yields it. The sparse form
+		// butterfly per exact workload marginal (split across workers)
+		// yields it. The sparse form
 		// holds integer counts totalling below 2^53, so the kernel's sums
 		// and both butterfly networks are exact, and each coefficient is
 		// the same integer on either route until the one multiply by cInv,
@@ -305,7 +306,7 @@ func planFourier(w *marginal.Workload, a []float64) *Plan {
 			}
 			if _, _, ok := vector.Sparse(x); ok {
 				out := make([]float64, len(support))
-				exact := w.EvalSinglePassVector(x)
+				exact := w.EvalWorkersVector(x, workers)
 				for i, m := range w.Marginals {
 					cells := exact[offsets[i] : offsets[i]+m.Cells()]
 					transform.WHTUnscaled(cells)
