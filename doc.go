@@ -182,14 +182,12 @@
 // unrolled (bit-identical to the textbook dataflow, ~2× at 2^20 cells),
 // the perturb stage reseeds one noise source per worker in place of
 // per-block substream construction, and the consistency projection
-// pools its per-marginal scratch. Tests pin the allocs/op of each stage;
-// cmd/dpload drives a live daemon at a target request rate (mixed
-// release/cube/synthetic traffic, hot-repeat vs unique mix, optional
-// API-key rotation) and writes BENCH_dpload.json — latency percentiles,
-// achieved RPS, cache hit rate, and embedded -benchmem allocs/op — which
-// CI regenerates and gates against the committed baseline. For live
-// diagnosis, dpcubed -pprof-addr serves net/http/pprof on a separate
-// admin listener.
+// pools its per-marginal scratch. The TestAllocCeiling tests hold each
+// stage, and each warm serving path, to a committed allocs/op ceiling.
+// perfbench measures a live daemon end to end — latency percentiles,
+// throughput, cache hit ratio and per-stage times — for example with
+// bash perfbench/run.sh --workload dashboard-hot. For live diagnosis,
+// dpcubed -pprof-addr serves net/http/pprof on a separate admin listener.
 //
 // # Observability
 //

@@ -13,13 +13,12 @@
 //
 // Repeating the exact same POST replays the identical bytes from the
 // result cache without spending any further budget (free post-processing
-// of the already-released output); to load-test the serving path at a
-// target request rate — mixed release/cube/synthetic traffic with a
-// configurable hot-repeat ratio over both tenants' keys — drive a live
-// daemon with cmd/dpload:
+// of the already-released output). To load-test that serving path — a
+// hot set of repeated releases through the result cache against a live
+// daemon built from this checkout — run the benchmark from the repository
+// root:
 //
-//	dpload -server http://localhost:8080 -keys alice,bob \
-//	    -rps 200 -duration 10s -hot 0.8 -out BENCH_dpload.json
+//	bash perfbench/run.sh --workload dashboard-hot
 //
 // Run with: go run ./examples/server
 package main

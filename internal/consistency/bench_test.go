@@ -12,8 +12,8 @@ import (
 // benchWorkload builds a consistency-heavy workload: all 10-way marginals
 // of a d=14 domain — ~1M released cells across 1001 overlapping tables, the
 // regime where the projection used to be the pipeline's serial bottleneck.
-func benchWorkload(b *testing.B, d, k int) (*marginal.Workload, []float64, []float64) {
-	b.Helper()
+func benchWorkload(tb testing.TB, d, k int) (*marginal.Workload, []float64, []float64) {
+	tb.Helper()
 	w := marginal.AllKWay(d, k)
 	rng := rand.New(rand.NewSource(7))
 	noisy := make([]float64, w.TotalCells())
@@ -51,5 +51,28 @@ func BenchmarkConsist(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestAllocCeilingConsist holds BenchmarkConsist's projection to committed
+// allocs/op ceilings at one and at four workers, whatever the CPU count.
+// The pooled path allocates per worker, not per cell or per marginal.
+func TestAllocCeilingConsist(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector, so allocation counts vary")
+	}
+	w, noisy, weight := benchWorkload(t, 14, 10)
+	for _, c := range []struct {
+		workers int
+		ceiling float64
+	}{{1, 63}, {4, 105}} {
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := L2WeightedWorkers(w, noisy, weight, c.workers); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.ceiling {
+			t.Errorf("workers=%d: %v allocs per projection, ceiling %v", c.workers, got, c.ceiling)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package marginal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -58,14 +59,22 @@ func TestBlockedEvalBitIdentity(t *testing.T) {
 	}
 }
 
-// TestEvalRangeVectorAllocsPinned pins the regression the -benchmem audit
+// TestAllocCeilingEvalRangeVector pins the regression the -benchmem audit
 // caught: EvalRangeVector runs once per shard block, and used to allocate an
 // Offsets() slice plus append-grown scratch on every call. The kernel keeps
-// all of its state on the stack, so a call allocates nothing.
-func TestEvalRangeVectorAllocsPinned(t *testing.T) {
+// all of its state on the stack, so a call allocates nothing — on
+// BenchmarkEvalRangeVector's input in its 256-cell tiles, and on dense and
+// sparse counts in 64-cell tiles.
+func TestAllocCeilingEvalRangeVector(t *testing.T) {
 	w := AllKWay(12, 2)
 	n := 1 << w.D
 	rng := rand.New(rand.NewSource(31))
+	type input struct {
+		name string
+		x    *vector.Blocked
+		tile int
+	}
+	inputs := []input{{"bench", benchRangeVector(w.D), 256}}
 	// Dense counts take the lockstep path, one non-zero in 64 the sparse one.
 	for _, nonZero := range []int{1, 64} {
 		x := vector.NewBlockLen(n, 1<<10)
@@ -74,30 +83,29 @@ func TestEvalRangeVectorAllocsPinned(t *testing.T) {
 				x.Set(i, float64(1+rng.Intn(5)))
 			}
 		}
-		total := w.TotalCells()
-		out := make([]float64, 64)
+		inputs = append(inputs, input{fmt.Sprintf("one non-zero in %d", nonZero), x, 64})
+	}
+	total := w.TotalCells()
+	for _, in := range inputs {
+		out := make([]float64, in.tile)
 		allocs := testing.AllocsPerRun(20, func() {
 			for lo := 0; lo < total; lo += len(out) {
 				hi := min(lo+len(out), total)
-				w.EvalRangeVector(x, lo, hi, out[:hi-lo])
+				w.EvalRangeVector(in.x, lo, hi, out[:hi-lo])
 			}
 		})
 		if allocs > 0 {
-			t.Fatalf("one non-zero in %d: EvalRangeVector allocates %v per tiling, want none", nonZero, allocs)
+			t.Fatalf("%s: EvalRangeVector allocates %v per tiling, ceiling 0", in.name, allocs)
 		}
 	}
 }
 
 // BenchmarkEvalRangeVector measures the per-shard-block answer slicing; run
-// with -benchmem — allocs/op must stay at zero.
+// with -benchmem — allocs/op must stay at zero
+// (TestAllocCeilingEvalRangeVector).
 func BenchmarkEvalRangeVector(b *testing.B) {
 	w := AllKWay(12, 2)
-	n := 1 << w.D
-	x := vector.NewBlockLen(n, 1<<10)
-	rng := rand.New(rand.NewSource(32))
-	for i := 0; i < n; i++ {
-		x.Set(i, float64(rng.Intn(5)))
-	}
+	x := benchRangeVector(w.D)
 	total := w.TotalCells()
 	out := make([]float64, 256)
 	b.ReportAllocs()
@@ -109,4 +117,16 @@ func BenchmarkEvalRangeVector(b *testing.B) {
 		}
 		w.EvalRangeVector(x, lo, hi, out[:hi-lo])
 	}
+}
+
+// benchRangeVector is BenchmarkEvalRangeVector's input: counts 0–4 over
+// 2^d cells in blocks of 2^10.
+func benchRangeVector(d int) *vector.Blocked {
+	n := 1 << d
+	x := vector.NewBlockLen(n, 1<<10)
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i < n; i++ {
+		x.Set(i, float64(rng.Intn(5)))
+	}
+	return x
 }

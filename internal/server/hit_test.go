@@ -242,7 +242,7 @@ func TestWorkloadSuccessIsAFunctionOfReleaserKey(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) string {
+func mustJSON(t testing.TB, v any) string {
 	t.Helper()
 	raw, err := json.Marshal(v)
 	if err != nil {

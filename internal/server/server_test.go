@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -433,7 +434,28 @@ func TestWorkloadVariants(t *testing.T) {
 
 // BenchmarkServerRelease measures end-to-end requests/sec on a warm plan
 // cache — the serving baseline for future PRs. Run with -benchtime and
-// -cpu to scale. Variants: "inline" carries rows in the body (never
+// -cpu to scale. The arms are serverReleaseCases; TestAllocCeilingServerRelease
+// holds each to a committed allocs/op ceiling.
+func BenchmarkServerRelease(b *testing.B) {
+	for _, c := range serverReleaseCases {
+		b.Run(c.name, func(b *testing.B) {
+			serve := c.setup(b)
+			serve() // warm the Releaser registry, plan cache and (when on) result cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				serve()
+			}
+			b.StopTimer()
+			if b.N > 0 {
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			}
+		})
+	}
+}
+
+// serverReleaseCases are the serving paths BenchmarkServerRelease times and
+// TestAllocCeiling bounds. "inline" carries rows in the body (never
 // result-cached — the full decode+engine path), "dataset-uncached" reads an
 // ingested dataset with the result cache off (the engine path minus rows
 // decode), "dataset-cached" repeats one identical dataset request — the
@@ -441,65 +463,77 @@ func TestWorkloadVariants(t *testing.T) {
 // faster than dataset-uncached — and "synthetic-cached" repeats one
 // ~1 MB /v1/synthetic response, whose hit must cost about what the small
 // dataset-cached hit does: the cached payload is written, never copied.
-func BenchmarkServerRelease(b *testing.B) {
-	// keepBody false drops the response body as it is written, so the 1 MB
-	// synthetic arm measures the server rather than a recorder buffering it.
-	run := func(b *testing.B, s *Server, path string, body []byte, keepBody bool) {
-		// Warm the Releaser registry, plan cache and (when on) result cache.
-		warm := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+// setup builds a server and returns one request against it; ceiling is
+// the most allocations that request may make once warm.
+var serverReleaseCases = []struct {
+	name    string
+	setup   func(tb testing.TB) (serve func())
+	ceiling float64
+}{
+	{"inline", func(tb testing.TB) func() {
+		s := newTestServer(tb, Config{EpsilonCap: math.MaxFloat64, MaxWorkers: 0})
+		return serveFunc(tb, s, "/v1/release", mustJSON(tb, testBody(benchReleaseOverrides)), true)
+	}, 1062},
+	{"dataset-uncached", func(tb testing.TB) func() {
+		return benchDatasetServe(tb, -1, "/v1/release", benchReleaseOverrides)
+	}, 574},
+	{"dataset-cached", func(tb testing.TB) func() {
+		return benchDatasetServe(tb, 0, "/v1/release", benchReleaseOverrides)
+	}, 58},
+	{"synthetic-cached", func(tb testing.TB) func() {
+		return benchDatasetServe(tb, 0, "/v1/synthetic", benchSyntheticOverrides)
+	}, 57},
+}
+
+// benchReleaseOverrides is the 2-way release the serving cases request.
+var benchReleaseOverrides = map[string]any{"workload": map[string]any{"k": 2}, "epsilon": 1e-6}
+
+// benchDatasetServe returns one request for path over the dataset "bench"
+// on a fresh server whose result cache holds cacheSize entries (-1: off).
+func benchDatasetServe(tb testing.TB, cacheSize int, path string, overrides map[string]any) func() {
+	s := newTestServer(tb, Config{EpsilonCap: math.MaxFloat64, MaxWorkers: 0, ResultCacheSize: cacheSize})
+	putBenchDataset(tb, s)
+	// The ~1 MB synthetic body is dropped as it is written, so that arm
+	// measures the server rather than a recorder buffering it.
+	return serveFunc(tb, s, path, mustJSON(tb, datasetBody("bench", overrides)), path != "/v1/synthetic")
+}
+
+// serveFunc returns one POST of body to path, failing tb unless it answers
+// 200. keepBody false drops the response body as it is written.
+func serveFunc(tb testing.TB, s *Server, path, body string, keepBody bool) func() {
+	return func() {
 		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, warm)
+		if !keepBody {
+			rec.Body = nil
+		}
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 		if rec.Code != http.StatusOK {
-			b.Fatalf("warm-up failed: %d %s", rec.Code, rec.Body.String())
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-			rec := httptest.NewRecorder()
-			if !keepBody {
-				rec.Body = nil
-			}
-			s.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				b.Fatalf("request %d: %d", i, rec.Code)
-			}
-		}
-		b.StopTimer()
-		if b.N > 0 {
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			tb.Fatalf("%s: %d", path, rec.Code)
 		}
 	}
-	overrides := map[string]any{"workload": map[string]any{"k": 2}, "epsilon": 1e-6}
-	b.Run("inline", func(b *testing.B) {
-		s := newTestServer(b, Config{EpsilonCap: math.MaxFloat64, MaxWorkers: 0})
-		body, err := json.Marshal(testBody(overrides))
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, s, "/v1/release", body, true)
-	})
-	datasetSetup := func(b *testing.B, cacheSize int, overrides map[string]any) (*Server, []byte) {
-		s := newTestServer(b, Config{EpsilonCap: math.MaxFloat64, MaxWorkers: 0, ResultCacheSize: cacheSize})
-		putBenchDataset(b, s)
-		body, err := json.Marshal(datasetBody("bench", overrides))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s, body
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestAllocCeilingServerRelease holds each warm serving path of
+// BenchmarkServerRelease to its committed allocs/op ceiling.
+func TestAllocCeilingServerRelease(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector, so allocation counts vary")
 	}
-	b.Run("dataset-uncached", func(b *testing.B) {
-		s, body := datasetSetup(b, -1, overrides)
-		run(b, s, "/v1/release", body, true)
-	})
-	b.Run("dataset-cached", func(b *testing.B) {
-		s, body := datasetSetup(b, 0, overrides)
-		run(b, s, "/v1/release", body, true)
-	})
-	b.Run("synthetic-cached", func(b *testing.B) {
-		s, body := datasetSetup(b, 0, benchSyntheticOverrides)
-		run(b, s, "/v1/synthetic", body, false)
-	})
+	// GC is paused so that a collection emptying a scratch pool mid-run
+	// does not count as the path's own allocations.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range serverReleaseCases {
+		t.Run(c.name, func(t *testing.T) {
+			serve := c.setup(t)
+			serve()
+			if got := testing.AllocsPerRun(20, serve); got > c.ceiling {
+				t.Errorf("%v allocs per request, ceiling %v", got, c.ceiling)
+			}
+		})
+	}
 }
 
 // putBenchDataset ingests the benchmark dataset "bench": a 14-attribute

@@ -183,6 +183,47 @@ func TestPutCountsFractionalStaysDense(t *testing.T) {
 	}
 }
 
+// TestSparseResidentBytesExact: a sparse dataset holds exactly the 12
+// bytes per non-zero that Info.ResidentBytes reports — its cell and value
+// slices have no spare capacity — after the Adult-shaped upload of
+// BenchmarkSparseStore, whose accumulator merges into growing buffers, and
+// after an append onto it, whose vector.Sum merge is sized for both
+// operands but shares most of their cells.
+func TestSparseResidentBytesExact(t *testing.T) {
+	tab := dataset.SyntheticAdult(2, dataset.AdultTupleCount)
+	s := memStore(t)
+	ctx := context.Background()
+	check := func(stage string, info Info) {
+		t.Helper()
+		h, err := s.Get("adult")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		cells, vals, ok := vector.Sparse(h.Vector())
+		if !ok {
+			t.Fatalf("%s: Adult not held sparse", stage)
+		}
+		if cap(cells) != len(cells) || cap(vals) != len(vals) {
+			t.Fatalf("%s: %d non-zeros held in slices of capacity %d (cells) and %d (vals)",
+				stage, len(cells), cap(cells), cap(vals))
+		}
+		if info.ResidentBytes != int64(12*len(cells)) {
+			t.Fatalf("%s: ResidentBytes %d, want 12·%d", stage, info.ResidentBytes, len(cells))
+		}
+	}
+	info, err := s.IngestNDJSON(ctx, "adult", strings.NewReader(tableBody(tab)), IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("upload", info)
+	batch := &dataset.Table{Schema: tab.Schema, Rows: tab.Rows[:1000]}
+	if info, err = s.AppendNDJSON(ctx, "adult", strings.NewReader(tableBody(batch)), IngestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check("append", info)
+}
+
 // BenchmarkSparseStore times the sparse form against the dense one on
 // Adult-shaped data (2^23 cells, 0.25% non-zero): the NDJSON ingest, the
 // fingerprint, and the exact Fourier and cluster Q2 strategy answers S·x

@@ -83,15 +83,21 @@ func TestWHTGrainBitIdentity(t *testing.T) {
 	}
 }
 
-// TestWHTBelowGrainAllocs: below twice the grain the transform asked for
-// eight workers runs the serial network and allocates exactly what one
-// worker does — nothing.
-func TestWHTBelowGrainAllocs(t *testing.T) {
+// TestAllocCeilingWHT: the 2^20-cell butterfly kernels of
+// BenchmarkWHTKernel1M allocate nothing, and below twice the grain the
+// transform asked for eight workers runs the serial network and allocates
+// exactly what one worker does — nothing.
+func TestAllocCeilingWHT(t *testing.T) {
+	for _, k := range whtKernel1M() {
+		if a := testing.AllocsPerRun(2, k.run); a != 0 {
+			t.Errorf("kernel %s: %v allocs, ceiling 0", k.name, a)
+		}
+	}
 	x := make([]float64, par.Grain)
 	b := vector.NewBlockLen(par.Grain, par.Grain/8)
 	for _, workers := range []int{1, 8} {
 		if a := testing.AllocsPerRun(10, func() { WHTWorkers(x, workers) }); a != 0 {
-			t.Errorf("dense n=%d workers=%d: %v allocs, want 0", len(x), workers, a)
+			t.Errorf("dense n=%d workers=%d: %v allocs, ceiling 0", len(x), workers, a)
 		}
 	}
 	serial := testing.AllocsPerRun(10, func() { WHTBlocked(b, 1) })

@@ -325,23 +325,33 @@ func TestWHTKernelBitIdenticalToNaive(t *testing.T) {
 // cache-blocked radix-4 butterfly must show a measurable speedup over the
 // naive triple loop at 2^20 cells.
 func BenchmarkWHTKernel1M(b *testing.B) {
+	for _, k := range whtKernel1M() {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.run()
+			}
+		})
+	}
+}
+
+// whtArm is one named kernel run.
+type whtArm struct {
+	name string
+	run  func()
+}
+
+// whtKernel1M returns the arms of BenchmarkWHTKernel1M: each copies one
+// random 2^20-cell vector into a buffer and runs a butterfly network over
+// it in place.
+func whtKernel1M() []whtArm {
 	rng := rand.New(rand.NewSource(11))
 	src := randomVec(rng, 1<<20)
 	buf := make([]float64, len(src))
-	b.Run("naive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			copy(buf, src)
-			whtButterfliesNaive(buf)
-		}
-	})
-	b.Run("blocked", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			copy(buf, src)
-			whtButterflies(buf)
-		}
-	})
+	return []whtArm{
+		{"naive", func() { copy(buf, src); whtButterfliesNaive(buf) }},
+		{"blocked", func() { copy(buf, src); whtButterflies(buf) }},
+	}
 }
 
 func TestWHTParallelBitIdentical(t *testing.T) {

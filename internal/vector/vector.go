@@ -97,8 +97,10 @@ func Frozen(b *Blocked) bool { return b.frozen }
 // positive integer and their total below 2^53, the integrality that makes
 // every marginal sum over the vector exact in any order. The read
 // primitives present the notional block length blockLen (clamped like
-// NewBlockLen's). NewSparse takes ownership of both slices. Like Freeze it
-// is a package function, so the public alias of Blocked cannot build one.
+// NewBlockLen's). NewSparse takes ownership of both slices, and copies one
+// with spare capacity to an exact-length one, so that the vector holds the
+// 12 bytes per non-zero ResidentBytes reports. Like Freeze it is a package
+// function, so the public alias of Blocked cannot build one.
 func NewSparse(n, blockLen int, cells []int32, vals []float64) (*Blocked, error) {
 	if n < 0 || int64(n) > 1<<31 {
 		return nil, fmt.Errorf("vector: sparse length %d outside [0, 2^31]", n)
@@ -121,6 +123,12 @@ func NewSparse(n, blockLen int, cells []int32, vals []float64) (*Blocked, error)
 	}
 	if blockLen < 1 || blockLen > n {
 		blockLen = n
+	}
+	if cap(cells) > len(cells) {
+		cells = append(make([]int32, 0, len(cells)), cells...)
+	}
+	if cap(vals) > len(vals) {
+		vals = append(make([]float64, 0, len(vals)), vals...)
 	}
 	return &Blocked{n: n, blockLen: blockLen, frozen: true, sparse: true, cells: cells, vals: vals}, nil
 }
